@@ -388,7 +388,13 @@ def gain_ratio_limit(p: float, params: ConstructionParams) -> float:
         raise ValueError(f"p must be positive, got {p}")
     sigma = params.sigma
     alpha = (1.0 - 2.0 * sigma) / (2.0 * sigma)
-    return math.exp(2.0 * p * alpha / params.beta)
+    exponent = 2.0 * p * alpha / params.beta
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        raise ValueError(
+            f"gain ratio limit exp(2 p alpha / beta) = exp({exponent!r}) overflows double precision"
+        ) from None
 
 
 def p_threshold(params: ConstructionParams) -> float:

@@ -201,6 +201,56 @@ def _read_points(path: str) -> np.ndarray:
     return np.array(rows)
 
 
+_MAP_CSV_ROW = "%s,%s,%s,%s,%s,%s,%s,%s\n"
+# One entry of results.rows as json.dumps(doc, indent=2, sort_keys=True)
+# lays it out, keys in sorted order.
+_MAP_JSON_ROW = (
+    "      {\n"
+    '        "K": %s,\n'
+    '        "dnorm": %s,\n'
+    '        "fx": %s,\n'
+    '        "fy": %s,\n'
+    '        "jac": %s,\n'
+    '        "level": %s,\n'
+    '        "skeleton": %s,\n'
+    '        "x": %s,\n'
+    '        "y": %s\n'
+    "      }"
+)
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_column(values: np.ndarray, as_json: bool) -> list[str]:
+    """Each value as Python's shortest round-trip repr.
+
+    These are the digits str(np.float64) prints and json writes; only
+    json spells the non-finite values differently.
+    """
+    col = list(map(repr, values.tolist()))
+    if as_json:
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            col[i] = _JSON_NONFINITE[col[i]]
+    return col
+
+
+def _map_columns(pts: np.ndarray, f: dict, as_json: bool) -> list[list[str]]:
+    """The formatted x, y, fx, fy, dnorm, jac and K columns of a map.
+
+    The derivative fields are blank (CSV) or null (JSON) on the
+    skeleton, where the derivative exists only one-sidedly.
+    """
+    blank = "null" if as_json else ""
+    img = f["image"]
+    cols = [_float_column(v, as_json) for v in (pts[:, 0], pts[:, 1], img[:, 0], img[:, 1])]
+    skel_rows = np.flatnonzero(f["on_skeleton"]).tolist()
+    for name in ("derivative_norm", "jacobian", "distortion"):
+        col = _float_column(f[name], as_json)
+        for i in skel_rows:
+            col[i] = blank
+        cols.append(col)
+    return cols
+
+
 def cmd_map(args: argparse.Namespace) -> int:
     params = _make_params(args)
     if args.points is not None:
@@ -209,36 +259,26 @@ def cmd_map(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(args.seed)
         pts = rng.random((args.samples, 2))
     f = fields_batch(pts, args.depth, params)
-    img, skel = f["image"], f["on_skeleton"]
+    skel = f["on_skeleton"].tolist()
     if args.format == "csv":
-        rows = []
-        for i in range(len(pts)):
-            if skel[i]:
-                dn = jc = kk = ""
-            else:
-                dn, jc, kk = f["derivative_norm"][i], f["jacobian"][i], f["distortion"][i]
-            rows.append(
-                [pts[i, 0], pts[i, 1], img[i, 0], img[i, 1], dn, jc, kk, int(skel[i])]
-            )
-        _emit(_csv_text(["x", "y", "fx", "fy", "dnorm", "jac", "K", "skeleton"], rows), args.out)
+        x, y, fx, fy, dn, jac, kk = _map_columns(pts, f, as_json=False)
+        flags = [("0", "1")[s] for s in skel]
+        body = map(_MAP_CSV_ROW.__mod__, zip(x, y, fx, fy, dn, jac, kk, flags))
+        header = ["x", "y", "fx", "fy", "dnorm", "jac", "K", "skeleton"]
+        _emit(_csv_text(header, []) + "".join(body), args.out)
         return 0
-    out_rows = []
-    for i in range(len(pts)):
-        on_skel = bool(skel[i])
-        out_rows.append(
-            {
-                "x": pts[i, 0],
-                "y": pts[i, 1],
-                "fx": img[i, 0],
-                "fy": img[i, 1],
-                "dnorm": None if on_skel else f["derivative_norm"][i],
-                "jac": None if on_skel else f["jacobian"][i],
-                "K": None if on_skel else f["distortion"][i],
-                "skeleton": on_skel,
-                "level": int(f["level"][i]),
-            }
-        )
-    _emit(_json_doc(args, {"rows": out_rows}, []), args.out)
+    x, y, fx, fy, dn, jac, kk = _map_columns(pts, f, as_json=True)
+    flags = [("false", "true")[s] for s in skel]
+    level = map(str, f["level"].tolist())
+    rows = ",\n".join(
+        map(_MAP_JSON_ROW.__mod__, zip(kk, dn, fx, fy, jac, level, flags, x, y))
+    )
+    doc = _json_doc(args, {"rows": []}, [])
+    if rows:
+        # results is the last top-level key and rows its only entry
+        head, _, tail = doc.rpartition('"rows": []')
+        doc = f'{head}"rows": [\n{rows}\n    ]{tail}'
+    _emit(doc, args.out)
     return 0
 
 

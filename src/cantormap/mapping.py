@@ -49,6 +49,11 @@ def coeffs(k: int, params: ConstructionParams, literal: bool = False) -> FrameMa
     """Solve a*r + b = r', a*R + b = R' for the level-k frame map."""
     rad = radii(k, params, literal=literal)
     den = rad.R - rad.r
+    if den == 0.0:
+        raise ValueError(
+            f"level-{k} frame has zero width in double precision at sigma={params.sigma}"
+            " (sigma^k underflows); use a smaller depth"
+        )
     a = (rad.R_img - rad.r_img) / den
     b = (rad.R * rad.r_img - rad.R_img * rad.r) / den
     return FrameMapCoeffs(k, a, b)
@@ -101,7 +106,13 @@ def frame_map(x: Point, q: Point, q_img: Point, c: FrameMapCoeffs) -> Point:
 
 def similarity_ratio(k: int, params: ConstructionParams) -> float:
     """Scale of the similarity onto a level-k image square."""
-    return image_side(k, params) / preimage_side(k, params)
+    side = preimage_side(k, params)
+    if side == 0.0:
+        raise ValueError(
+            f"level-{k} square has zero side in double precision at sigma={params.sigma}"
+            " (sigma^k underflows); use a smaller depth"
+        )
+    return image_side(k, params) / side
 
 
 @dataclass(frozen=True)
@@ -225,8 +236,9 @@ def _descend_batch(points, depth: int, params: ConstructionParams):
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-    if np.any(pts < 0.0) or np.any(pts > 1.0):
-        raise ValueError("some points lie outside the unit square")
+    # NaN fails both comparisons, so it is rejected too
+    if not np.all((pts >= 0.0) & (pts <= 1.0)):
+        raise ValueError("some points are NaN or lie outside the unit square")
     if not MIN_LEVEL <= depth <= params.depth_max:
         raise ValueError(
             f"depth must lie in [{MIN_LEVEL}, depth_max={params.depth_max}], got {depth}"

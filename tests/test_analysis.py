@@ -199,6 +199,17 @@ def test_gain_ratio_limit_quarter_sigma():
     np.testing.assert_allclose(gain_ratio_limit(2.0, params), math.e**2, rtol=1e-15)
 
 
+def test_gain_ratio_limit_overflow_is_a_domain_error():
+    # alpha = 499 at sigma = 0.001: exp(2 * 1 * 499 / 1) is past the largest double
+    params = ConstructionParams(0.001, 1.0)
+    with pytest.raises(ValueError, match=r"exp\(998\.0\) overflows"):
+        gain_ratio_limit(1.0, params)
+    with pytest.raises(ValueError, match="overflows"):
+        series_terms("subexp", [10, 100], params, p=1.0)
+    # just below the overflow the limit is still a finite double
+    assert math.isfinite(gain_ratio_limit(709.0 / 998.0, params))
+
+
 def test_gain_ratio_slow_convergence_pinned():
     params_a = ConstructionParams(0.25, 2.0)
     dev_a = abs(gain_ratio(10**9, 2.0, params_a) / gain_ratio_limit(2.0, params_a) - 1.0)

@@ -1,10 +1,22 @@
+import csv
+import io
 import json
+import math
 
+import numpy as np
 import pytest
 
 from cantormap.analysis import p_threshold
-from cantormap.cli import main
+from cantormap.cli import (
+    _float_column,
+    _make_params,
+    _params_echo,
+    _read_points,
+    build_parser,
+    main,
+)
 from cantormap.construction import ConstructionParams
+from cantormap.mapping import fields_batch
 
 
 def run_cli(argv, capsys):
@@ -94,6 +106,129 @@ def test_map_bad_points_file(tmp_path, capsys):
     pts.write_text("x,y\n0.5\n")
     code, _, err = run_cli(["map", str(pts)], capsys)
     assert code == 2 and "error:" in err
+
+
+def reference_map_output(argv):
+    """map's output built row by row from numpy scalars, as a reference.
+
+    Every row is a list (CSV) or a dict (JSON) of numpy scalars, written
+    by csv.writer or by json.dumps(doc, indent=2, sort_keys=True); the
+    command's column-at-a-time writers must reproduce these bytes.
+    """
+    args = build_parser().parse_args(argv)
+    if args.points is not None:
+        pts = _read_points(args.points)
+    else:
+        pts = np.random.default_rng(args.seed).random((args.samples, 2))
+    f = fields_batch(pts, args.depth, _make_params(args))
+    img, skel = f["image"], f["on_skeleton"]
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["x", "y", "fx", "fy", "dnorm", "jac", "K", "skeleton"])
+        for i in range(len(pts)):
+            if skel[i]:
+                dn = jc = kk = ""
+            else:
+                dn, jc, kk = f["derivative_norm"][i], f["jacobian"][i], f["distortion"][i]
+            writer.writerow(
+                [pts[i, 0], pts[i, 1], img[i, 0], img[i, 1], dn, jc, kk, int(skel[i])]
+            )
+        return buf.getvalue()
+    rows = []
+    for i in range(len(pts)):
+        on_skel = bool(skel[i])
+        rows.append(
+            {
+                "x": pts[i, 0],
+                "y": pts[i, 1],
+                "fx": img[i, 0],
+                "fy": img[i, 1],
+                "dnorm": None if on_skel else f["derivative_norm"][i],
+                "jac": None if on_skel else f["jacobian"][i],
+                "K": None if on_skel else f["distortion"][i],
+                "skeleton": on_skel,
+                "level": int(f["level"][i]),
+            }
+        )
+    doc = {"params": _params_echo(args), "results": {"rows": rows}, "checks": []}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+EDGE_POINTS = "x,y\n0.5,0.5\n0.0,0.0\n\n1.0,1.0\n5e-324,1e-05\n0.9999999999999999,0.0001\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("source", ["samples", "edge_file"])
+def test_map_bytes_match_reference(fmt, source, tmp_path, capsys):
+    if source == "samples":
+        argv = ["map", "--samples", "2000", "--seed", "7", "--format", fmt]
+    else:
+        pts = tmp_path / "pts.csv"
+        pts.write_text(EDGE_POINTS)
+        argv = ["map", str(pts), "--format", fmt]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.encode() == reference_map_output(argv).encode()
+    # uniform samples miss the skeleton and every edge point is on it,
+    # so the two sources compare both row layouts
+    on_skel = source == "edge_file"
+    if fmt == "csv":
+        assert {line[-1] for line in out.splitlines()[1:]} == {"01"[on_skel]}
+    else:
+        assert {row["skeleton"] for row in json.loads(out)["results"]["rows"]} == {on_skel}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_map_bytes_match_reference_on_infinite_jacobian(fmt, tmp_path, capsys):
+    # at sigma = 1e-6 the float descent keeps the octant center 0.0625
+    # inside every square down to depth 30, where the similarity scale
+    # is 2.7e170 and its square, the Jacobian, overflows to inf
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.0625,0.0625\n")
+    argv = ["map", str(pts), "--sigma", "1e-6", "--depth", "30", "--format", fmt]
+    with np.errstate(over="ignore"):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out == reference_map_output(argv)
+    assert ("inf" if fmt == "csv" else '"jac": Infinity') in out
+
+
+def test_map_json_no_rows(capsys):
+    argv = ["map", "--samples", "0", "--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == reference_map_output(argv)
+    assert '"rows": []' in out and json.loads(out)["results"]["rows"] == []
+
+
+def test_float_column_spells_values_as_json_and_csv_do():
+    values = np.array([0.1, -0.0, 5e-324, 1e16, 1e-5, math.inf, -math.inf, math.nan])
+    assert _float_column(values, as_json=True) == [json.dumps(v) for v in values.tolist()]
+    assert _float_column(values, as_json=False) == [str(v) for v in values]
+
+
+@pytest.mark.parametrize("point", ["nan,0.5", "0.5,nan", "inf,0.5", "-0.1,0.5"])
+def test_map_rejects_nan_and_outside_points(point, tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"x,y\n0.25,0.25\n{point}\n")
+    code, out, err = run_cli(["map", str(pts)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "unit square" in err
+
+
+@pytest.mark.parametrize("depth", ["54", "60"])
+def test_map_underflowing_depth_is_a_domain_error(depth, capsys):
+    code, out, err = run_cli(["map", "--sigma", "1e-6", "--samples", "3", "--depth", depth], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "sigma=1e-06" in err
+
+
+def test_series_overflowing_limit_is_a_domain_error(capsys):
+    argv = ["series", "subexp", "--sigma", "0.001", "--beta", "1", "--p", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "exp(998.0)" in err
 
 
 def test_series_csv_and_verdict_flip(capsys):

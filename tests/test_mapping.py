@@ -48,6 +48,20 @@ def test_coeffs_solve_boundary_conditions():
         assert c.a > 0.0
 
 
+def test_coeffs_underflow_is_a_domain_error():
+    # at sigma = 1e-6 the level-55 radii sigma^54 / 4 and sigma^55 / 2
+    # both round to 0.0, and the level-54 side sigma^54 does too
+    tiny = ConstructionParams(1e-6, 2.0)
+    assert coeffs(54, tiny).a > 0.0
+    with pytest.raises(ValueError, match="level-55 .* sigma=1e-06"):
+        coeffs(55, tiny)
+    assert similarity_ratio(53, tiny) > 0.0
+    with pytest.raises(ValueError, match="level-54 .* sigma=1e-06"):
+        similarity_ratio(54, tiny)
+    with pytest.raises(ValueError, match="sigma=1e-06"):
+        fields_batch([[0.3, 0.3]], 60, tiny)
+
+
 def test_literal_coeffs_are_four_times_corrected():
     for k in (4, 7):
         c = coeffs(k, P)
@@ -293,6 +307,20 @@ def test_monotone_along_horizontal_lines():
         fx = evaluate_batch(pts, 5, P)[:, 0]
         assert np.all(np.diff(fx) > -1e-14)
         assert abs(fx[0]) <= 1e-15 and abs(fx[-1] - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "bad", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan), (math.inf, 0.5), (0.5, -0.1)]
+)
+def test_batch_rejects_nan_and_outside_points(bad):
+    pts = np.array([[0.25, 0.25], bad])
+    with pytest.raises(ValueError, match="NaN or lie outside the unit square"):
+        evaluate_batch(pts, 6, P)
+    with pytest.raises(ValueError, match="NaN or lie outside the unit square"):
+        fields_batch(pts, 6, P)
+    # the scalar path rejects the same point
+    with pytest.raises(ValueError, match="outside the unit square"):
+        fields(bad, 6, P)
 
 
 def test_similarity_ratio_values():
