@@ -28,7 +28,6 @@ from .construction import (
     ConstructionParams,
     EnumerationCapError,
     Frame,
-    Interval,
     LevelRadii,
     Square,
     ValidationReport,

@@ -208,20 +208,6 @@ class CellAddress:
 
 
 @dataclass(frozen=True)
-class Interval:
-    center: float
-    length: float
-
-    @property
-    def lo(self) -> float:
-        return self.center - self.length / 2.0
-
-    @property
-    def hi(self) -> float:
-        return self.center + self.length / 2.0
-
-
-@dataclass(frozen=True)
 class Square:
     center: tuple[float, float]
     side: float

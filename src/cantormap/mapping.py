@@ -13,9 +13,10 @@ square at every truncation depth.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -134,36 +135,59 @@ class SquareInteriorAt:
 RegionLocation = Union[FrameAt, SquareInteriorAt]
 
 
-def _descend(x: Point, depth: int, params: ConstructionParams):
-    """Shared level walk; returns placement plus both centers.
+class _LevelTable(NamedTuple):
+    """Constants of levels MIN_LEVEL..depth for one (params, depth), indexed by level."""
+
+    r: tuple[float, ...]  # inner frame radius sigma^k / 2, the frame test's bound on rho
+    R: tuple[float, ...]  # outer frame radius
+    step: tuple[float, ...]  # sigma^k / 4, the move to a child's pre-image center
+    istep: tuple[float, ...]  # l_k / 4, the move to a child's image center
+    a: tuple[float, ...]  # frame-map coefficients
+    b: tuple[float, ...]
+    s_sim: float  # similarity ratio onto a depth-level image square
+
+
+@functools.lru_cache(maxsize=64)
+def _level_table(params: ConstructionParams, depth: int) -> _LevelTable:
+    """The level table behind every evaluation; it raises coeffs' or similarity_ratio's
+    ValueError when any level up to depth underflows, so all entry points fail alike."""
+    if not MIN_LEVEL <= depth <= params.depth_max:
+        raise ValueError(f"depth must lie in [{MIN_LEVEL}, depth_max={params.depth_max}], got {depth}")
+    levels = range(MIN_LEVEL, depth + 1)
+    cs, rads = [coeffs(k, params) for k in levels], [radii(k, params) for k in levels]
+    pad = (0.0,) * MIN_LEVEL
+    return _LevelTable(
+        pad + tuple(rad.r for rad in rads),
+        pad + tuple(rad.R for rad in rads),
+        pad + tuple(preimage_side(k, params) / 4.0 for k in levels),
+        pad + tuple(image_side(k, params) / 4.0 for k in levels),
+        pad + tuple(c.a for c in cs),
+        pad + tuple(c.b for c in cs),
+        similarity_ratio(depth, params),
+    )
+
+
+def _descend(x0: float, x1: float, depth: int, params: ConstructionParams):
+    """Scalar level walk; returns the level table, the placement and both centers.
 
     Closed-frame convention: rho >= r_k stays in the level-k frame, so
     the inner square boundary belongs to the frame and every point of
     the unit square is resolved.  Ties between grid cells go to the
     higher cell.
     """
-    x0, x1 = float(x[0]), float(x[1])
     if not (0.0 <= x0 <= 1.0 and 0.0 <= x1 <= 1.0):
         raise ValueError(f"point ({x0}, {x1}) lies outside the unit square")
-    if not MIN_LEVEL <= depth <= params.depth_max:
-        raise ValueError(
-            f"depth must lie in [{MIN_LEVEL}, depth_max={params.depth_max}], got {depth}"
-        )
-    o0 = min(int(x0 * 8.0), 7)
-    o1 = min(int(x1 * 8.0), 7)
-    c0 = (o0 + 0.5) / 8.0
-    c1 = (o1 + 0.5) / 8.0
-    ci0, ci1 = c0, c1
-    bits0: list[int] = []
-    bits1: list[int] = []
+    tab = _level_table(params, depth)
+    o0, o1 = min(int(x0 * 8.0), 7), min(int(x1 * 8.0), 7)
+    c0 = ci0 = (o0 + 0.5) / 8.0
+    c1 = ci1 = (o1 + 0.5) / 8.0
+    bits0, bits1 = [], []
     for k in range(MIN_LEVEL, depth + 1):
         rho = max(abs(x0 - c0), abs(x1 - c1))
-        if rho >= preimage_side(k, params) / 2.0:
-            return True, k, rho, (o0, o1), tuple(bits0), tuple(bits1), (c0, c1), (ci0, ci1)
-        if k == depth:
-            return False, k, rho, (o0, o1), tuple(bits0), tuple(bits1), (c0, c1), (ci0, ci1)
-        step = preimage_side(k, params) / 4.0
-        istep = image_side(k, params) / 4.0
+        in_frame = rho >= tab.r[k]
+        if in_frame or k == depth:
+            break
+        step, istep = tab.step[k], tab.istep[k]
         b0 = 1 if x0 >= c0 else 0
         b1 = 1 if x1 >= c1 else 0
         bits0.append(b0)
@@ -172,25 +196,19 @@ def _descend(x: Point, depth: int, params: ConstructionParams):
         c1 += step if b1 else -step
         ci0 += istep if b0 else -istep
         ci1 += istep if b1 else -istep
-    raise AssertionError("descent fell through")
+    return tab, in_frame, k, rho, (o0, o1), (tuple(bits0), tuple(bits1)), (c0, c1), (ci0, ci1)
 
 
 def locate(x: Point, depth: int, params: ConstructionParams) -> RegionLocation:
     """Resolve x to a frame or a depth-truncated square interior."""
-    in_frame, k, rho, octant, bits0, bits1, _, _ = _descend(x, depth, params)
-    addr = CellAddress(octant, (bits0, bits1))
-    if in_frame:
-        return FrameAt(addr, rho)
-    return SquareInteriorAt(addr, truncated=True)
+    _, in_frame, _, rho, octant, bits, _, _ = _descend(float(x[0]), float(x[1]), depth, params)
+    addr = CellAddress(octant, bits)
+    return FrameAt(addr, rho) if in_frame else SquareInteriorAt(addr, truncated=True)
 
 
 def evaluate(x: Point, depth: int, params: ConstructionParams) -> Point:
     """The depth-truncated stretch map at a single point."""
-    in_frame, k, rho, _, _, _, q, q_img = _descend(x, depth, params)
-    if in_frame:
-        return frame_map(x, q, q_img, coeffs(k, params))
-    s = similarity_ratio(k, params)
-    return (q_img[0] + s * (x[0] - q[0]), q_img[1] + s * (x[1] - q[1]))
+    return fields(x, depth, params).image
 
 
 @dataclass(frozen=True)
@@ -212,122 +230,103 @@ class FieldSample:
 
 
 def fields(x: Point, depth: int, params: ConstructionParams) -> FieldSample:
-    in_frame, k, rho, _, _, _, q, q_img = _descend(x, depth, params)
+    x0, x1 = float(x[0]), float(x[1])
+    tab, in_frame, k, rho, _, _, q, q_img = _descend(x0, x1, depth, params)
     if in_frame:
-        c = coeffs(k, params)
-        t = c.a + c.b / rho
-        dn = max(c.a, t)
-        jac = c.a * t
-        dist = max(t / c.a, c.a / t)
-        rad = radii(k, params)
-        skel = (
-            abs(rho - rad.r) <= _SKELETON_RTOL * rad.r
-            or abs(rho - rad.R) <= _SKELETON_RTOL * rad.R
-        )
-        img = frame_map(x, q, q_img, c)
+        a, r, R = tab.a[k], tab.r[k], tab.R[k]
+        s = a + tab.b[k] / rho
+        dn, jac, dist = max(a, s), a * s, max(s / a, a / s)
+        skel = abs(rho - r) <= _SKELETON_RTOL * r or abs(rho - R) <= _SKELETON_RTOL * R
     else:
-        s = similarity_ratio(k, params)
+        s = tab.s_sim
         dn, jac, dist, skel = s, s * s, 1.0, False
-        img = (q_img[0] + s * (x[0] - q[0]), q_img[1] + s * (x[1] - q[1]))
-    return FieldSample((float(x[0]), float(x[1])), img, k, in_frame, dn, jac, dist, skel)
+    img = (q_img[0] + s * (x0 - q[0]), q_img[1] + s * (x1 - q[1]))
+    return FieldSample((x0, x1), img, k, in_frame, dn, jac, dist, skel)
 
 
 def _descend_batch(points, depth: int, params: ConstructionParams):
+    """Vectorized level walk with the scalar walk's conventions.
+
+    Returns the level table, the x columns, and per point the level,
+    in_frame, rho and the four centers (pre-image, then image; equal at
+    level 3).  A point leaves the walk at its frame level or at depth.
+    Invariant at the top of each level: idx lists the points still
+    walking in increasing order, row j of the active arrays holds point
+    idx[j]'s coordinates and current centers, and every point that left
+    has its level, in_frame, rho and centers in the outputs.  While no
+    point has left, idx is None and the active arrays are the inputs and
+    outputs themselves, so nothing is copied.  Centers move by c +- step
+    as in the scalar walk, so the two agree bit for bit.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
     # NaN fails both comparisons, so it is rejected too
     if not np.all((pts >= 0.0) & (pts <= 1.0)):
         raise ValueError("some points are NaN or lie outside the unit square")
-    if not MIN_LEVEL <= depth <= params.depth_max:
-        raise ValueError(
-            f"depth must lie in [{MIN_LEVEL}, depth_max={params.depth_max}], got {depth}"
-        )
-    x0, x1 = pts[:, 0], pts[:, 1]
-    o = np.minimum((pts * 8.0).astype(np.int64), 7)
-    c0 = (o[:, 0] + 0.5) / 8.0
-    c1 = (o[:, 1] + 0.5) / 8.0
-    ci0, ci1 = c0.copy(), c1.copy()
-    n = len(pts)
-    level = np.full(n, depth, dtype=np.int64)
-    in_frame = np.zeros(n, dtype=bool)
-    rho_out = np.zeros(n)
-    active = np.ones(n, dtype=bool)
+    tab = _level_table(params, depth)
+    x = [pts[:, 0], pts[:, 1]]
+    centers = [(np.minimum((xa * 8.0).astype(np.int64), 7) + 0.5) / 8.0 for xa in x + x]
+    level = np.empty(len(pts), dtype=np.int64)
+    in_frame = np.empty(len(pts), dtype=bool)
+    rho_out = np.empty(len(pts))
+    idx, ax, ac = None, x, list(centers)
     for k in range(MIN_LEVEL, depth + 1):
-        rho = np.maximum(np.abs(x0 - c0), np.abs(x1 - c1))
-        hit = active & (rho >= preimage_side(k, params) / 2.0)
-        level[hit] = k
-        in_frame[hit] = True
-        rho_out[hit] = rho[hit]
-        active &= ~hit
-        if k == depth:
-            rho_out[active] = rho[active]
-            break
-        if not active.any():
-            break
-        step = preimage_side(k, params) / 4.0
-        istep = image_side(k, params) / 4.0
-        s0 = np.where(x0 >= c0, 1.0, -1.0)
-        s1 = np.where(x1 >= c1, 1.0, -1.0)
-        c0 = np.where(active, c0 + s0 * step, c0)
-        c1 = np.where(active, c1 + s1 * step, c1)
-        ci0 = np.where(active, ci0 + s0 * istep, ci0)
-        ci1 = np.where(active, ci1 + s1 * istep, ci1)
-    return x0, x1, level, in_frame, rho_out, c0, c1, ci0, ci1
+        d = [ax[0] - ac[0], ax[1] - ac[1]]
+        rho = np.maximum(np.abs(d[0]), np.abs(d[1]), out=rho_out if idx is None else None)
+        hit = rho >= tab.r[k]
+        leave = hit if k < depth else np.ones_like(hit)
+        if leave.any():
+            stay = ~leave
+            if idx is None:
+                gone, idx = np.flatnonzero(leave), np.flatnonzero(stay)
+            else:
+                gone = idx[leave]
+                rho_out[gone] = rho[leave]
+                for out, a in zip(centers, ac):
+                    out[gone] = a[leave]
+                idx = idx[stay]
+            level[gone] = k
+            in_frame[gone] = hit[leave]
+            if len(idx) == 0:
+                break
+            del d, rho  # free them before the copies
+            ax, ac = [a[stay] for a in ax], [a[stay] for a in ac]
+            d = [ax[0] - ac[0], ax[1] - ac[1]]
+        # x >= c exactly when x - c is +0 or more: c > 0, so x - c is never -0
+        for a, da, s in zip(ac, d + d, (tab.step[k],) * 2 + (tab.istep[k],) * 2):
+            a += np.copysign(s, da)
+    return tab, x, level, in_frame, rho_out, centers
 
 
-def _level_tables(depth: int, params: ConstructionParams):
-    a = np.zeros(depth + 1)
-    b = np.zeros(depth + 1)
-    r = np.zeros(depth + 1)
-    R = np.zeros(depth + 1)
-    for k in range(MIN_LEVEL, depth + 1):
-        c = coeffs(k, params)
-        rad = radii(k, params)
-        a[k], b[k], r[k], R[k] = c.a, c.b, rad.r, rad.R
-    return a, b, r, R
+def _map_batch(points, depth: int, params: ConstructionParams):
+    """The descent and the image, shared by evaluate_batch and fields_batch."""
+    tab, (x0, x1), level, in_frame, rho, (c0, c1, ci0, ci1) = _descend_batch(points, depth, params)
+    av = np.array(tab.a)[level]
+    t = av + np.array(tab.b)[level] / np.where(in_frame, rho, 1.0)
+    scale = np.where(in_frame, t, tab.s_sim)
+    img = np.column_stack((ci0 + scale * (x0 - c0), ci1 + scale * (x1 - c1)))
+    return tab, level, in_frame, rho, av, t, img
 
 
 def evaluate_batch(points, depth: int, params: ConstructionParams) -> np.ndarray:
     """Vectorized evaluate; returns an (n, 2) array of image points."""
-    x0, x1, level, in_frame, rho, c0, c1, ci0, ci1 = _descend_batch(points, depth, params)
-    a, b, _, _ = _level_tables(depth, params)
-    s_sim = similarity_ratio(depth, params)
-    rho_safe = np.where(in_frame, rho, 1.0)
-    scale = np.where(in_frame, a[level] + b[level] / rho_safe, s_sim)
-    out = np.empty((len(x0), 2))
-    out[:, 0] = ci0 + scale * (x0 - c0)
-    out[:, 1] = ci1 + scale * (x1 - c1)
-    return out
+    return _map_batch(points, depth, params)[-1]
 
 
 def fields_batch(points, depth: int, params: ConstructionParams) -> dict:
     """Vectorized fields; returns a dict of aligned arrays."""
-    x0, x1, level, in_frame, rho, c0, c1, ci0, ci1 = _descend_batch(points, depth, params)
-    a, b, r, R = _level_tables(depth, params)
-    s_sim = similarity_ratio(depth, params)
-    rho_safe = np.where(in_frame, rho, 1.0)
-    t = a[level] + b[level] / rho_safe
-    av = a[level]
-    dn = np.where(in_frame, np.maximum(av, t), s_sim)
-    jac = np.where(in_frame, av * t, s_sim * s_sim)
-    dist = np.where(in_frame, np.maximum(t / av, av / t), 1.0)
-    skel = in_frame & (
-        (np.abs(rho - r[level]) <= _SKELETON_RTOL * r[level])
-        | (np.abs(rho - R[level]) <= _SKELETON_RTOL * R[level])
-    )
-    scale = np.where(in_frame, t, s_sim)
-    img = np.empty((len(x0), 2))
-    img[:, 0] = ci0 + scale * (x0 - c0)
-    img[:, 1] = ci1 + scale * (x1 - c1)
+    tab, level, in_frame, rho, av, t, img = _map_batch(points, depth, params)
+    s_sim, r, R = tab.s_sim, np.array(tab.r)[level], np.array(tab.R)[level]
     return {
         "image": img,
         "level": level,
         "in_frame": in_frame,
-        "derivative_norm": dn,
-        "jacobian": jac,
-        "distortion": dist,
-        "on_skeleton": skel,
+        "derivative_norm": np.where(in_frame, np.maximum(av, t), s_sim),
+        "jacobian": np.where(in_frame, av * t, s_sim * s_sim),
+        "distortion": np.where(in_frame, np.maximum(t / av, av / t), 1.0),
+        "on_skeleton": in_frame
+        & ((np.abs(rho - r) <= _SKELETON_RTOL * r) | (np.abs(rho - R) <= _SKELETON_RTOL * R)),
     }
 
 

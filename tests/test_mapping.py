@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cantormap.construction import (
     CellAddress,
@@ -203,6 +205,103 @@ def test_scalar_and_batch_agree():
         assert fb["jacobian"][i] == fs.jacobian
         assert fb["distortion"][i] == fs.distortion
         assert bool(fb["on_skeleton"][i]) == fs.on_skeleton
+
+
+def _cell_points(rng, n, k, params):
+    """Points at seeded level-k pre-image centers, reached with the
+    descent's own float steps, moved along one axis by 0, +-r_k or
+    +-R_k: exact centers tie between cells, the offsets sit on frame
+    boundaries up to rounding."""
+    pts = (rng.integers(0, 8, (n, 2)) + 0.5) / 8.0
+    for j in range(3, k):
+        pts += np.where(rng.integers(0, 2, (n, 2)) == 1, 1.0, -1.0) * (preimage_side(j, params) / 4.0)
+    rad = radii(k, params)
+    offsets = np.array([0.0, rad.r, -rad.r, rad.R, -rad.R])
+    pts[np.arange(n), rng.integers(0, 2, n)] += offsets[rng.integers(0, 5, n)]
+    return np.clip(pts, 0.0, 1.0)
+
+
+@st.composite
+def _point_sets(draw):
+    """(params, depth, points): uniform points, or points snapped to
+    multiples of 1/16 or of a level-k half-side, or cell-center points.
+    Dyadic sigmas make centers and radii exact, so frame-boundary
+    points sit on the boundary exactly."""
+    sigma = st.one_of(st.floats(0.05, 0.49), st.sampled_from([0.0625, 0.125, 0.25, 0.375]))
+    params = ConstructionParams(draw(sigma), 2.0)
+    depth = draw(st.integers(3, 60))
+    k = draw(st.integers(3, depth))
+    unit = st.floats(0.0, 1.0)
+    pts = np.array(draw(st.lists(st.tuples(unit, unit), max_size=48)), dtype=float).reshape(-1, 2)
+    kind = draw(st.sampled_from(["uniform", "sixteenths", "half_sides", "cells"]))
+    if kind == "sixteenths":
+        pts = np.round(pts * 16.0) / 16.0
+    elif kind == "half_sides":
+        half = preimage_side(k, params) / 2.0
+        pts = np.minimum(np.round(pts / half) * half, 1.0)
+    elif kind == "cells":
+        pts = _cell_points(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), len(pts), k, params)
+    return params, depth, pts
+
+
+# every point lies on a level-3 outer frame boundary, so all leave at level 3
+_LEVEL3_EXITS = np.array([[i / 16.0, j / 16.0] for i in range(17) for j in range(0, 17, 4)])
+
+
+@settings(max_examples=150)
+@given(_point_sets())
+@example((P, 6, np.empty((0, 2))))
+@example((P, 40, _LEVEL3_EXITS))
+def test_scalar_and_batch_agree_bit_for_bit(case):
+    params, depth, pts = case
+    img = evaluate_batch(pts, depth, params)
+    fb = fields_batch(pts, depth, params)
+    assert img.shape == fb["image"].shape == (len(pts), 2)
+    assert all(fb[key].shape == (len(pts),) for key in fb if key != "image")
+    if pts is _LEVEL3_EXITS:
+        assert np.all(fb["level"] == 3) and np.all(fb["in_frame"])
+    for i, p in enumerate(pts):
+        fs = fields(p, depth, params)
+        assert evaluate(p, depth, params) == fs.image == (img[i, 0], img[i, 1])
+        assert (fs.level, fs.in_frame, fs.derivative_norm, fs.jacobian, fs.distortion,
+                fs.on_skeleton) == (fb["level"][i], fb["in_frame"][i], fb["derivative_norm"][i],
+                                    fb["jacobian"][i], fb["distortion"][i], fb["on_skeleton"][i])
+        loc = locate(p, depth, params)
+        assert (loc.address.level, isinstance(loc, FrameAt)) == (fs.level, fs.in_frame)
+
+
+@pytest.mark.parametrize("depth", [6, 32, 60])
+def test_evaluate_batch_is_the_fields_image(depth):
+    rng = np.random.default_rng(depth)
+    pts = np.vstack([rng.random((3000, 2)), _cell_points(rng, 3000, depth, P)])
+    assert np.array_equal(evaluate_batch(pts, depth, P), fields_batch(pts, depth, P)["image"])
+
+
+@pytest.mark.parametrize("depth", [53, 54, 55, 60])
+def test_every_entry_point_fails_on_the_same_underflowing_depths(depth):
+    # at sigma = 1e-6 the level-54 side and the level-55 frame width
+    # underflow; (0.5, 0.5) leaves the walk at level 3 all the same
+    tiny = ConstructionParams(1e-6, 2.0)
+    x = (0.5, 0.5)
+    calls = [
+        lambda: fields(x, depth, tiny),
+        lambda: evaluate(x, depth, tiny),
+        lambda: locate(x, depth, tiny),
+        lambda: fields_batch([x], depth, tiny),
+        lambda: evaluate_batch([x], depth, tiny),
+    ]
+    if depth == 53:
+        assert fields(x, depth, tiny).level == 3
+        for call in calls:
+            call()
+        return
+    messages = set()
+    for call in calls:
+        with pytest.raises(ValueError, match="sigma=1e-06") as err:
+            call()
+        messages.add(str(err.value))
+    level = 54 if depth == 54 else 55
+    assert len(messages) == 1 and messages.pop().startswith(f"level-{level} ")
 
 
 def test_field_identities():
