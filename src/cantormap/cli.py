@@ -25,12 +25,10 @@ from .construction import (
     DEFAULT_CELL_CAP,
     MIN_LEVEL,
     ConstructionParams,
-    EnumerationCapError,
-    enumerate_cells,
+    axis_centers,
+    cell_axis_indices,
     image_side,
-    image_square,
     preimage_side,
-    preimage_square,
     validate_geometry,
 )
 from .mapping import fields_batch
@@ -125,11 +123,15 @@ def _make_params(args: argparse.Namespace) -> ConstructionParams:
     return ConstructionParams(args.sigma, args.beta, depth_max=max(args.depth, 60))
 
 
-def _geometric_levels(k_min: int, k_max: int, num: int) -> list[int]:
+def _check_level_range(k_min: int, k_max: int) -> None:
     if k_min < MIN_LEVEL:
         raise ValueError(f"--k-min must be at least {MIN_LEVEL}, got {k_min}")
     if k_max < k_min:
         raise ValueError(f"--k-max must be >= --k-min, got {k_max} < {k_min}")
+
+
+def _geometric_levels(k_min: int, k_max: int, num: int) -> list[int]:
+    _check_level_range(k_min, k_max)
     if k_min == k_max or num < 2:
         return [k_min]
     lo, hi = math.log(k_min), math.log(k_max)
@@ -138,39 +140,55 @@ def _geometric_levels(k_min: int, k_max: int, num: int) -> list[int]:
     return sorted(levels)
 
 
+# One entry of results.cells as json.dumps(doc, indent=2, sort_keys=True)
+# lays it out, keys in sorted order.
+_CONSTRUCT_JSON_CELL = (
+    "      {\n"
+    '        "ax0_path": "%s",\n'
+    '        "ax1_path": "%s",\n'
+    '        "image_center": [\n'
+    "          %s,\n"
+    "          %s\n"
+    "        ],\n"
+    '        "level": %s,\n'
+    '        "pre_center": [\n'
+    "          %s,\n"
+    "          %s\n"
+    "        ]\n"
+    "      }"
+)
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     params = _make_params(args)
-    cells = list(enumerate_cells(args.depth, params, cap=args.cap))
-    side = preimage_side(args.depth, params)
+    k = args.depth
+    i0, i1 = cell_axis_indices(k, params, cap=args.cap)
+    i0, i1 = i0.tolist(), i1.tolist()
+    pre, paths = axis_centers(k, params, image=False)
+    pre = list(map(repr, pre.tolist()))
+    side = preimage_side(k, params)
     if args.format == "csv":
-        rows = []
-        for addr in cells:
-            sq = preimage_square(addr, params)
-            rows.append(
-                [addr.level, addr.axis_path(0), addr.axis_path(1), sq.center[0], sq.center[1], side]
-            )
-        _emit(_csv_text(["level", "ax0_path", "ax1_path", "cx", "cy", "side"], rows), args.out)
-        return 0
-    report = validate_geometry(min(args.depth, 10), params)
-    out_cells = []
-    for addr in cells:
-        pre = preimage_square(addr, params)
-        img = image_square(addr, params)
-        out_cells.append(
-            {
-                "level": addr.level,
-                "ax0_path": addr.axis_path(0),
-                "ax1_path": addr.axis_path(1),
-                "pre_center": list(pre.center),
-                "image_center": list(img.center),
-            }
+        row = f"{k},%s,%s,%s,%s,{side!r}\n"
+        body = "".join(
+            [row % (paths[a], paths[b], pre[a], pre[b]) for a, b in zip(i0, i1)]
         )
+        _emit(_csv_text(["level", "ax0_path", "ax1_path", "cx", "cy", "side"], []) + body, args.out)
+        return 0
+    report = validate_geometry(min(k, 10), params)
+    img = list(map(repr, axis_centers(k, params, image=True)[0].tolist()))
+    level = str(k)
+    cells = ",\n".join(
+        [
+            _CONSTRUCT_JSON_CELL % (paths[a], paths[b], img[a], img[b], level, pre[a], pre[b])
+            for a, b in zip(i0, i1)
+        ]
+    )
     results = {
-        "level": args.depth,
-        "count": len(cells),
+        "level": k,
+        "count": len(i0),
         "pre_side": side,
-        "image_side": image_side(args.depth, params),
-        "cells": out_cells,
+        "image_side": image_side(k, params),
+        "cells": [],
     }
     checks = [
         {
@@ -180,7 +198,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
             "target": "0 violations",
         }
     ]
-    _emit(_json_doc(args, results, checks), args.out)
+    doc = _json_doc(args, results, checks)
+    # results is the last top-level key, and its cells the only empty list
+    head, _, tail = doc.rpartition('"cells": []')
+    _emit(f'{head}"cells": [\n{cells}\n    ]{tail}', args.out)
     return 0 if report.passed else 1
 
 
@@ -318,7 +339,8 @@ def cmd_series(args: argparse.Namespace) -> int:
 
 def cmd_measure(args: argparse.Namespace) -> int:
     params = _make_params(args)
-    decades = int(round(math.log10(max(args.k_max, args.k_min) / args.k_min))) + 1
+    _check_level_range(args.k_min, args.k_max)
+    decades = int(round(math.log10(args.k_max / args.k_min))) + 1
     levels = _geometric_levels(args.k_min, args.k_max, num=max(decades, 2))
     table = threshold_scan(args.gauge_beta, levels, params)
     checks = []

@@ -280,6 +280,16 @@ def _bits(value: int, nbits: int) -> tuple[int, ...]:
     return tuple((value >> (nbits - 1 - j)) & 1 for j in range(nbits))
 
 
+def _check_cell_count(k: int, params: ConstructionParams, cap: int) -> None:
+    _check_level(k, params)
+    count = 1 << (2 * k)
+    if count > cap:
+        raise EnumerationCapError(
+            f"level {k} holds 2^{2 * k} = {count} cells, above the cap {cap}; "
+            "raise the cap to enumerate anyway"
+        )
+
+
 def enumerate_cells(
     k: int, params: ConstructionParams, cap: int = DEFAULT_CELL_CAP
 ) -> Iterator[CellAddress]:
@@ -289,13 +299,7 @@ def enumerate_cells(
     lexicographic order per axis.  Raises EnumerationCapError before
     yielding anything if 2^(2k) exceeds cap.
     """
-    _check_level(k, params)
-    count = 1 << (2 * k)
-    if count > cap:
-        raise EnumerationCapError(
-            f"level {k} holds 2^{2 * k} = {count} cells, above the cap {cap}; "
-            "raise the cap to enumerate anyway"
-        )
+    _check_cell_count(k, params, cap)
     nbits = k - MIN_LEVEL
     for o0 in range(8):
         for o1 in range(8):
@@ -305,11 +309,62 @@ def enumerate_cells(
                     yield CellAddress((o0, o1), (bits0, _bits(m1, nbits)))
 
 
-def _axis_paths(k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    nbits = k - MIN_LEVEL
-    for octant in range(8):
-        for m in range(1 << nbits):
-            yield octant, _bits(m, nbits)
+def cell_axis_indices(
+    k: int, params: ConstructionParams, cap: int = DEFAULT_CELL_CAP
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis indices into the axis_centers(k) table of every level-k
+    cell, in enumerate_cells order.
+
+    Cell n of enumerate_cells(k) has axis paths paths[i0[n]] and
+    paths[i1[n]].  Same level and cap checks as enumerate_cells, raised
+    at the call.
+    """
+    _check_cell_count(k, params, cap)
+    per_octant = 1 << (k - MIN_LEVEL)
+    # axis index of (octant, refinement bits m): octant * 2^nbits + m
+    index = np.arange(8 * per_octant).reshape(8, per_octant)
+    shape = (8, 8, per_octant, per_octant)
+    i0 = np.broadcast_to(index[:, None, :, None], shape).ravel()
+    i1 = np.broadcast_to(index[None, :, None, :], shape).ravel()
+    return i0, i1
+
+
+def _axis_levels(
+    k_max: int, params: ConstructionParams, image: bool
+) -> Iterator[tuple[int, np.ndarray, list[str]]]:
+    """(k, centers, paths) of the 1-D axis centers for k = 3..k_max.
+
+    Entry j of level k is the center _axis_center gives for the octant
+    digit and refinement bits of paths[j]; its children at level k + 1
+    are entries 2j (bit 0) and 2j + 1 (bit 1).  Each level adds -step or
+    +step to its parent, the same float additions _axis_center makes,
+    so the table equals it bit for bit.
+    """
+    _check_level(k_max, params)
+    side_fn = image_side if image else preimage_side
+    centers = (np.arange(8) + 0.5) / 8.0
+    paths = [str(octant) for octant in range(8)]
+    yield MIN_LEVEL, centers, paths
+    for k in range(MIN_LEVEL, k_max):
+        step = side_fn(k, params) / 4.0
+        centers = np.column_stack([centers - step, centers + step]).ravel()
+        paths = [p + bit for p in paths for bit in "01"]
+        yield k + 1, centers, paths
+
+
+def axis_centers(
+    k: int, params: ConstructionParams, image: bool
+) -> tuple[np.ndarray, list[str]]:
+    """The 8 * 2^(k-3) level-k axis centers of one family, with their
+    axis paths (octant digit, then refinement bits), in path order.
+
+    Every level-k center of the family is a pair (centers[i0],
+    centers[i1]) of these; cell_axis_indices gives the pairs in
+    enumerate_cells order.
+    """
+    for _, centers, paths in _axis_levels(k, params, image):
+        pass
+    return centers, paths
 
 
 @dataclass
@@ -353,7 +408,8 @@ def validate_geometry(
     for image in (False, True):
         fam = "image" if image else "pre"
         side_fn = image_side if image else preimage_side
-        for k in range(MIN_LEVEL, k_max + 1):
+        parent = None
+        for k, c, paths in _axis_levels(k_max, params, image):
             side = side_fn(k, params)
             rad = radii(k, params)
             r = rad.r_img if image else rad.r
@@ -371,54 +427,50 @@ def validate_geometry(
                     (k, fam, "frame outer radius != quadrant half-width")
                 )
 
-            centers = []
-            for octant, bits in _axis_paths(k):
-                c = _axis_center(octant, bits, params, image)
-                centers.append(c)
-                path = str(octant) + "".join(map(str, bits))
-                if k == MIN_LEVEL:
-                    report.checks_run += 1
-                    if not (octant / 8.0 < c - r and c + r < (octant + 1) / 8.0):
-                        report.violations.append(
-                            (k, f"{fam}:{path}", "level-3 interval not strictly inside its grid cell")
-                        )
-                    report.checks_run += 1
-                    if abs(c - (octant + 0.5) / 8.0) > tol:
-                        report.violations.append(
-                            (k, f"{fam}:{path}", "level-3 interval not centered in its grid cell")
-                        )
-                else:
-                    parent_c = _axis_center(octant, bits[:-1], params, image)
-                    parent_side = side_fn(k - 1, params)
-                    if bits[-1]:
-                        lo, hi = parent_c, parent_c + parent_side / 2.0
-                        expected = parent_c + parent_side / 4.0
-                    else:
-                        lo, hi = parent_c - parent_side / 2.0, parent_c
-                        expected = parent_c - parent_side / 4.0
-                    report.checks_run += 1
-                    if not (lo < c - side / 2.0 and c + side / 2.0 < hi):
-                        report.violations.append(
-                            (k, f"{fam}:{path}", "child interval not strictly inside parent half")
-                        )
-                    report.checks_run += 1
-                    if abs(c - expected) > tol:
-                        report.violations.append(
-                            (k, f"{fam}:{path}", "child interval not centered in parent half")
-                        )
+            # two checks per axis interval: it sits strictly inside, and
+            # centered in, its grid cell (level 3) or its parent half
+            if k == MIN_LEVEL:
+                octant = np.arange(8)
+                outside = ~((octant / 8.0 < c - r) & (c + r < (octant + 1) / 8.0))
+                off_center = np.abs(c - (octant + 0.5) / 8.0) > tol
+                messages = (
+                    "level-3 interval not strictly inside its grid cell",
+                    "level-3 interval not centered in its grid cell",
+                )
+            else:
+                parent_c = np.repeat(parent, 2)
+                parent_side = side_fn(k - 1, params)
+                high = np.zeros(len(c), dtype=bool)
+                high[1::2] = True  # refinement bit 1: the parent's high half
+                lo = np.where(high, parent_c, parent_c - parent_side / 2.0)
+                hi = np.where(high, parent_c + parent_side / 2.0, parent_c)
+                expected = np.where(
+                    high, parent_c + parent_side / 4.0, parent_c - parent_side / 4.0
+                )
+                outside = ~((lo < c - side / 2.0) & (c + side / 2.0 < hi))
+                off_center = np.abs(c - expected) > tol
+                messages = (
+                    "child interval not strictly inside parent half",
+                    "child interval not centered in parent half",
+                )
+            report.checks_run += 2 * len(c)
+            for j in np.flatnonzero(outside | off_center).tolist():
+                for failed, message in zip((outside[j], off_center[j]), messages):
+                    if failed:
+                        report.violations.append((k, f"{fam}:{paths[j]}", message))
+            parent = c
 
-            centers.sort()
-            gaps = [b - a for a, b in zip(centers, centers[1:])]
+            centers = np.sort(c)
+            gaps = np.diff(centers)
             report.checks_run += 1
-            if gaps and min(gaps) < 2.0 * R - tol:
+            if gaps.size and gaps.min() < 2.0 * R - tol:
                 report.violations.append(
                     (k, fam, "sibling frames overlap along an axis")
                 )
 
             if k <= pairwise_level_max:
-                cs = np.array(centers)
-                cx = np.repeat(cs, len(cs))
-                cy = np.tile(cs, len(cs))
+                cx = np.repeat(centers, len(centers))
+                cy = np.tile(centers, len(centers))
                 dx = np.abs(cx[:, None] - cx[None, :])
                 dy = np.abs(cy[:, None] - cy[None, :])
                 dist = np.maximum(dx, dy)

@@ -14,17 +14,14 @@ from .construction import (
     DEFAULT_CELL_CAP,
     MIN_LEVEL,
     ConstructionParams,
-    enumerate_cells,
-    image_square,
+    axis_centers,
+    cell_axis_indices,
+    image_side,
 )
 from .mapping import evaluate_batch
 
 _VIEW = 1000.0
 _LEVEL_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.3f}"
 
 
 def _to_view(xy: np.ndarray) -> np.ndarray:
@@ -37,7 +34,7 @@ def _to_view(xy: np.ndarray) -> np.ndarray:
 
 def _polyline(img: np.ndarray) -> str:
     pts = _to_view(img)
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
+    coords = " ".join(["%.3f,%.3f"] * len(pts)) % tuple(pts.ravel().tolist())
     return (
         f'<polyline points="{coords}" fill="none" stroke="#333333" '
         'stroke-width="0.6"/>'
@@ -70,15 +67,19 @@ def render_svg(
     ]
     for k in range(MIN_LEVEL, depth + 1):
         color = _LEVEL_COLORS[(k - MIN_LEVEL) % len(_LEVEL_COLORS)]
-        for addr in enumerate_cells(k, params, cap=cap):
-            sq = image_square(addr, params)
-            x = (sq.center[0] - sq.side / 2.0) * _VIEW
-            y = (1.0 - (sq.center[1] + sq.side / 2.0)) * _VIEW
-            w = sq.side * _VIEW
-            parts.append(
-                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" '
-                f'height="{_fmt(w)}" fill="{color}" fill-opacity="0.8"/>'
-            )
+        i0, i1 = cell_axis_indices(k, params, cap=cap)
+        c, _ = axis_centers(k, params, image=True)
+        side = image_side(k, params)
+        # corner coordinates per axis center; a square's x comes from its
+        # axis-0 center and its (flipped) y from its axis-1 center
+        xs = ["%.3f" % v for v in ((c - side / 2.0) * _VIEW).tolist()]
+        ys = ["%.3f" % v for v in ((1.0 - (c + side / 2.0)) * _VIEW).tolist()]
+        w = "%.3f" % (side * _VIEW)
+        rect = (
+            f'<rect x="%s" y="%s" width="{w}" height="{w}" '
+            f'fill="{color}" fill-opacity="0.8"/>'
+        )
+        parts.extend([rect % (xs[a], ys[b]) for a, b in zip(i0.tolist(), i1.tolist())])
     if grid > 0:
         m = samples_per_cell * grid + 1
         ts = np.linspace(0.0, 1.0, m)

@@ -2,9 +2,11 @@ import csv
 import io
 import json
 import math
+import time
 
 import numpy as np
 import pytest
+from mass_oracle import brute_mass_bound
 
 from cantormap.analysis import p_threshold
 from cantormap.cli import (
@@ -15,7 +17,16 @@ from cantormap.cli import (
     build_parser,
     main,
 )
-from cantormap.construction import ConstructionParams
+from cantormap.construction import (
+    ConstructionParams,
+    EnumerationCapError,
+    enumerate_cells,
+    image_side,
+    image_square,
+    preimage_side,
+    preimage_square,
+    validate_geometry,
+)
 from cantormap.mapping import fields_batch
 
 
@@ -57,6 +68,88 @@ def test_construct_cap_exit(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "cap" in err
+
+
+def reference_construct_output(argv):
+    """construct's output built cell by cell, as a reference.
+
+    Every cell is a CellAddress from enumerate_cells whose centers come
+    from preimage_square and image_square; each row is a list (CSV) or
+    a dict (JSON) written by csv.writer or by json.dumps(doc, indent=2,
+    sort_keys=True).  The command's table-driven writers must reproduce
+    these bytes.
+    """
+    args = build_parser().parse_args(argv)
+    params = _make_params(args)
+    cells = list(enumerate_cells(args.depth, params, cap=args.cap))
+    side = preimage_side(args.depth, params)
+    if args.format == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["level", "ax0_path", "ax1_path", "cx", "cy", "side"])
+        for addr in cells:
+            sq = preimage_square(addr, params)
+            writer.writerow(
+                [addr.level, addr.axis_path(0), addr.axis_path(1), sq.center[0], sq.center[1], side]
+            )
+        return buf.getvalue()
+    report = validate_geometry(min(args.depth, 10), params)
+    out_cells = [
+        {
+            "level": addr.level,
+            "ax0_path": addr.axis_path(0),
+            "ax1_path": addr.axis_path(1),
+            "pre_center": list(preimage_square(addr, params).center),
+            "image_center": list(image_square(addr, params).center),
+        }
+        for addr in cells
+    ]
+    results = {
+        "level": args.depth,
+        "count": len(cells),
+        "pre_side": side,
+        "image_side": image_side(args.depth, params),
+        "cells": out_cells,
+    }
+    checks = [
+        {
+            "name": "geometry_invariants",
+            "status": "pass" if report.passed else "fail",
+            "measured": f"{len(report.violations)} violations in {report.checks_run} checks",
+            "target": "0 violations",
+        }
+    ]
+    doc = {"params": _params_echo(args), "results": results, "checks": checks}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("sigma,beta", [("0.45", "2.0"), ("0.3", "1")])
+@pytest.mark.parametrize("depth", ["3", "4", "5", "6"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_construct_bytes_match_reference(fmt, depth, sigma, beta, capsys):
+    argv = ["construct", "--depth", depth, "--sigma", sigma, "--beta", beta, "--format", fmt]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.encode() == reference_construct_output(argv).encode()
+
+
+def test_construct_failing_geometry_matches_reference(capsys):
+    # at the double just below 1/2 rounding pushes some child intervals
+    # out of their parent halves: the check fails and construct exits 1
+    argv = ["construct", "--depth", "4", "--sigma", "0.49999999999999994", "--format", "json"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 1
+    assert out == reference_construct_output(argv)
+    assert json.loads(out)["checks"][0]["status"] == "fail"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_construct_cap_error_text(fmt, capsys):
+    with pytest.raises(EnumerationCapError) as want:
+        reference_construct_output(["construct", "--depth", "5", "--cap", "256"])
+    code, out, err = run_cli(["construct", "--depth", "5", "--cap", "256", "--format", fmt], capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {want.value}\n"
 
 
 def test_invalid_sigma_exit(capsys):
@@ -283,6 +376,34 @@ def test_measure_flags_unexpected_trend(capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["checks"][0]["status"] == "fail"
+
+
+@pytest.mark.parametrize("k_min", ["0", "-5"])
+def test_measure_rejects_k_min_below_3(k_min, capsys):
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(["measure", "--k-min", k_min, "--format", fmt], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: --k-min must be at least 3, got {k_min}\n"
+
+
+def test_measure_overflowing_mass_bound_is_a_domain_error(capsys):
+    argv = ["measure", "--beta", "10000", "--k-min", "3", "--k-max", "1000", "--gauge-beta", "10000"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: mass bound exp(min log-sum)") and "overflows" in err
+
+
+def test_measure_huge_k_max_stops_early(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(["measure", "--k-max", "1000000000000"], capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    res = json.loads(out)["results"]
+    m, at_k, lower_bound, first = brute_mass_bound(ConstructionParams(0.45, 2.0), 10**6)
+    assert (res["m"], res["at_k"], res["lower_bound"], res["first_admissible_k"]) == (
+        m, at_k, lower_bound, first
+    )
+    assert elapsed < 1.0
 
 
 def test_verify_json_single_documented_failure(capsys):

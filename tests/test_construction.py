@@ -2,12 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cantormap.construction import (
+    DEFAULT_CELL_CAP,
+    LEVEL3_OUTER_RADIUS,
+    MIN_LEVEL,
     CellAddress,
     ConstructionParams,
     EnumerationCapError,
     Frame,
+    ValidationReport,
+    _axis_center,
+    _bits,
+    axis_centers,
+    cell_axis_indices,
     enumerate_cells,
     frame,
     image_side,
@@ -203,3 +213,166 @@ def test_depth_max_enforced():
         preimage_square(CellAddress((0, 0), ((0, 0, 0), (0, 0, 0))), shallow)
     with pytest.raises(ValueError):
         list(enumerate_cells(6, shallow))
+
+
+def reference_axis_paths(k):
+    """(octant, refinement bits) of every level-k axis interval, in order."""
+    nbits = k - MIN_LEVEL
+    for octant in range(8):
+        for m in range(1 << nbits):
+            yield octant, _bits(m, nbits)
+
+
+@settings(max_examples=60)
+@given(
+    sigma=st.one_of(st.floats(0.01, 0.49), st.sampled_from([1 / 16, 1 / 8, 1 / 4, 3 / 8])),
+    beta=st.floats(0.1, 8.0),
+    k=st.integers(3, 12),
+)
+@example(sigma=1 / 16, beta=2.0, k=12)
+@example(sigma=3 / 8, beta=1.0, k=12)
+@example(sigma=0.49, beta=8.0, k=3)
+def test_axis_centers_equal_axis_center_bit_for_bit(sigma, beta, k):
+    params = ConstructionParams(sigma, beta)
+    order = list(reference_axis_paths(k))
+    for image in (False, True):
+        centers, paths = axis_centers(k, params, image)
+        assert centers.dtype == np.float64 and centers.shape == (8 << (k - MIN_LEVEL),)
+        assert paths == [str(o) + "".join(map(str, bits)) for o, bits in order]
+        want = [_axis_center(o, bits, params, image) for o, bits in order]
+        assert centers.tolist() == want
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_cell_axis_indices_follow_enumerate_cells(k):
+    i0, i1 = cell_axis_indices(k, P)
+    _, paths = axis_centers(k, P, image=False)
+    got = [(paths[a], paths[b]) for a, b in zip(i0.tolist(), i1.tolist())]
+    assert got == [(c.axis_path(0), c.axis_path(1)) for c in enumerate_cells(k, P)]
+
+
+@pytest.mark.parametrize(
+    "k,params,cap",
+    [
+        (13, P, DEFAULT_CELL_CAP),
+        (4, P, 255),
+        (2, P, DEFAULT_CELL_CAP),
+        (6, ConstructionParams(0.45, 2.0, depth_max=5), DEFAULT_CELL_CAP),
+    ],
+)
+def test_cell_axis_indices_share_the_enumeration_checks(k, params, cap):
+    with pytest.raises(ValueError) as want:
+        next(iter(enumerate_cells(k, params, cap=cap)))
+    with pytest.raises(ValueError) as got:
+        cell_axis_indices(k, params, cap=cap)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def reference_validate_geometry(k_max, params, pairwise_level_max=5, tol=1e-12):
+    """validate_geometry as a loop over every axis path, as a reference.
+
+    Each interval's center and its parent's come from _axis_center, one
+    path at a time; the array version must report the same checks_run
+    and the same violations in the same order.
+    """
+    report = ValidationReport(k_max)
+
+    def close(x, y):
+        return abs(x - y) <= tol * max(abs(x), abs(y), 1.0)
+
+    for image in (False, True):
+        fam = "image" if image else "pre"
+        side_fn = image_side if image else preimage_side
+        for k in range(MIN_LEVEL, k_max + 1):
+            side = side_fn(k, params)
+            rad = radii(k, params)
+            r = rad.r_img if image else rad.r
+            R = rad.R_img if image else rad.R
+            report.checks_run += 1
+            if not close(r, side / 2.0):
+                report.violations.append((k, fam, "frame inner radius != side/2"))
+            quad_half = LEVEL3_OUTER_RADIUS if k == MIN_LEVEL else side_fn(k - 1, params) / 4.0
+            report.checks_run += 1
+            if not close(R, quad_half):
+                report.violations.append((k, fam, "frame outer radius != quadrant half-width"))
+            centers = []
+            for octant, bits in reference_axis_paths(k):
+                c = _axis_center(octant, bits, params, image)
+                centers.append(c)
+                where = f"{fam}:" + str(octant) + "".join(map(str, bits))
+                if k == MIN_LEVEL:
+                    report.checks_run += 1
+                    if not (octant / 8.0 < c - r and c + r < (octant + 1) / 8.0):
+                        report.violations.append(
+                            (k, where, "level-3 interval not strictly inside its grid cell")
+                        )
+                    report.checks_run += 1
+                    if abs(c - (octant + 0.5) / 8.0) > tol:
+                        report.violations.append(
+                            (k, where, "level-3 interval not centered in its grid cell")
+                        )
+                else:
+                    parent_c = _axis_center(octant, bits[:-1], params, image)
+                    parent_side = side_fn(k - 1, params)
+                    if bits[-1]:
+                        lo, hi = parent_c, parent_c + parent_side / 2.0
+                        expected = parent_c + parent_side / 4.0
+                    else:
+                        lo, hi = parent_c - parent_side / 2.0, parent_c
+                        expected = parent_c - parent_side / 4.0
+                    report.checks_run += 1
+                    if not (lo < c - side / 2.0 and c + side / 2.0 < hi):
+                        report.violations.append(
+                            (k, where, "child interval not strictly inside parent half")
+                        )
+                    report.checks_run += 1
+                    if abs(c - expected) > tol:
+                        report.violations.append(
+                            (k, where, "child interval not centered in parent half")
+                        )
+            centers.sort()
+            gaps = [b - a for a, b in zip(centers, centers[1:])]
+            report.checks_run += 1
+            if gaps and min(gaps) < 2.0 * R - tol:
+                report.violations.append((k, fam, "sibling frames overlap along an axis"))
+            if k <= pairwise_level_max:
+                cs = np.array(centers)
+                cx, cy = np.repeat(cs, len(cs)), np.tile(cs, len(cs))
+                dist = np.maximum(
+                    np.abs(cx[:, None] - cx[None, :]), np.abs(cy[:, None] - cy[None, :])
+                )
+                np.fill_diagonal(dist, np.inf)
+                report.checks_run += 2
+                if dist.min() < side - tol:
+                    report.violations.append((k, fam, "square interiors overlap"))
+                if dist.min() < 2.0 * R - tol:
+                    report.violations.append((k, fam, "frame interiors overlap"))
+    return report
+
+
+@pytest.mark.parametrize("tol", [1e-12, -1.0])
+@pytest.mark.parametrize(
+    "sigma,beta",
+    # the last sigma is the double just below 1/2: children nearly fill
+    # their parent halves and rounding pushes some of them out
+    [(0.45, 2.0), (0.30, 1.0), (0.0625, 0.5), (0.49999999999999994, 2.0)],
+)
+def test_validate_geometry_matches_reference_loop(sigma, beta, tol):
+    params = ConstructionParams(sigma, beta)
+    for k_max in (3, 4, 7):
+        got = validate_geometry(k_max, params, tol=tol)
+        want = reference_validate_geometry(k_max, params, tol=tol)
+        assert (got.k_max, got.checks_run, got.violations) == (
+            want.k_max, want.checks_run, want.violations
+        )
+    if tol < 0.0:
+        # every check with a tolerance fails, so every locator is compared
+        assert len(got.violations) > got.checks_run / 2
+    elif sigma == 0.49999999999999994:
+        assert {v[2] for v in got.violations} == {
+            "level-3 interval not strictly inside its grid cell",
+            "child interval not strictly inside parent half",
+        }
+    else:
+        assert got.passed

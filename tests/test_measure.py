@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from mass_oracle import brute_mass_bound
 
 from cantormap.construction import ConstructionParams, enumerate_cells
 from cantormap.logspace import log_sum
@@ -139,6 +140,25 @@ def test_mass_bound_is_infimum():
     rep = mass_distribution_bound(P)
     for k in (3, 4, 10, 100):
         assert rep.m <= natural_cover_sum("image", H, k, P).value * (1.0 + 1e-15)
+
+
+@pytest.mark.parametrize("k_max", [3, 4, 100, 10**6])
+@pytest.mark.parametrize("diam_convention", ["side", "diam"])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0, 50.0])
+def test_mass_bound_matches_brute_scan(beta, diam_convention, k_max):
+    params = ConstructionParams(0.45, beta)
+    rep = mass_distribution_bound(params, k_max=k_max, diam_convention=diam_convention)
+    got = (rep.m, rep.at_k, rep.lower_bound, rep.first_admissible_k)
+    assert got == brute_mass_bound(params, k_max, diam_convention)
+    if beta == 50.0 and k_max == 10**6:
+        # the dip is deep and late: the minimum is nowhere near level 3
+        assert 1400 < rep.at_k < 1500
+
+
+def test_mass_bound_overflow_is_a_domain_error():
+    # for beta = 1e4 every sum up to level 1000 is about exp(2915)
+    with pytest.raises(ValueError, match=r"log-sum\) = exp\(2914\.7"):
+        mass_distribution_bound(ConstructionParams(0.45, 1e4), k_max=1000)
 
 
 def test_mass_distribution_validation():
