@@ -65,7 +65,6 @@ from .measure import (
     MassDistributionReport,
     ScanTable,
     box_dimension_pre,
-    covering_sum_of_image,
     gauge_eval,
     gauge_log_eval,
     mass_distribution_bound,

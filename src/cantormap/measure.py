@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .construction import (
     LOG2,
     MIN_LEVEL,
-    CellAddress,
     ConstructionParams,
     log_image_side,
 )
@@ -303,27 +302,3 @@ def box_dimension_pre(k: int, params: ConstructionParams) -> float:
     if k < MIN_LEVEL:
         raise ValueError(f"levels start at {MIN_LEVEL}, got {k}")
     return 2.0 * LOG2 / math.log(1.0 / params.sigma)
-
-
-def covering_sum_of_image(
-    addresses: Iterable[CellAddress],
-    gauge_or_alpha: Union[Gauge, float],
-    params: ConstructionParams,
-    diam_convention: str = "side",
-) -> LogQuantity:
-    """Covering sum of the image squares of the given same-level cells.
-
-    The full level-k collection reproduces natural_cover_sum("image",
-    gauge, k, params).  Mixing levels raises: a cover drawn from
-    several levels has no single canonical scale.
-    """
-    addrs = list(addresses)
-    if not addrs:
-        raise ValueError("need at least one address")
-    k = addrs[0].level
-    if any(a.level != k for a in addrs):
-        raise ValueError("addresses must all sit at one level")
-    c = _diam_factor("image", diam_convention)
-    log_t = log_image_side(k, params) + math.log(c)
-    g = _gauge_log_value(gauge_or_alpha, log_t, f"level-{k}")
-    return LogQuantity(math.log(len(addrs)) + g)

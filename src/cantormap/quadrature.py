@@ -1,11 +1,13 @@
-"""Adaptive 1-D quadrature with an explicit failure contract."""
+"""Adaptive 1-D quadrature with an explicit failure contract.
+
+scipy loads on the first integrate call, so commands that never
+integrate do not pay for importing it.
+"""
 
 from __future__ import annotations
 
 import warnings
 from typing import Callable
-
-from scipy.integrate import IntegrationWarning, quad
 
 
 class QuadratureError(RuntimeError):
@@ -27,6 +29,8 @@ def integrate(
     """
     if not b > a:
         raise ValueError(f"need a < b, got [{a}, {b}]")
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:

@@ -376,3 +376,55 @@ def test_validate_geometry_matches_reference_loop(sigma, beta, tol):
         }
     else:
         assert got.passed
+
+
+GRID_SIGMAS = [1 / 16, 0.1, 0.25, 3 / 8, 0.45, 0.49999999999999994]
+GRID_BETAS = [0.5, 1.0, 2.0, 5.0]
+
+
+def brute_pairwise_min(c):
+    """Least entry off the diagonal of the n^2 x n^2 sup-norm distance
+    matrix between the centers C x C, built one row block at a time.
+
+    Entry ((i, j), (k, l)) is max(|c_i - c_k|, |c_j - c_l|), the same
+    double the full matrix of reference_validate_geometry holds.
+    """
+    n = len(c)
+    d = np.abs(c[:, None] - c[None, :])
+    best = np.inf
+    for i in range(n):
+        dist = np.maximum(d[i][None, :, None], d[:, None, :])
+        dist[np.arange(n), i, np.arange(n)] = np.inf  # the pair ((i, j), (i, j))
+        best = min(best, dist.min())
+    return best
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+@pytest.mark.parametrize("sigma", GRID_SIGMAS)
+def test_pairwise_minimum_is_the_smallest_axis_gap(sigma, k):
+    for beta in GRID_BETAS:
+        params = ConstructionParams(sigma, beta)
+        for image in (False, True):
+            c, _ = axis_centers(k, params, image)
+            brute = brute_pairwise_min(c)
+            gap = np.diff(np.sort(c)).min()
+            assert brute.tobytes() == gap.tobytes(), (beta, image, brute, gap)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 0.0, 0.3, -1e-3, -1.0])
+def test_validate_geometry_2d_checks_match_the_matrix(tol):
+    messages = set()
+    # one beta per sigma keeps the reference's matrices affordable; the
+    # test above covers every (sigma, beta) pair at levels 3-6
+    for sigma, beta in zip(GRID_SIGMAS, GRID_BETAS * 2):
+        params = ConstructionParams(sigma, beta)
+        for pairwise_level_max in (2, 5, 6):
+            got = validate_geometry(5, params, pairwise_level_max, tol)
+            want = reference_validate_geometry(5, params, pairwise_level_max, tol)
+            assert (got.k_max, got.checks_run, got.violations) == (
+                want.k_max, want.checks_run, want.violations
+            )
+            messages |= {v[2] for v in got.violations}
+    if tol == -1e-3:
+        # "square interiors overlap" shows at four of the six sigmas
+        assert {"square interiors overlap", "frame interiors overlap"} <= messages

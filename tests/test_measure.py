@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from mass_oracle import brute_mass_bound
 
-from cantormap.construction import ConstructionParams, enumerate_cells
-from cantormap.logspace import log_sum
+from cantormap.construction import ConstructionParams
 from cantormap.measure import (
     Gauge,
     box_dimension_pre,
-    covering_sum_of_image,
     gauge_eval,
     gauge_log_eval,
     mass_distribution_bound,
@@ -179,25 +177,3 @@ def test_box_dimension_pre():
         assert box_dimension_pre(3, params) == box_dimension_pre(50, params)
     with pytest.raises(ValueError):
         box_dimension_pre(2, P)
-
-
-def test_covering_sum_of_image_reproduces_natural():
-    addrs = list(enumerate_cells(4, P))
-    full = covering_sum_of_image(addrs, H, P)
-    natural = natural_cover_sum("image", H, 4, P)
-    np.testing.assert_allclose(full.log, natural.log, atol=1e-12)
-    half = covering_sum_of_image(addrs[:128], H, P)
-    np.testing.assert_allclose(full.log - half.log, math.log(2.0), atol=1e-12)
-    single = covering_sum_of_image(addrs[:1], H, P)
-    np.testing.assert_allclose(
-        math.exp(log_sum([single.log] * 256)), full.value, rtol=1e-12
-    )
-
-
-def test_covering_sum_rejects_mixed_levels():
-    a3 = next(iter(enumerate_cells(3, P)))
-    a4 = a3.child(0, 0)
-    with pytest.raises(ValueError):
-        covering_sum_of_image([a3, a4], H, P)
-    with pytest.raises(ValueError):
-        covering_sum_of_image([], H, P)
