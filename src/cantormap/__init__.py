@@ -48,7 +48,6 @@ from .mapping import (
     FrameMapCoeffs,
     RegionLocation,
     SquareInteriorAt,
-    cantor_image,
     coeffs,
     compare_distortion_bound,
     consistency_check,

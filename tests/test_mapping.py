@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantormap.construction import (
+    MIN_LEVEL,
     CellAddress,
     ConstructionParams,
     image_side,
@@ -15,9 +16,11 @@ from cantormap.construction import (
     radii,
 )
 from cantormap.mapping import (
+    _BLOCK,
     FrameAt,
     SquareInteriorAt,
-    cantor_image,
+    _descend_batch,
+    _level_table,
     coeffs,
     compare_distortion_bound,
     consistency_check,
@@ -37,7 +40,6 @@ P = ConstructionParams(0.45, 2.0)
 P4 = ConstructionParams(0.25, 2.0)
 
 L3 = 0.11377990332835468
-L4 = 0.045084220027780106
 L5 = 0.01941671670498787
 
 
@@ -207,14 +209,19 @@ def test_scalar_and_batch_agree():
         assert bool(fb["on_skeleton"][i]) == fs.on_skeleton
 
 
+def _cell_centers(rng, n, k, params):
+    """Seeded level-k pre-image centers, reached with the descent's own float steps."""
+    c = (rng.integers(0, 8, (n, 2)) + 0.5) / 8.0
+    for j in range(MIN_LEVEL, k):
+        c += np.where(rng.integers(0, 2, (n, 2)) == 1, 1.0, -1.0) * (preimage_side(j, params) / 4.0)
+    return c
+
+
 def _cell_points(rng, n, k, params):
-    """Points at seeded level-k pre-image centers, reached with the
-    descent's own float steps, moved along one axis by 0, +-r_k or
-    +-R_k: exact centers tie between cells, the offsets sit on frame
-    boundaries up to rounding."""
-    pts = (rng.integers(0, 8, (n, 2)) + 0.5) / 8.0
-    for j in range(3, k):
-        pts += np.where(rng.integers(0, 2, (n, 2)) == 1, 1.0, -1.0) * (preimage_side(j, params) / 4.0)
+    """Points at seeded level-k pre-image centers moved along one axis
+    by 0, +-r_k or +-R_k: exact centers tie between cells, the offsets
+    sit on frame boundaries up to rounding."""
+    pts = _cell_centers(rng, n, k, params)
     rad = radii(k, params)
     offsets = np.array([0.0, rad.r, -rad.r, rad.R, -rad.R])
     pts[np.arange(n), rng.integers(0, 2, n)] += offsets[rng.integers(0, 5, n)]
@@ -275,6 +282,89 @@ def test_evaluate_batch_is_the_fields_image(depth):
     rng = np.random.default_rng(depth)
     pts = np.vstack([rng.random((3000, 2)), _cell_points(rng, 3000, depth, P)])
     assert np.array_equal(evaluate_batch(pts, depth, P), fields_batch(pts, depth, P)["image"])
+
+
+def reference_descend_batch(points, depth, params):
+    """The whole-array compacting walk that preceded the blocked kernel,
+    kept as the reference _descend_batch must match bit for bit."""
+    pts = np.asarray(points, dtype=float)
+    tab = _level_table(params, depth)
+    x = [pts[:, 0], pts[:, 1]]
+    centers = [(np.minimum((xa * 8.0).astype(np.int64), 7) + 0.5) / 8.0 for xa in x + x]
+    level = np.empty(len(pts), dtype=np.int64)
+    in_frame = np.empty(len(pts), dtype=bool)
+    rho_out = np.empty(len(pts))
+    idx, ax, ac = None, x, list(centers)
+    for k in range(MIN_LEVEL, depth + 1):
+        d = [ax[0] - ac[0], ax[1] - ac[1]]
+        rho = np.maximum(np.abs(d[0]), np.abs(d[1]), out=rho_out if idx is None else None)
+        hit = rho >= tab.r[k]
+        leave = hit if k < depth else np.ones_like(hit)
+        if leave.any():
+            stay = ~leave
+            if idx is None:
+                gone, idx = np.flatnonzero(leave), np.flatnonzero(stay)
+            else:
+                gone = idx[leave]
+                rho_out[gone] = rho[leave]
+                for out, a in zip(centers, ac):
+                    out[gone] = a[leave]
+                idx = idx[stay]
+            level[gone] = k
+            in_frame[gone] = hit[leave]
+            if len(idx) == 0:
+                break
+            ax, ac = [a[stay] for a in ax], [a[stay] for a in ac]
+            d = [ax[0] - ac[0], ax[1] - ac[1]]
+        for a, da, s in zip(ac, d + d, (tab.step[k],) * 2 + (tab.istep[k],) * 2):
+            a += np.copysign(s, da)
+    return tab, x, level, in_frame, rho_out, centers
+
+
+def _depth_points(rng, n, depth, params):
+    """Points within 0.9 of the half-side around seeded level-depth
+    centers, as perfbench's cantor_points builds them: they descend to
+    depth and land in no frame."""
+    half = preimage_side(depth, params) / 2.0
+    return _cell_centers(rng, n, depth, params) + rng.uniform(-0.9, 0.9, (n, 2)) * half
+
+
+def _block_edge_mix(rng, n, depth, params):
+    """Points leaving at level 3, at a middle level and at depth, in a
+    period-3 pattern, so each kind sits on both sides of every block edge."""
+    mid = (MIN_LEVEL + depth) // 2
+    rad = radii(mid, params)
+    level3 = rng.integers(0, 9, (n, 2)) / 8.0  # level-3 grid points: outer frame corners
+    frame_mid = _cell_centers(rng, n, mid, params)
+    frame_mid[:, 0] += np.where(rng.integers(0, 2, n) == 1, 1.0, -1.0) * (rad.r + rad.R) / 2.0
+    deep = _depth_points(rng, n, depth, params)
+    kind = np.arange(n) % 3
+    return np.where((kind == 0)[:, None], level3, np.where((kind == 1)[:, None], frame_mid, deep))
+
+
+@pytest.mark.parametrize("depth", [6, 32, 60])
+@pytest.mark.parametrize("kind", ["uniform", "cantor", "mix"])
+def test_blocked_descent_matches_the_whole_array_walk(kind, depth):
+    rng = np.random.default_rng([depth, len(kind)])
+    n_max = 2 * _BLOCK + 17
+    if kind == "uniform":
+        pts = rng.random((n_max, 2))
+    elif kind == "cantor":
+        pts = _depth_points(rng, n_max, depth, P)
+    else:
+        pts = _block_edge_mix(rng, n_max, depth, P)
+        levels = reference_descend_batch(pts, depth, P)[2]
+        mid = (MIN_LEVEL + depth) // 2
+        for edge in (_BLOCK, 2 * _BLOCK):
+            for side in (levels[edge - 6 : edge], levels[edge : edge + 6]):
+                assert {3, mid, depth} <= set(side.tolist())
+    for n in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, n_max):
+        _, x, *got = _descend_batch(pts[:n], depth, P)
+        _, ref_x, *want = reference_descend_batch(pts[:n], depth, P)
+        got, want = got[:3] + got[3], want[:3] + want[3]
+        for g, w in zip(x + got, ref_x + want):
+            assert g.dtype == w.dtype and g.shape == w.shape == (n,)
+            assert g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("depth", [53, 54, 55, 60])
@@ -357,25 +447,6 @@ def test_sup_distortion_level3_brute_force():
         t = c.a + c.b / rho
         brute = np.max(np.maximum(t / c.a, c.a / t))
         np.testing.assert_allclose(sup_distortion(3, params), brute, rtol=1e-12)
-
-
-def test_cantor_image_single_and_path():
-    addr = CellAddress((5, 1), ((0, 1), (1, 0)))
-    assert cantor_image(addr, P) == image_square(addr, P).center
-
-    a3 = CellAddress((0, 0))
-    a4 = a3.child(1, 1)
-    a5 = a4.child(1, 1)
-    pt = cantor_image([a3, a4, a5], P)
-    np.testing.assert_allclose(pt[0], 1.0 / 16.0 + L3 / 4.0 + L4 / 4.0, rtol=1e-14)
-    np.testing.assert_allclose(pt[1], pt[0], rtol=0, atol=0)
-
-    with pytest.raises(ValueError):
-        cantor_image([a3, a5], P)
-    with pytest.raises(ValueError):
-        cantor_image([a3, CellAddress((1, 0), ((0,), (0,)))], P)
-    with pytest.raises(ValueError):
-        cantor_image([], P)
 
 
 def test_consistency_of_frame_and_parent_similarity():
