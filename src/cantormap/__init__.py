@@ -11,7 +11,6 @@ threshold, and doubly logarithmic gauges measuring the image family.
 from .analysis import (
     SeriesDiagnostics,
     SeriesTerm,
-    SubexpFunctional,
     frame_integral_mc,
     frame_jacobian_integral,
     frame_subexp_integral,
@@ -21,7 +20,6 @@ from .analysis import (
     gain_ratio,
     p_threshold,
     series_terms,
-    subexp_A,
 )
 from .construction import (
     CellAddress,
@@ -40,7 +38,7 @@ from .construction import (
     radii,
     validate_geometry,
 )
-from .logspace import LogQuantity, log_add
+from .logspace import log_add
 from .mapping import (
     DistortionComparison,
     FieldSample,
@@ -64,10 +62,8 @@ from .measure import (
     MassDistributionReport,
     ScanTable,
     box_dimension_pre,
-    gauge_eval,
     gauge_log_eval,
     mass_distribution_bound,
-    monotone_threshold,
     natural_cover_sum,
     threshold_scan,
 )

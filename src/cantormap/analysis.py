@@ -23,7 +23,6 @@ from .construction import (
     MIN_LEVEL,
     ConstructionParams,
     image_side,
-    preimage_side,
     radii,
 )
 from .logspace import log_add
@@ -31,41 +30,11 @@ from .mapping import coeffs, log_coeffs, sup_distortion
 from .quadrature import integrate
 
 
-def subexp_A(t: float, p: float) -> float:
-    """A(t) = p t / (1 + log t) - p, the sub-exponential gauge exponent.
-
-    Defined for t >= 1 only; A(1) = 0 and A is increasing, so
-    exp(A(K)) weights distortion K more gently than exp(p K).
-    """
-    if p <= 0.0:
-        raise ValueError(f"p must be positive, got {p}")
-    if t < 1.0:
-        raise ValueError(f"sub-exponential gauge needs t >= 1, got {t}")
-    return p * t / (1.0 + math.log(t)) - p
-
-
 def subexp_gain(t: float, p: float) -> float:
-    """Exponent p t / (1 + log t) of the integrand exp(A(t) + p)."""
+    """Exponent p t / (1 + log t) of the sub-exponential gauge, t >= 1."""
     if t < 1.0:
         raise ValueError(f"sub-exponential gauge needs t >= 1, got {t}")
     return p * t / (1.0 + math.log(t))
-
-
-@dataclass(frozen=True)
-class SubexpFunctional:
-    """The gauge t -> exp(A(t)) at a fixed exponent p > 0."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if self.p <= 0.0:
-            raise ValueError(f"p must be positive, got {self.p}")
-
-    def A(self, t: float) -> float:
-        return subexp_A(t, self.p)
-
-    def gain(self, t: float) -> float:
-        return subexp_gain(t, self.p)
 
 
 def _linear_radii(k: int, params: ConstructionParams):
@@ -89,23 +58,17 @@ def frame_jacobian_integral(k: int, params: ConstructionParams) -> float:
     return 4.0 * c.a**2 * (rad.R**2 - rad.r**2) + 8.0 * c.a * c.b * (rad.R - rad.r)
 
 
-def frame_tv_integral(
-    k: int, params: ConstructionParams, include_square: bool = False
-) -> float:
+def frame_tv_integral(k: int, params: ConstructionParams) -> float:
     """Closed form of the derivative-norm integral over one level-k frame.
 
     |Df| = max(a, a + b/rho): for b >= 0 the integral is
     4 a (R^2 - r^2) + 8 b (R - r), for b < 0 the b-term drops.
-    include_square adds the similarity contribution (r'/r) (2r)^2 of
-    the enclosed truncation square.
     """
     rad = _linear_radii(k, params)
     c = coeffs(k, params)
     val = 4.0 * c.a * (rad.R**2 - rad.r**2)
     if c.b > 0.0:
         val += 8.0 * c.b * (rad.R - rad.r)
-    if include_square:
-        val += (rad.r_img / rad.r) * (2.0 * rad.r) ** 2
     return val
 
 
@@ -120,16 +83,12 @@ def frame_distortion_profile(k: int, params: ConstructionParams):
     return K
 
 
-def frame_subexp_integral(
-    k: int, p: float, params: ConstructionParams, include_square: bool = False
-) -> float:
+def frame_subexp_integral(k: int, p: float, params: ConstructionParams) -> float:
     """Adaptive quadrature of exp(p K / (1 + log K)) over one frame.
 
     K is the pointwise distortion; the integrand is radial, so coarea
-    reduces to 1-D quadrature against 8 rho.  include_square adds the
-    distortion-1 contribution exp(p) (2r)^2 of the truncation square.
-    Raises if the integrand exceeds double range; series_terms covers
-    those levels in log space.
+    reduces to 1-D quadrature against 8 rho.  Raises if the integrand
+    exceeds double range; series_terms covers those levels in log space.
     """
     if p <= 0.0:
         raise ValueError(f"p must be positive, got {p}")
@@ -139,12 +98,9 @@ def frame_subexp_integral(
         raise ValueError(
             f"integrand overflows double range at level {k}; use series_terms"
         )
-    val = integrate(
+    return integrate(
         lambda rho: math.exp(subexp_gain(Kf(rho), p)) * 8.0 * rho, rad.r, rad.R
     )
-    if include_square:
-        val += math.exp(p) * (2.0 * rad.r) ** 2
-    return val
 
 
 def frame_integral_mc(

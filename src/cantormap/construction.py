@@ -69,11 +69,6 @@ def preimage_side(k: int, params: ConstructionParams) -> float:
     return params.sigma**k
 
 
-def log_preimage_side(k: int, params: ConstructionParams) -> float:
-    _check_level(k)
-    return k * math.log(params.sigma)
-
-
 def image_side(k: int, params: ConstructionParams) -> float:
     """Side length 2^-k * (log k)^(-beta/2) of a level-k image square."""
     _check_level(k)
@@ -215,7 +210,12 @@ class Square:
 
 @dataclass(frozen=True)
 class Frame:
-    """Open sup-norm annulus {r < |x - center|_inf < R}."""
+    """Open sup-norm annulus {r < |x - center|_inf < R}.
+
+    Per-cell form of what the axis-center table (_axis_levels,
+    axis_centers, cell_axis_indices) gives; no command calls it, and it
+    stays with the squares perfbench/ wraps by name.
+    """
 
     center: tuple[float, float]
     r: float
@@ -229,6 +229,9 @@ class Frame:
 def _axis_center(
     octant: int, bits: Sequence[int], params: ConstructionParams, image: bool
 ) -> float:
+    """Per-cell reference the axis-center table (_axis_levels,
+    axis_centers, cell_axis_indices) is tested against; no command
+    calls it, and it stays while perfbench/ wraps its two callers."""
     c = (octant + 0.5) / 8.0
     side_fn = image_side if image else preimage_side
     for j, b in enumerate(bits):
@@ -238,6 +241,9 @@ def _axis_center(
 
 
 def preimage_square(addr: CellAddress, params: ConstructionParams) -> Square:
+    """Per-cell reference the axis-center table (_axis_levels,
+    axis_centers, cell_axis_indices) is tested against; no command
+    calls it, and it stays while perfbench/ wraps it by name."""
     _check_level(addr.level, params)
     return Square(
         (
@@ -249,6 +255,9 @@ def preimage_square(addr: CellAddress, params: ConstructionParams) -> Square:
 
 
 def image_square(addr: CellAddress, params: ConstructionParams) -> Square:
+    """Per-cell reference the axis-center table (_axis_levels,
+    axis_centers, cell_axis_indices) is tested against; no command
+    calls it, and it stays while perfbench/ wraps it by name."""
     _check_level(addr.level, params)
     return Square(
         (
@@ -259,16 +268,16 @@ def image_square(addr: CellAddress, params: ConstructionParams) -> Square:
     )
 
 
-def frame(
-    addr: CellAddress,
-    params: ConstructionParams,
-    side: str = "pre",
-    literal: bool = False,
-) -> Frame:
-    """The frame around the addressed square, in either family."""
+def frame(addr: CellAddress, params: ConstructionParams, side: str = "pre") -> Frame:
+    """The frame around the addressed square, in either family.
+
+    Per-cell form of what the axis-center table (_axis_levels,
+    axis_centers, cell_axis_indices) gives; no command calls it, and it
+    stays with the squares perfbench/ wraps by name.
+    """
     if side not in ("pre", "image"):
         raise ValueError(f"side must be 'pre' or 'image', got {side!r}")
-    rad = radii(addr.level, params, literal=literal)
+    rad = radii(addr.level, params)
     if side == "pre":
         sq = preimage_square(addr, params)
         return Frame(sq.center, rad.r, rad.R)
@@ -298,6 +307,10 @@ def enumerate_cells(
     Octant-major (axis 0 outer, axis 1 inner), then refinement bits in
     lexicographic order per axis.  Raises EnumerationCapError before
     yielding anything if 2^(2k) exceeds cap.
+
+    Per-cell reference the axis-center table (_axis_levels,
+    axis_centers, cell_axis_indices) is tested against; no command
+    calls it, and it stays while perfbench/ wraps it by name.
     """
     _check_cell_count(k, params, cap)
     nbits = k - MIN_LEVEL
@@ -380,11 +393,12 @@ class ValidationReport:
         return not self.violations
 
 
+# levels at which validate_geometry counts its two 2-D checks
+_PAIRWISE_LEVEL_MAX = 5
+
+
 def validate_geometry(
-    k_max: int,
-    params: ConstructionParams,
-    pairwise_level_max: int = 5,
-    tol: float = 1e-12,
+    k_max: int, params: ConstructionParams, tol: float = 1e-12
 ) -> ValidationReport:
     """Check the nesting and tiling invariants of both families.
 
@@ -396,8 +410,8 @@ def validate_geometry(
     axis have disjoint interiors.  Axis factors are exhausted up to
     k_max.  The 2-D checks (square and frame interiors pairwise
     disjoint) follow from the 1-D gaps, since the level-k centers are
-    the product set C x C; pairwise_level_max only picks the levels
-    where they are counted.
+    the product set C x C; they are counted at levels up to
+    _PAIRWISE_LEVEL_MAX = 5.
 
     Violations are reported as (level, locator, invariant) triples.
     """
@@ -462,20 +476,23 @@ def validate_geometry(
                         report.violations.append((k, f"{fam}:{paths[j]}", message))
             parent = c
 
-            gaps = np.diff(np.sort(c))
+            gap = np.diff(np.sort(c)).min()
             report.checks_run += 1
-            if gaps.min() < 2.0 * R - tol:
+            if gap < 2.0 * R - tol:
                 report.violations.append(
                     (k, fam, "sibling frames overlap along an axis")
                 )
 
-            if k <= pairwise_level_max:
+            if k <= _PAIRWISE_LEVEL_MAX:
                 # centers are C x C: the least sup-norm distance between two is
-                # the least axis gap, as the same double (rounding is monotone)
+                # the least axis gap, as the same double (rounding is monotone).
+                # "frame interiors overlap" repeats the sibling-gap comparison;
+                # it stays because checks_run and the violation list are part
+                # of construct --format json
                 report.checks_run += 2
-                if gaps.min() < side - tol:
+                if gap < side - tol:
                     report.violations.append((k, fam, "square interiors overlap"))
-                if gaps.min() < 2.0 * R - tol:
+                if gap < 2.0 * R - tol:
                     report.violations.append((k, fam, "frame interiors overlap"))
 
     return report

@@ -2,14 +2,12 @@
 
 Covering sums and series terms in this package live at scales like
 exp(-1e9), far below the double-precision floor.  Values are therefore
-stored as logs and only exponentiated when provably moderate.
+kept as logs and only exponentiated when provably moderate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
 
 
 def log_add(log_x: float, log_y: float) -> float:
@@ -19,58 +17,3 @@ def log_add(log_x: float, log_y: float) -> float:
     if log_y == float("-inf"):
         return log_x
     return log_x + math.log1p(math.exp(log_y - log_x))
-
-
-def log_sum(logs: Iterable[float]) -> float:
-    """log of the sum of exp(v) over all v, stable for any magnitudes."""
-    items = list(logs)
-    if not items:
-        raise ValueError("log_sum needs at least one term")
-    m = max(items)
-    if m == float("-inf") or math.isnan(m):
-        return m
-    return m + math.log(math.fsum(math.exp(v - m) for v in items))
-
-
-@dataclass(frozen=True)
-class LogQuantity:
-    """A positive real x stored as log = ln(x)."""
-
-    log: float
-
-    @classmethod
-    def from_value(cls, value: float) -> "LogQuantity":
-        if value <= 0.0:
-            raise ValueError(f"LogQuantity needs a positive value, got {value}")
-        return cls(math.log(value))
-
-    @property
-    def value(self) -> float:
-        """exp(log); saturates to inf or 0.0 outside double range."""
-        try:
-            return math.exp(self.log)
-        except OverflowError:
-            return float("inf")
-
-    def __mul__(self, other: "LogQuantity") -> "LogQuantity":
-        return LogQuantity(self.log + other.log)
-
-    def __truediv__(self, other: "LogQuantity") -> "LogQuantity":
-        return LogQuantity(self.log - other.log)
-
-    def __pow__(self, exponent: float) -> "LogQuantity":
-        return LogQuantity(self.log * exponent)
-
-    def __lt__(self, other: "LogQuantity") -> bool:
-        return self.log < other.log
-
-    def __le__(self, other: "LogQuantity") -> bool:
-        return self.log <= other.log
-
-    @staticmethod
-    def sum(items: Iterable["LogQuantity"]) -> "LogQuantity":
-        def _logs() -> Iterator[float]:
-            for q in items:
-                yield q.log
-
-        return LogQuantity(log_sum(_logs()))

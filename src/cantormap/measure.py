@@ -22,9 +22,6 @@ from .construction import (
     ConstructionParams,
     log_image_side,
 )
-from .logspace import LogQuantity
-
-SQRT2 = math.sqrt(2.0)
 
 _GAUGE_DOMAIN_EDGE = -1.0  # log t < -1 keeps log(1/t) > 1, so loglog(1/t) > 0
 
@@ -48,58 +45,15 @@ class Gauge:
             raise ValueError(f"beta must be non-negative, got {self.beta}")
 
 
-def gauge_eval(gauge: Gauge, t: float) -> float:
-    """h(t) directly; only for moderate t, see gauge_log_eval."""
-    if not 0.0 < t < math.exp(-1.0):
-        raise ValueError(f"gauge defined on (0, e^-1), got t = {t}")
-    if gauge.beta == 0.0:
-        return t**gauge.n
-    return t**gauge.n * math.log(math.log(1.0 / t)) ** gauge.beta
-
-
-def gauge_log_eval(gauge: Gauge, log_t: float) -> LogQuantity:
-    """h at t = exp(log_t), carried in log space for tiny scales."""
+def gauge_log_eval(gauge: Gauge, log_t: float) -> float:
+    """log h(t) at t = exp(log_t), for scales far below double range."""
     if not log_t < _GAUGE_DOMAIN_EDGE:
         raise ValueError(
             f"gauge defined for log t < {_GAUGE_DOMAIN_EDGE}, got log t = {log_t}"
         )
     if gauge.beta == 0.0:
-        return LogQuantity(gauge.n * log_t)
-    return LogQuantity(gauge.n * log_t + gauge.beta * math.log(math.log(-log_t)))
-
-
-def monotone_threshold(gauge: Gauge) -> float:
-    """Largest scale below which the gauge is increasing.
-
-    h'(t) changes sign where n log log(1/t) log(1/t) = beta; solved by
-    bisection on x = log(1/t) to relative 1e-12.  beta = 0 degenerates
-    to the domain edge e^-1.
-    """
-    if gauge.beta == 0.0:
-        return math.exp(-1.0)
-
-    def phi(x: float) -> float:
-        return gauge.n * math.log(x) * x
-
-    lo, hi = 1.0, 2.0
-    while phi(hi) < gauge.beta:
-        hi *= 2.0
-    while hi - lo > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        if phi(mid) < gauge.beta:
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(-0.5 * (lo + hi))
-
-
-def _diam_factor(side: str, diam_convention: str) -> float:
-    if diam_convention not in ("side", "diam"):
-        raise ValueError(f"diam_convention must be 'side' or 'diam', got {diam_convention!r}")
-    # pre-side covers are axis intervals whose diameter is their length
-    if side == "image" and diam_convention == "diam":
-        return SQRT2
-    return 1.0
+        return gauge.n * log_t
+    return gauge.n * log_t + gauge.beta * math.log(math.log(-log_t))
 
 
 def _gauge_log_value(gauge_or_alpha: Union[Gauge, float], log_t: float, where: str) -> float:
@@ -108,7 +62,7 @@ def _gauge_log_value(gauge_or_alpha: Union[Gauge, float], log_t: float, where: s
             raise ValueError(
                 f"gauge undefined at the {where} scale exp({log_t:.3f}); use a larger level"
             )
-        return gauge_log_eval(gauge_or_alpha, log_t).log
+        return gauge_log_eval(gauge_or_alpha, log_t)
     alpha = float(gauge_or_alpha)
     if alpha <= 0.0:
         raise ValueError(f"power-gauge exponent must be positive, got {alpha}")
@@ -120,31 +74,27 @@ def natural_cover_sum(
     gauge_or_alpha: Union[Gauge, float],
     k: int,
     params: ConstructionParams,
-    diam_convention: str = "side",
-) -> LogQuantity:
-    """The canonical level-k covering sum, in log space.
+) -> float:
+    """Natural log of the canonical level-k covering sum.
 
     side "image": the 2^(2k) level-k image squares cover the planar
     image set.  side "pre": the 2^k level-k intervals of length
     sigma^k cover one axis factor of the pre-image set; the per-axis
     count is the relevant one for the axis dimension.  The gauge is a
-    Gauge, or a bare float alpha meaning the power gauge t^alpha.
-    diam_convention "diam" feeds sqrt(2) times the side to the gauge
-    for image squares; intervals have diameter equal to their length,
-    so the convention does not move the pre side.
+    Gauge, or a bare float alpha meaning the power gauge t^alpha, and
+    it reads the side of each cover.
     """
     if side not in ("pre", "image"):
         raise ValueError(f"side must be 'pre' or 'image', got {side!r}")
     if k < MIN_LEVEL:
         raise ValueError(f"levels start at {MIN_LEVEL}, got {k}")
-    c = _diam_factor(side, diam_convention)
     if side == "pre":
         log_t = k * math.log(params.sigma)
         log_count = k * LOG2
     else:
-        log_t = log_image_side(k, params) + math.log(c)
+        log_t = log_image_side(k, params)
         log_count = 2 * k * LOG2
-    return LogQuantity(log_count + _gauge_log_value(gauge_or_alpha, log_t, f"level-{k}"))
+    return log_count + _gauge_log_value(gauge_or_alpha, log_t, f"level-{k}")
 
 
 @dataclass(frozen=True)
@@ -167,7 +117,6 @@ def threshold_scan(
     beta_primes: Sequence[float],
     levels: Sequence[int],
     params: ConstructionParams,
-    diam_convention: str = "side",
 ) -> ScanTable:
     """Covering-sum trends of the image family under gauges h_{2, beta'}.
 
@@ -186,9 +135,7 @@ def threshold_scan(
     verdicts: dict = {}
     for bp in beta_primes:
         g = Gauge(2, float(bp))
-        sums = [
-            natural_cover_sum("image", g, k, params, diam_convention).log for k in lvls
-        ]
+        sums = [natural_cover_sum("image", g, k, params) for k in lvls]
         rows.extend(ScanRow(float(bp), k, s) for k, s in zip(lvls, sums))
         lo, hi = (math.log(_STATIONARY_BAND[0]), math.log(_STATIONARY_BAND[1]))
         if all(lo <= s <= hi for s in sums):
@@ -220,49 +167,34 @@ class MassDistributionReport:
 
 
 def mass_distribution_bound(
-    params: ConstructionParams,
-    k_max: int = 10**6,
-    gauge: Union[Gauge, None] = None,
-    diam_convention: str = "side",
+    params: ConstructionParams, k_max: int = 10**6
 ) -> MassDistributionReport:
     """Minimize the stationary covering sum over levels up to k_max.
 
-    The gauge must be h_{2, beta} with the construction's own beta
-    (the default); other exponents have no stationary sums to
+    The sums are those of the image covers under the construction's
+    own gauge h_{2, beta}; other exponents have no stationary sums to
     minimize.  The sums increase toward 1 after an initial dip, so m
     sits at a small level and is stable under any larger k_max.
 
     The scan stops early at a level past which no sum can beat the
-    best one found.  With L = log 2, log c the diameter factor and
-    u(k) = kL + (beta/2) loglog k - log c = -log t_k, the level-k sum
-    is ln S(k) = 2 log c + beta log(log u(k) / log k).  As loglog k > 0
-    for k >= 3, u(k) > kL - log c, so ln S(k) > LB(k) = 2 log c +
-    beta log(log(kL - log c) / log k), and LB increases in k (kL - log c
-    < k).  Levels are scanned in growing chunks, and the scan ends
-    once LB at the next unscanned level exceeds the best sum: every
-    true sum past it is larger.  The float sums carry a rounding error
-    of about k * 1e-16, far below that margin where the scan stops, so
-    the result is that of a full scan to k_max (the tests compare the
-    two).
+    best one found.  With L = log 2 and u(k) = kL + (beta/2) loglog k
+    = -log t_k, the level-k sum is ln S(k) = beta log(log u(k) / log k).
+    As loglog k > 0 for k >= 3, u(k) > kL, so ln S(k) > LB(k) =
+    beta log(log(kL) / log k), and LB increases in k (L < 1).  Levels
+    are scanned in growing chunks, and the scan ends once LB at the
+    next unscanned level exceeds the best sum: every true sum past it
+    is larger.  The float sums carry a rounding error of about
+    k * 1e-16, far below that margin where the scan stops, so the
+    result is that of a full scan to k_max (the tests compare the two).
     """
-    if gauge is None:
-        gauge = Gauge(2, params.beta)
-    if gauge.n != 2 or gauge.beta != params.beta:
-        raise ValueError(
-            "mass distribution needs the stationary gauge h(t) = "
-            f"t^2 (loglog 1/t)^{params.beta}; got n={gauge.n}, beta={gauge.beta}"
-        )
     if k_max < MIN_LEVEL:
         raise ValueError(f"k_max must be at least {MIN_LEVEL}, got {k_max}")
-    log_c = math.log(_diam_factor("image", diam_convention))
 
     def log_t_of(ks: np.ndarray) -> np.ndarray:
-        return -ks * LOG2 - 0.5 * params.beta * np.log(np.log(ks)) + log_c
+        return -ks * LOG2 - 0.5 * params.beta * np.log(np.log(ks))
 
     def lower_bound(k: int) -> float:
-        return 2.0 * log_c + gauge.beta * math.log(
-            math.log(k * LOG2 - log_c) / math.log(k)
-        )
+        return params.beta * math.log(math.log(k * LOG2) / math.log(k))
 
     first = MIN_LEVEL
     while not log_t_of(np.array([float(first)]))[0] < _GAUGE_DOMAIN_EDGE:
@@ -273,9 +205,7 @@ def mass_distribution_bound(
     while start <= k_max and not lower_bound(start) > best:
         ks = np.arange(start, min(start + chunk, k_max + 1), dtype=np.float64)
         log_t = log_t_of(ks)
-        ln_sum = 2.0 * ks * LOG2 + gauge.n * log_t
-        if gauge.beta != 0.0:
-            ln_sum = ln_sum + gauge.beta * np.log(np.log(-log_t))
+        ln_sum = 2.0 * ks * LOG2 + 2 * log_t + params.beta * np.log(np.log(-log_t))
         i = int(np.argmin(ln_sum))
         if ln_sum[i] < best:
             best = float(ln_sum[i])

@@ -10,18 +10,16 @@ import warnings
 from typing import Callable
 
 
+_REL_TOL = 1e-9
+_ABS_FLOOR = 1e-300
+
+
 class QuadratureError(RuntimeError):
     """The integrator could not certify the requested tolerance."""
 
 
-def integrate(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    rel_tol: float = 1e-9,
-    abs_floor: float = 1e-300,
-) -> float:
-    """Integrate f over [a, b] to rel_tol, or raise QuadratureError.
+def integrate(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integrate f over [a, b] to relative 1e-9, or raise QuadratureError.
 
     Never returns a silently inaccurate value: any convergence warning
     from the adaptive scheme, or an error estimate above tolerance, is
@@ -34,15 +32,15 @@ def integrate(
     with warnings.catch_warnings():
         warnings.simplefilter("error", IntegrationWarning)
         try:
-            value, abserr = quad(f, a, b, epsabs=abs_floor, epsrel=rel_tol, limit=200)
+            value, abserr = quad(f, a, b, epsabs=_ABS_FLOOR, epsrel=_REL_TOL, limit=200)
         except IntegrationWarning as exc:
             raise QuadratureError(
                 f"quadrature did not converge on [{a}, {b}]: {exc}"
             ) from exc
     achieved = abserr / abs(value) if value != 0.0 else abserr
-    if achieved > rel_tol and abserr > abs_floor:
+    if achieved > _REL_TOL and abserr > _ABS_FLOOR:
         raise QuadratureError(
             f"quadrature tolerance not met on [{a}, {b}]: "
-            f"achieved {achieved:.3e}, wanted {rel_tol:.3e}"
+            f"achieved {achieved:.3e}, wanted {_REL_TOL:.3e}"
         )
     return value

@@ -257,7 +257,7 @@ def check_mass_distribution() -> list[CheckResult]:
     params = _PINNED
     rep = mass_distribution_bound(params, k_max=10**6)
     structural = rep.m > 0.0 and rep.lower_bound == rep.m / 4.0
-    tail = natural_cover_sum("image", Gauge(2, params.beta), 10**9, params).value
+    tail = math.exp(natural_cover_sum("image", Gauge(2, params.beta), 10**9, params))
     return [
         _check(
             7,
@@ -285,15 +285,15 @@ def check_power_gauges() -> list[CheckResult]:
         params = ConstructionParams(sigma, 2.0)
         alpha = math.log(2.0) / math.log(1.0 / sigma)
         at_crit = natural_cover_sum("pre", alpha, 10**3, params)
-        above = natural_cover_sum("pre", alpha + 0.05, 10**3, params).value
+        above = math.exp(natural_cover_sum("pre", alpha + 0.05, 10**3, params))
         dim = box_dimension_pre(3, params)
-        ok = abs(at_crit.log) < 1e-9 and above < 1e-6 and dim < 2.0
+        ok = abs(at_crit) < 1e-9 and above < 1e-6 and dim < 2.0
         out.append(
             _check(
                 8,
                 f"power_gauge_axis[sigma={sigma}]",
                 ok,
-                f"log sum at alpha*: {at_crit.log!r}, sum at alpha*+0.05: {above!r}, dim: {dim!r}",
+                f"log sum at alpha*: {at_crit!r}, sum at alpha*+0.05: {above!r}, dim: {dim!r}",
                 "sum = 1 to 1e-9 at the critical alpha; < 1e-6 above; dimension < 2",
                 "k = 1e3 per-axis covers",
             )

@@ -11,16 +11,15 @@ import math
 import numpy as np
 
 from cantormap.construction import LOG2, MIN_LEVEL
-from cantormap.measure import _GAUGE_DOMAIN_EDGE, _diam_factor
+from cantormap.measure import _GAUGE_DOMAIN_EDGE
 
 
-def brute_mass_bound(params, k_max, diam_convention="side"):
+def brute_mass_bound(params, k_max):
     """(m, at_k, lower_bound, first_admissible_k) of a scan of every level."""
     beta = params.beta
-    log_c = math.log(_diam_factor("image", diam_convention))
 
     def log_t_of(ks):
-        return -ks * LOG2 - 0.5 * beta * np.log(np.log(ks)) + log_c
+        return -ks * LOG2 - 0.5 * beta * np.log(np.log(ks))
 
     first = MIN_LEVEL
     while not log_t_of(np.array([float(first)]))[0] < _GAUGE_DOMAIN_EDGE:

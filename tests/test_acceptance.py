@@ -11,10 +11,16 @@ matching verdict, and the deviation shrinks along decades of k until
 it meets the bound.  See the README for the analysis.
 """
 
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
 import pytest
 
 from gain_oracle import exact_gain_deviation
 
+import cantormap
 from cantormap.analysis import gain_ratio, gain_ratio_limit
 from cantormap.cli import main
 from cantormap.construction import ConstructionParams
@@ -135,3 +141,43 @@ def test_criterion_10_reproducibility(tmp_path):
         )
     )
     _report(checks)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# library surface that no command, check or oracle used, and was removed
+RETIRED_NAMES = (
+    "SubexpFunctional", "subexp_A", "gauge_eval", "monotone_threshold",
+    "log_preimage_side", "LogQuantity", "log_sum", "_diam_factor", "SQRT2",
+)
+RETIRED_OPTIONS = {
+    ("analysis", "frame_tv_integral"): ("include_square",),
+    ("analysis", "frame_subexp_integral"): ("include_square",),
+    ("construction", "frame"): ("literal",),
+    ("construction", "validate_geometry"): ("pairwise_level_max",),
+    ("measure", "natural_cover_sum"): ("diam_convention",),
+    ("measure", "threshold_scan"): ("diam_convention",),
+    ("measure", "mass_distribution_bound"): ("gauge", "diam_convention"),
+    ("quadrature", "integrate"): ("rel_tol", "abs_floor"),
+    ("render", "render_svg"): ("samples_per_cell",),
+}
+
+
+def test_readme_library_block_runs():
+    """The README "Library" example imports and runs as printed, and the
+    retired names and options stay gone from the package."""
+    text = README.read_text()
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
+
+    modules = [cantormap] + [
+        importlib.import_module(f"cantormap.{m.name}")
+        for m in pkgutil.iter_modules(cantormap.__path__)
+    ]
+    assert len(modules) == 10  # the package and its nine modules
+    assert [
+        (m.__name__, name) for m in modules for name in RETIRED_NAMES if hasattr(m, name)
+    ] == []
+    for (module, fn), options in RETIRED_OPTIONS.items():
+        params = inspect.signature(getattr(getattr(cantormap, module), fn)).parameters
+        assert not set(options) & set(params), (module, fn)

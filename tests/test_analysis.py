@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gain_oracle import exact_gain_ratio
+from log_oracle import log_sum
 
 from cantormap.analysis import (
     GAIN_RATIO_MAX_LEVEL,
-    SubexpFunctional,
     frame_integral_mc,
     frame_jacobian_integral,
     frame_subexp_integral,
@@ -17,11 +17,9 @@ from cantormap.analysis import (
     gain_ratio,
     p_threshold,
     series_terms,
-    subexp_A,
     subexp_gain,
 )
 from cantormap.construction import LOG2, ConstructionParams, radii
-from cantormap.logspace import log_sum
 from cantormap.mapping import coeffs, sup_distortion
 from cantormap.quadrature import integrate
 
@@ -29,21 +27,9 @@ P = ConstructionParams(0.45, 2.0)
 
 
 def test_subexp_gauge_anchors():
-    assert subexp_A(1.0, 0.7) == 0.0
-    # A(e) = e/2 - 1 at p = 1
-    np.testing.assert_allclose(subexp_A(math.e, 1.0), 0.3591409142295226, rtol=1e-14)
     assert subexp_gain(1.0, 2.0) == 2.0
     with pytest.raises(ValueError):
-        subexp_A(0.5, 1.0)
-    with pytest.raises(ValueError):
-        subexp_A(2.0, 0.0)
-    with pytest.raises(ValueError):
         subexp_gain(0.99, 1.0)
-    with pytest.raises(ValueError):
-        SubexpFunctional(-1.0)
-    f = SubexpFunctional(1.0)
-    assert f.A(math.e) == subexp_A(math.e, 1.0)
-    assert f.gain(math.e) == subexp_gain(math.e, 1.0)
 
 
 def test_jacobian_integral_equals_image_frame_area():
@@ -76,21 +62,6 @@ def test_tv_integral_drops_negative_b_term():
     rad = radii(4, P)
     expected = 4.0 * c.a * (rad.R**2 - rad.r**2)
     assert frame_tv_integral(4, P) == expected
-
-
-def test_include_square_adds_exact_contribution():
-    for k in (3, 5):
-        rad = radii(k, P)
-        tv_delta = frame_tv_integral(k, P, include_square=True) - frame_tv_integral(k, P)
-        np.testing.assert_allclose(
-            tv_delta, (rad.r_img / rad.r) * (2.0 * rad.r) ** 2, rtol=1e-12
-        )
-        se_delta = frame_subexp_integral(k, 0.5, P, include_square=True) - (
-            frame_subexp_integral(k, 0.5, P)
-        )
-        np.testing.assert_allclose(
-            se_delta, math.exp(0.5) * (2.0 * rad.r) ** 2, rtol=1e-9
-        )
 
 
 def test_subexp_integral_vs_monte_carlo():

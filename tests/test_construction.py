@@ -24,7 +24,6 @@ from cantormap.construction import (
     image_square,
     log_image_side,
     log_log_ratio,
-    log_preimage_side,
     preimage_side,
     preimage_square,
     radii,
@@ -73,9 +72,6 @@ def test_log_sides_match_linear():
     for k in range(3, 41):
         np.testing.assert_allclose(
             math.exp(log_image_side(k, P)), image_side(k, P), rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            math.exp(log_preimage_side(k, P)), preimage_side(k, P), rtol=1e-12
         )
 
 
@@ -201,12 +197,6 @@ def test_validate_geometry_clean(sigma, beta):
     assert report.checks_run > 1000
 
 
-def test_pairwise_disjoint_level6():
-    # exhaustive 2-D check at level 6: 4096 squares, all pairs
-    report = validate_geometry(6, P, pairwise_level_max=6)
-    assert report.passed, report.violations[:5]
-
-
 def test_depth_max_enforced():
     shallow = ConstructionParams(0.45, 2.0, depth_max=5)
     with pytest.raises(ValueError):
@@ -269,12 +259,13 @@ def test_cell_axis_indices_share_the_enumeration_checks(k, params, cap):
     assert str(got.value) == str(want.value)
 
 
-def reference_validate_geometry(k_max, params, pairwise_level_max=5, tol=1e-12):
+def reference_validate_geometry(k_max, params, tol=1e-12):
     """validate_geometry as a loop over every axis path, as a reference.
 
     Each interval's center and its parent's come from _axis_center, one
     path at a time; the array version must report the same checks_run
-    and the same violations in the same order.
+    and the same violations in the same order.  The 2-D checks run on
+    the full sup-norm distance matrix at levels up to 5.
     """
     report = ValidationReport(k_max)
 
@@ -336,7 +327,7 @@ def reference_validate_geometry(k_max, params, pairwise_level_max=5, tol=1e-12):
             report.checks_run += 1
             if gaps and min(gaps) < 2.0 * R - tol:
                 report.violations.append((k, fam, "sibling frames overlap along an axis"))
-            if k <= pairwise_level_max:
+            if k <= 5:
                 cs = np.array(centers)
                 cx, cy = np.repeat(cs, len(cs)), np.tile(cs, len(cs))
                 dist = np.maximum(
@@ -418,13 +409,12 @@ def test_validate_geometry_2d_checks_match_the_matrix(tol):
     # test above covers every (sigma, beta) pair at levels 3-6
     for sigma, beta in zip(GRID_SIGMAS, GRID_BETAS * 2):
         params = ConstructionParams(sigma, beta)
-        for pairwise_level_max in (2, 5, 6):
-            got = validate_geometry(5, params, pairwise_level_max, tol)
-            want = reference_validate_geometry(5, params, pairwise_level_max, tol)
-            assert (got.k_max, got.checks_run, got.violations) == (
-                want.k_max, want.checks_run, want.violations
-            )
-            messages |= {v[2] for v in got.violations}
+        got = validate_geometry(5, params, tol)
+        want = reference_validate_geometry(5, params, tol)
+        assert (got.k_max, got.checks_run, got.violations) == (
+            want.k_max, want.checks_run, want.violations
+        )
+        messages |= {v[2] for v in got.violations}
     if tol == -1e-3:
         # "square interiors overlap" shows at four of the six sigmas
         assert {"square interiors overlap", "frame interiors overlap"} <= messages

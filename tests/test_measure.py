@@ -8,10 +8,8 @@ from cantormap.construction import ConstructionParams
 from cantormap.measure import (
     Gauge,
     box_dimension_pre,
-    gauge_eval,
     gauge_log_eval,
     mass_distribution_bound,
-    monotone_threshold,
     natural_cover_sum,
     threshold_scan,
 )
@@ -30,21 +28,7 @@ def test_gauge_validation():
     Gauge(2, 0.0)
 
 
-def test_gauge_eval_anchor():
-    # at t = e^-e the inner loglog is exactly 1, so h(t) = t^n
-    t = math.exp(-math.e)
-    np.testing.assert_allclose(gauge_eval(H, t), t**2, rtol=1e-14)
-    np.testing.assert_allclose(gauge_eval(Gauge(1, 5.0), t), t, rtol=1e-14)
-    assert gauge_eval(Gauge(2, 0.0), 0.1) == 0.1**2
-
-
 def test_gauge_domain():
-    with pytest.raises(ValueError):
-        gauge_eval(H, math.exp(-1.0))
-    with pytest.raises(ValueError):
-        gauge_eval(H, 0.5)
-    with pytest.raises(ValueError):
-        gauge_eval(H, 0.0)
     with pytest.raises(ValueError):
         gauge_log_eval(H, -1.0)
     with pytest.raises(ValueError):
@@ -53,27 +37,19 @@ def test_gauge_domain():
 
 def test_gauge_log_eval_matches_direct():
     for t in (0.01, 0.2, 0.3):
-        lq = gauge_log_eval(H, math.log(t))
-        np.testing.assert_allclose(lq.log, math.log(gauge_eval(H, t)), atol=1e-13)
+        direct = t**2 * math.log(math.log(1.0 / t)) ** 2
+        np.testing.assert_allclose(gauge_log_eval(H, math.log(t)), math.log(direct), atol=1e-13)
     # far below double range the log form keeps working
-    lq = gauge_log_eval(H, -1e6)
-    np.testing.assert_allclose(lq.log, -2e6 + 2.0 * math.log(math.log(1e6)), rtol=1e-12)
-
-
-def test_monotone_threshold():
-    for g in (Gauge(2, 2.0), Gauge(1, 3.0)):
-        t_star = monotone_threshold(g)
-        assert 0.0 < t_star < math.exp(-1.0)
-        x = math.log(1.0 / t_star)
-        assert abs(g.n * math.log(x) * x - g.beta) <= 1e-9
-    assert monotone_threshold(Gauge(2, 0.0)) == math.exp(-1.0)
+    np.testing.assert_allclose(
+        gauge_log_eval(H, -1e6), -2e6 + 2.0 * math.log(math.log(1e6)), rtol=1e-12
+    )
 
 
 def test_image_cover_sums_stationary_under_own_gauge():
     """Under h_{2,beta} the image sums climb toward 1 and stay order one."""
     s9 = natural_cover_sum("image", H, 10**9, P)
-    np.testing.assert_allclose(s9.value, 0.9649406919151438, rtol=1e-12)
-    decades = [natural_cover_sum("image", H, 10**j, P).log for j in range(3, 10)]
+    np.testing.assert_allclose(math.exp(s9), 0.9649406919151438, rtol=1e-12)
+    decades = [natural_cover_sum("image", H, 10**j, P) for j in range(3, 10)]
     assert all(a < b for a, b in zip(decades, decades[1:]))
     assert all(math.log(0.5) < s < 0.0 for s in decades)
 
@@ -83,8 +59,8 @@ def test_pre_cover_sums_power_gauge():
         params = ConstructionParams(sigma, 2.0)
         alpha_star = box_dimension_pre(3, params) / 2.0
         s = natural_cover_sum("pre", alpha_star, 1000, params)
-        assert abs(s.log) <= 1e-9
-        assert natural_cover_sum("pre", alpha_star + 0.05, 1000, params).value < 1e-6
+        assert abs(s) <= 1e-9
+        assert math.exp(natural_cover_sum("pre", alpha_star + 0.05, 1000, params)) < 1e-6
 
 
 def test_natural_cover_sum_validation():
@@ -94,18 +70,6 @@ def test_natural_cover_sum_validation():
         natural_cover_sum("pre", H, 2, P)
     with pytest.raises(ValueError):
         natural_cover_sum("pre", -1.0, 5, P)
-    with pytest.raises(ValueError):
-        natural_cover_sum("image", H, 5, P, diam_convention="radius")
-
-
-def test_diam_convention():
-    side = natural_cover_sum("image", 1.5, 5, P)
-    diam = natural_cover_sum("image", 1.5, 5, P, diam_convention="diam")
-    np.testing.assert_allclose(diam.log - side.log, 1.5 * 0.5 * math.log(2.0), atol=1e-12)
-    # intervals: diameter equals length, nothing moves
-    assert natural_cover_sum("pre", 1.5, 5, P, diam_convention="diam").log == (
-        natural_cover_sum("pre", 1.5, 5, P).log
-    )
 
 
 def test_threshold_scan_verdicts():
@@ -137,17 +101,17 @@ def test_mass_bound_stable_in_k_max():
 def test_mass_bound_is_infimum():
     rep = mass_distribution_bound(P)
     for k in (3, 4, 10, 100):
-        assert rep.m <= natural_cover_sum("image", H, k, P).value * (1.0 + 1e-15)
+        assert rep.m <= math.exp(natural_cover_sum("image", H, k, P)) * (1.0 + 1e-15)
 
 
-@pytest.mark.parametrize("k_max", [3, 4, 100, 10**6])
-@pytest.mark.parametrize("diam_convention", ["side", "diam"])
+# the gauge reads the side of each image square, hence the "side" ids
+@pytest.mark.parametrize("k_max", [3, 4, 100, 10**6], ids=lambda k: f"side-{k}")
 @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0, 50.0])
-def test_mass_bound_matches_brute_scan(beta, diam_convention, k_max):
+def test_mass_bound_matches_brute_scan(beta, k_max):
     params = ConstructionParams(0.45, beta)
-    rep = mass_distribution_bound(params, k_max=k_max, diam_convention=diam_convention)
+    rep = mass_distribution_bound(params, k_max=k_max)
     got = (rep.m, rep.at_k, rep.lower_bound, rep.first_admissible_k)
-    assert got == brute_mass_bound(params, k_max, diam_convention)
+    assert got == brute_mass_bound(params, k_max)
     if beta == 50.0 and k_max == 10**6:
         # the dip is deep and late: the minimum is nowhere near level 3
         assert 1400 < rep.at_k < 1500
@@ -160,10 +124,6 @@ def test_mass_bound_overflow_is_a_domain_error():
 
 
 def test_mass_distribution_validation():
-    with pytest.raises(ValueError):
-        mass_distribution_bound(P, gauge=Gauge(2, 1.0))
-    with pytest.raises(ValueError):
-        mass_distribution_bound(P, gauge=Gauge(1, 2.0))
     with pytest.raises(ValueError):
         mass_distribution_bound(P, k_max=2)
 
