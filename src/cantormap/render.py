@@ -21,8 +21,6 @@ from .construction import (
 from .mapping import evaluate_batch
 
 _VIEW = 1000.0
-# mesh samples per gridline per mesh cell, enough to show the sup-norm kinks
-_SAMPLES_PER_CELL = 8
 _LEVEL_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b")
 
 
@@ -47,20 +45,22 @@ def render_svg(
     params: ConstructionParams,
     depth: int,
     grid: int = 64,
+    samples_per_cell: int = 8,
     cap: int = DEFAULT_CELL_CAP,
 ) -> str:
     """SVG drawing of the depth-truncated map, 1000x1000 view box.
 
     grid is the number of mesh cells per axis whose warped gridlines
-    are drawn; 0 suppresses the mesh.  Square enumeration honors cap
-    like enumerate_cells.
+    are drawn; 0 suppresses the mesh.  Each gridline is sampled
+    samples_per_cell times per mesh cell so the sup-norm kinks show.
+    Square enumeration honors cap like enumerate_cells.
     """
     if not MIN_LEVEL <= depth <= params.depth_max:
         raise ValueError(
             f"depth must lie in [{MIN_LEVEL}, depth_max={params.depth_max}], got {depth}"
         )
-    if grid < 0:
-        raise ValueError("grid must be >= 0")
+    if grid < 0 or samples_per_cell < 1:
+        raise ValueError("grid must be >= 0 and samples_per_cell >= 1")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {int(_VIEW)} {int(_VIEW)}">',
         f'<rect x="0" y="0" width="{int(_VIEW)}" height="{int(_VIEW)}" fill="#ffffff"/>',
@@ -81,7 +81,7 @@ def render_svg(
         )
         parts.extend([rect % (xs[a], ys[b]) for a, b in zip(i0.tolist(), i1.tolist())])
     if grid > 0:
-        m = _SAMPLES_PER_CELL * grid + 1
+        m = samples_per_cell * grid + 1
         ts = np.linspace(0.0, 1.0, m)
         for i in range(grid + 1):
             fixed = np.full(m, i / grid)

@@ -159,7 +159,6 @@ RETIRED_OPTIONS = {
     ("measure", "threshold_scan"): ("diam_convention",),
     ("measure", "mass_distribution_bound"): ("gauge", "diam_convention"),
     ("quadrature", "integrate"): ("rel_tol", "abs_floor"),
-    ("render", "render_svg"): ("samples_per_cell",),
 }
 
 

@@ -20,7 +20,7 @@ SVG_NS = "{http://www.w3.org/2000/svg}"
 
 
 def test_svg_parses_and_counts():
-    svg = render_svg(P, 3, grid=4)
+    svg = render_svg(P, 3, grid=4, samples_per_cell=2)
     root = ET.fromstring(svg)
     assert root.tag == f"{SVG_NS}svg"
     assert root.attrib["viewBox"] == "0 0 1000 1000"
@@ -30,8 +30,7 @@ def test_svg_parses_and_counts():
     lines = root.findall(f"{SVG_NS}polyline")
     assert len(lines) == (4 + 1) * 2
     for pl in lines:
-        # eight samples per mesh cell
-        assert len(pl.attrib["points"].split(" ")) == 8 * 4 + 1
+        assert len(pl.attrib["points"].split(" ")) == 2 * 4 + 1
 
 
 def test_deeper_levels_accumulate():
@@ -46,8 +45,8 @@ def test_no_mesh_when_grid_zero():
 
 
 def test_render_is_deterministic():
-    a = render_svg(P, 4, grid=8)
-    b = render_svg(P, 4, grid=8)
+    a = render_svg(P, 4, grid=8, samples_per_cell=4)
+    b = render_svg(P, 4, grid=8, samples_per_cell=4)
     assert a == b
     assert a.endswith("</svg>\n")
 
@@ -57,6 +56,8 @@ def test_render_validation():
         render_svg(P, 2)
     with pytest.raises(ValueError):
         render_svg(P, 4, grid=-1)
+    with pytest.raises(ValueError):
+        render_svg(P, 4, samples_per_cell=0)
     with pytest.raises(EnumerationCapError):
         render_svg(P, 5, cap=256)
 
@@ -99,13 +100,12 @@ def reference_render_svg(params, depth, grid=64, samples_per_cell=8, cap=DEFAULT
     return "\n".join(parts) + "\n"
 
 
-# render_svg samples each gridline 8 times per mesh cell
-@pytest.mark.parametrize("samples_per_cell", [8])
+@pytest.mark.parametrize("samples_per_cell", [1, 8])
 @pytest.mark.parametrize("grid", [0, 4, 8])
 @pytest.mark.parametrize("depth", [3, 4, 5])
 def test_render_bytes_match_reference(depth, grid, samples_per_cell):
     for params in (P, ConstructionParams(0.3, 1.0)):
-        got = render_svg(params, depth, grid=grid)
+        got = render_svg(params, depth, grid=grid, samples_per_cell=samples_per_cell)
         assert got == reference_render_svg(params, depth, grid, samples_per_cell)
 
 
