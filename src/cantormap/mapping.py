@@ -144,6 +144,7 @@ class _LevelTable(NamedTuple):
     a: tuple[float, ...]  # frame-map coefficients
     b: tuple[float, ...]
     s_sim: float  # similarity ratio onto a depth-level image square
+    walk: tuple[tuple[int, float, float, float, float], ...]  # (k, r, -r, step, istep), k < depth
 
 
 @functools.lru_cache(maxsize=64)
@@ -155,14 +156,18 @@ def _level_table(params: ConstructionParams, depth: int) -> _LevelTable:
     levels = range(MIN_LEVEL, depth + 1)
     cs, rads = [coeffs(k, params) for k in levels], [radii(k, params) for k in levels]
     pad = (0.0,) * MIN_LEVEL
+    r = pad + tuple(rad.r for rad in rads)
+    step = pad + tuple(preimage_side(k, params) / 4.0 for k in levels)
+    istep = pad + tuple(image_side(k, params) / 4.0 for k in levels)
     return _LevelTable(
-        pad + tuple(rad.r for rad in rads),
+        r,
         pad + tuple(rad.R for rad in rads),
-        pad + tuple(preimage_side(k, params) / 4.0 for k in levels),
-        pad + tuple(image_side(k, params) / 4.0 for k in levels),
+        step,
+        istep,
         pad + tuple(c.a for c in cs),
         pad + tuple(c.b for c in cs),
         similarity_ratio(depth, params),
+        tuple((k, r[k], -r[k], step[k], istep[k]) for k in range(MIN_LEVEL, depth)),
     )
 
 
@@ -174,22 +179,22 @@ def _descend(x0: float, x1: float, depth: int, params: ConstructionParams):
     the unit square is resolved.  Ties between grid cells go to the
     higher cell.  Each axis's half choices come packed in one int,
     p = 2*p + bit from a leading 1, so bin(p)[3:] spells them in order.
+    A level tests the displacements d = x - c directly: max(|d0|, |d1|)
+    >= r exactly when not (-r < d0 < r and -r < d1 < r), and x >= c
+    exactly when d >= 0, so rho is formed only once, at the exit level.
     """
     if not (0.0 <= x0 <= 1.0 and 0.0 <= x1 <= 1.0):
         raise ValueError(f"point ({x0}, {x1}) lies outside the unit square")
     tab = _level_table(params, depth)
-    r, steps, isteps = tab.r, tab.step, tab.istep
     o0, o1 = min(int(x0 * 8.0), 7), min(int(x1 * 8.0), 7)
     c0 = ci0 = (o0 + 0.5) / 8.0
     c1 = ci1 = (o1 + 0.5) / 8.0
     p0 = p1 = 1
-    for k in range(MIN_LEVEL, depth + 1):
-        rho = max(abs(x0 - c0), abs(x1 - c1))
-        in_frame = rho >= r[k]
-        if in_frame or k == depth:
+    for k, r, neg_r, step, istep in tab.walk:
+        d0, d1 = x0 - c0, x1 - c1
+        if not (neg_r < d0 < r and neg_r < d1 < r):
             break
-        step, istep = steps[k], isteps[k]
-        if x0 >= c0:
+        if d0 >= 0.0:
             c0 += step
             ci0 += istep
             p0 = 2 * p0 + 1
@@ -197,7 +202,7 @@ def _descend(x0: float, x1: float, depth: int, params: ConstructionParams):
             c0 -= step
             ci0 -= istep
             p0 = 2 * p0
-        if x1 >= c1:
+        if d1 >= 0.0:
             c1 += step
             ci1 += istep
             p1 = 2 * p1 + 1
@@ -205,6 +210,10 @@ def _descend(x0: float, x1: float, depth: int, params: ConstructionParams):
             c1 -= step
             ci1 -= istep
             p1 = 2 * p1
+    else:
+        k = depth
+    rho = max(abs(x0 - c0), abs(x1 - c1))
+    in_frame = rho >= tab.r[k]
     return tab, in_frame, k, rho, (o0, o1), (p0, p1), (c0, c1), (ci0, ci1)
 
 
@@ -258,25 +267,61 @@ def fields(x: Point, depth: int, params: ConstructionParams) -> FieldSample:
 _BLOCK = 1 << 15
 
 
-def _descend_batch(points, depth: int, params: ConstructionParams):
-    """Vectorized level walk with the scalar walk's conventions.
+def _descend_block(x0, x1, depth: int, tab: _LevelTable, level, in_frame):
+    """Vectorized level walk of one block with the scalar walk's conventions.
 
-    Returns the level table, the x columns, and per point the level,
-    in_frame, rho and the four centers (pre-image, then image; equal at
-    level 3).  A point leaves the walk at its frame level or at depth.
-    The walk runs on consecutive blocks of _BLOCK points, each writing
-    only its own slice of the outputs; every point's walk is
-    independent, so blocking changes no double.  Invariant at the top
-    of each level of a block: idx lists the block's points still
-    walking in increasing order, row j of the active arrays holds
-    point idx[j]'s coordinates and current centers, and every point of
-    the block that left has its level, in_frame, rho and centers in the
-    block's output slices.  While no point of the block has left, idx
-    is None and the active arrays are the block's input and output
-    slices themselves, so nothing is copied.  A level where points
-    leave computes the leaving and staying row numbers once and moves
-    every column with them.  Centers move by c +- step as in the
+    Writes each point's level and in_frame into the given arrays and
+    returns its rho and the four centers (pre-image, then image; equal
+    at level 3).  A point leaves the walk at its frame level or at
+    depth.  Invariant at the top of each level: idx lists the points
+    still walking in increasing order, row j of the active arrays holds
+    point idx[j]'s coordinates and current centers, and every point
+    that left has its level, in_frame, rho and centers in the outputs.
+    While no point has left, idx is None and the active arrays are the
+    inputs and outputs themselves, so nothing is copied.  A level where
+    points leave computes the leaving and staying row numbers once and
+    moves every column with them.  Centers move by c +- step as in the
     scalar walk, so the two agree bit for bit.
+    """
+    c0, c1 = [(np.minimum((xa * 8.0).astype(np.int64), 7) + 0.5) / 8.0 for xa in (x0, x1)]
+    centers = [c0, c1, c0.copy(), c1.copy()]
+    rho_out = np.empty(len(x0))
+    idx, ax, ac = None, [x0, x1], list(centers)
+    for k in range(MIN_LEVEL, depth + 1):
+        d = [ax[0] - ac[0], ax[1] - ac[1]]
+        rho = np.maximum(np.abs(d[0]), np.abs(d[1]), out=rho_out if idx is None else None)
+        hit = rho >= tab.r[k]
+        leave = hit if k < depth else np.ones_like(hit)
+        lv = np.flatnonzero(leave)
+        if len(lv):
+            st = np.flatnonzero(~leave)
+            if idx is None:
+                gone, idx = lv, st
+            else:
+                gone = idx.take(lv)
+                rho_out[gone] = rho.take(lv)
+                for out, a in zip(centers, ac):
+                    out[gone] = a.take(lv)
+                idx = idx.take(st)
+            level[gone] = k
+            in_frame[gone] = hit.take(lv)
+            if len(idx) == 0:
+                break
+            ax, ac = [a.take(st) for a in ax], [a.take(st) for a in ac]
+            d = [ax[0] - ac[0], ax[1] - ac[1]]
+        # x >= c exactly when x - c is +0 or more: c > 0, so x - c is never -0
+        for a, da, s in zip(ac, d + d, (tab.step[k],) * 2 + (tab.istep[k],) * 2):
+            a += np.copysign(s, da)
+    return rho_out, centers
+
+
+def _map_batch(points, depth: int, params: ConstructionParams, with_fields: bool) -> dict:
+    """The batch map behind evaluate_batch and fields_batch.
+
+    Validates all points first, then takes one block of _BLOCK points
+    at a time through the walk and the epilogue while its columns are
+    in cache, writing straight into the preallocated outputs.  Every
+    point's values are independent, so blocking changes no double.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -285,73 +330,47 @@ def _descend_batch(points, depth: int, params: ConstructionParams):
     if not np.all((pts >= 0.0) & (pts <= 1.0)):
         raise ValueError("some points are NaN or lie outside the unit square")
     tab = _level_table(params, depth)
-    x = [pts[:, 0], pts[:, 1]]
-    centers = [(np.minimum((xa * 8.0).astype(np.int64), 7) + 0.5) / 8.0 for xa in x + x]
-    level = np.empty(len(pts), dtype=np.int64)
-    in_frame = np.empty(len(pts), dtype=bool)
-    rho_out = np.empty(len(pts))
-    for lo in range(0, len(pts), _BLOCK):
-        blk = slice(lo, lo + _BLOCK)
-        b_level, b_in_frame, b_rho = level[blk], in_frame[blk], rho_out[blk]
-        b_centers = [c[blk] for c in centers]
-        idx, ax, ac = None, [a[blk] for a in x], list(b_centers)
-        for k in range(MIN_LEVEL, depth + 1):
-            d = [ax[0] - ac[0], ax[1] - ac[1]]
-            rho = np.maximum(np.abs(d[0]), np.abs(d[1]), out=b_rho if idx is None else None)
-            hit = rho >= tab.r[k]
-            leave = hit if k < depth else np.ones_like(hit)
-            lv = np.flatnonzero(leave)
-            if len(lv):
-                st = np.flatnonzero(~leave)
-                if idx is None:
-                    gone, idx = lv, st
-                else:
-                    gone = idx.take(lv)
-                    b_rho[gone] = rho.take(lv)
-                    for out, a in zip(b_centers, ac):
-                        out[gone] = a.take(lv)
-                    idx = idx.take(st)
-                b_level[gone] = k
-                b_in_frame[gone] = hit.take(lv)
-                if len(idx) == 0:
-                    break
-                ax, ac = [a.take(st) for a in ax], [a.take(st) for a in ac]
-                d = [ax[0] - ac[0], ax[1] - ac[1]]
-            # x >= c exactly when x - c is +0 or more: c > 0, so x - c is never -0
-            for a, da, s in zip(ac, d + d, (tab.step[k],) * 2 + (tab.istep[k],) * 2):
-                a += np.copysign(s, da)
-    return tab, x, level, in_frame, rho_out, centers
-
-
-def _map_batch(points, depth: int, params: ConstructionParams):
-    """The descent and the image, shared by evaluate_batch and fields_batch."""
-    tab, (x0, x1), level, in_frame, rho, (c0, c1, ci0, ci1) = _descend_batch(points, depth, params)
-    av = np.array(tab.a)[level]
-    t = av + np.array(tab.b)[level] / np.where(in_frame, rho, 1.0)
-    scale = np.where(in_frame, t, tab.s_sim)
-    img = np.column_stack((ci0 + scale * (x0 - c0), ci1 + scale * (x1 - c1)))
-    return tab, level, in_frame, rho, av, t, img
+    n, s_sim = len(pts), tab.s_sim
+    a_of, b_of, r_of, R_of = (np.array(col) for col in (tab.a, tab.b, tab.r, tab.R))
+    out = {"image": np.empty((n, 2))}
+    if with_fields:
+        out.update(level=np.empty(n, dtype=np.int64), in_frame=np.empty(n, dtype=bool))
+        out.update((key, np.empty(n)) for key in ("derivative_norm", "jacobian", "distortion"))
+        out["on_skeleton"] = np.empty(n, dtype=bool)
+    for lo in range(0, n, _BLOCK):
+        b = {key: col[lo : lo + _BLOCK] for key, col in out.items()}
+        x0, x1 = pts[lo : lo + _BLOCK, 0], pts[lo : lo + _BLOCK, 1]
+        if with_fields:
+            level, in_frame = b["level"], b["in_frame"]
+        else:  # evaluate_batch returns neither, so each block keeps its own
+            level, in_frame = np.empty(len(x0), dtype=np.int64), np.empty(len(x0), dtype=bool)
+        rho, (c0, c1, ci0, ci1) = _descend_block(x0, x1, depth, tab, level, in_frame)
+        av = a_of[level]
+        t = av + b_of[level] / np.where(in_frame, rho, 1.0)
+        scale = np.where(in_frame, t, s_sim)
+        np.add(ci0, scale * (x0 - c0), out=b["image"][:, 0])
+        np.add(ci1, scale * (x1 - c1), out=b["image"][:, 1])
+        if with_fields:
+            r, R = r_of[level], R_of[level]
+            b["derivative_norm"][:] = np.where(in_frame, np.maximum(av, t), s_sim)
+            b["jacobian"][:] = np.where(in_frame, av * t, s_sim * s_sim)
+            b["distortion"][:] = np.where(in_frame, np.maximum(t / av, av / t), 1.0)
+            np.logical_and(
+                in_frame,
+                (np.abs(rho - r) <= _SKELETON_RTOL * r) | (np.abs(rho - R) <= _SKELETON_RTOL * R),
+                out=b["on_skeleton"],
+            )
+    return out
 
 
 def evaluate_batch(points, depth: int, params: ConstructionParams) -> np.ndarray:
     """Vectorized evaluate; returns an (n, 2) array of image points."""
-    return _map_batch(points, depth, params)[-1]
+    return _map_batch(points, depth, params, False)["image"]
 
 
 def fields_batch(points, depth: int, params: ConstructionParams) -> dict:
     """Vectorized fields; returns a dict of aligned arrays."""
-    tab, level, in_frame, rho, av, t, img = _map_batch(points, depth, params)
-    s_sim, r, R = tab.s_sim, np.array(tab.r)[level], np.array(tab.R)[level]
-    return {
-        "image": img,
-        "level": level,
-        "in_frame": in_frame,
-        "derivative_norm": np.where(in_frame, np.maximum(av, t), s_sim),
-        "jacobian": np.where(in_frame, av * t, s_sim * s_sim),
-        "distortion": np.where(in_frame, np.maximum(t / av, av / t), 1.0),
-        "on_skeleton": in_frame
-        & ((np.abs(rho - r) <= _SKELETON_RTOL * r) | (np.abs(rho - R) <= _SKELETON_RTOL * R)),
-    }
+    return _map_batch(points, depth, params, True)
 
 
 def distortion_bound_T(k: int, beta: float) -> float:

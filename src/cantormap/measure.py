@@ -56,19 +56,6 @@ def gauge_log_eval(gauge: Gauge, log_t: float) -> float:
     return gauge.n * log_t + gauge.beta * math.log(math.log(-log_t))
 
 
-def _gauge_log_value(gauge_or_alpha: Union[Gauge, float], log_t: float, where: str) -> float:
-    if isinstance(gauge_or_alpha, Gauge):
-        if not log_t < _GAUGE_DOMAIN_EDGE:
-            raise ValueError(
-                f"gauge undefined at the {where} scale exp({log_t:.3f}); use a larger level"
-            )
-        return gauge_log_eval(gauge_or_alpha, log_t)
-    alpha = float(gauge_or_alpha)
-    if alpha <= 0.0:
-        raise ValueError(f"power-gauge exponent must be positive, got {alpha}")
-    return alpha * log_t
-
-
 def natural_cover_sum(
     side: str,
     gauge_or_alpha: Union[Gauge, float],
@@ -82,7 +69,8 @@ def natural_cover_sum(
     sigma^k cover one axis factor of the pre-image set; the per-axis
     count is the relevant one for the axis dimension.  The gauge is a
     Gauge, or a bare float alpha meaning the power gauge t^alpha, and
-    it reads the side of each cover.
+    it reads the side of each cover.  Every level k >= 3 lies in a
+    Gauge's domain log t < -1: both sides have log t < 3 log(1/2).
     """
     if side not in ("pre", "image"):
         raise ValueError(f"side must be 'pre' or 'image', got {side!r}")
@@ -94,7 +82,12 @@ def natural_cover_sum(
     else:
         log_t = log_image_side(k, params)
         log_count = 2 * k * LOG2
-    return log_count + _gauge_log_value(gauge_or_alpha, log_t, f"level-{k}")
+    if isinstance(gauge_or_alpha, Gauge):
+        return log_count + gauge_log_eval(gauge_or_alpha, log_t)
+    alpha = float(gauge_or_alpha)
+    if alpha <= 0.0:
+        raise ValueError(f"power-gauge exponent must be positive, got {alpha}")
+    return log_count + alpha * log_t
 
 
 @dataclass(frozen=True)
@@ -157,6 +150,9 @@ class MassDistributionReport:
     small set U mass at most gauge(diam U) * 4 / m; equivalently the
     generalized measure of the image set is at least lower_bound = m/4.
     tail_limit records the analytic limit 1 of the sums for context.
+    first_admissible_k is always MIN_LEVEL: the gauge needs log t < -1,
+    and every level-k image side has log t = -k log 2 - (beta/2) loglog k
+    < -3 log 2 < -2 for k >= 3 and beta > 0.
     """
 
     m: float
@@ -196,12 +192,9 @@ def mass_distribution_bound(
     def lower_bound(k: int) -> float:
         return params.beta * math.log(math.log(k * LOG2) / math.log(k))
 
-    first = MIN_LEVEL
-    while not log_t_of(np.array([float(first)]))[0] < _GAUGE_DOMAIN_EDGE:
-        first += 1
     best = math.inf
-    best_k = first
-    start, chunk = first, 64
+    best_k = MIN_LEVEL
+    start, chunk = MIN_LEVEL, 64
     while start <= k_max and not lower_bound(start) > best:
         ks = np.arange(start, min(start + chunk, k_max + 1), dtype=np.float64)
         log_t = log_t_of(ks)
@@ -218,7 +211,7 @@ def mass_distribution_bound(
         raise ValueError(
             f"mass bound exp(min log-sum) = exp({best!r}) overflows double precision"
         ) from None
-    return MassDistributionReport(m, best_k, m / 4.0, first, 1.0)
+    return MassDistributionReport(m, best_k, m / 4.0, MIN_LEVEL, 1.0)
 
 
 def box_dimension_pre(k: int, params: ConstructionParams) -> float:

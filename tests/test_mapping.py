@@ -19,7 +19,8 @@ from cantormap.mapping import (
     _BLOCK,
     FrameAt,
     SquareInteriorAt,
-    _descend_batch,
+    _descend,
+    _descend_block,
     _level_table,
     coeffs,
     compare_distortion_bound,
@@ -342,29 +343,141 @@ def _block_edge_mix(rng, n, depth, params):
     return np.where((kind == 0)[:, None], level3, np.where((kind == 1)[:, None], frame_mid, deep))
 
 
-@pytest.mark.parametrize("depth", [6, 32, 60])
-@pytest.mark.parametrize("kind", ["uniform", "cantor", "mix"])
-def test_blocked_descent_matches_the_whole_array_walk(kind, depth):
+def _block_edge_points(kind, depth):
+    """2 * _BLOCK + 17 seeded points of one kind: uniform, inside
+    depth-level squares, or the period-3 mix, whose three exit levels
+    are checked to sit on both sides of each block edge."""
     rng = np.random.default_rng([depth, len(kind)])
     n_max = 2 * _BLOCK + 17
     if kind == "uniform":
-        pts = rng.random((n_max, 2))
-    elif kind == "cantor":
-        pts = _depth_points(rng, n_max, depth, P)
-    else:
-        pts = _block_edge_mix(rng, n_max, depth, P)
-        levels = reference_descend_batch(pts, depth, P)[2]
-        mid = (MIN_LEVEL + depth) // 2
-        for edge in (_BLOCK, 2 * _BLOCK):
-            for side in (levels[edge - 6 : edge], levels[edge : edge + 6]):
-                assert {3, mid, depth} <= set(side.tolist())
-    for n in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, n_max):
-        _, x, *got = _descend_batch(pts[:n], depth, P)
-        _, ref_x, *want = reference_descend_batch(pts[:n], depth, P)
-        got, want = got[:3] + got[3], want[:3] + want[3]
-        for g, w in zip(x + got, ref_x + want):
+        return rng.random((n_max, 2))
+    if kind == "cantor":
+        return _depth_points(rng, n_max, depth, P)
+    pts = _block_edge_mix(rng, n_max, depth, P)
+    levels = reference_descend_batch(pts, depth, P)[2]
+    mid = (MIN_LEVEL + depth) // 2
+    for edge in (_BLOCK, 2 * _BLOCK):
+        for side in (levels[edge - 6 : edge], levels[edge : edge + 6]):
+            assert {3, mid, depth} <= set(side.tolist())
+    return pts
+
+
+_BLOCK_EDGE_SIZES = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 17)
+
+
+@pytest.mark.parametrize("depth", [6, 32, 60])
+@pytest.mark.parametrize("kind", ["uniform", "cantor", "mix"])
+def test_blocked_descent_matches_the_whole_array_walk(kind, depth):
+    pts = _block_edge_points(kind, depth)
+    tab = _level_table(P, depth)
+    for n in _BLOCK_EDGE_SIZES:
+        level, in_frame = np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
+        rho, centers = _descend_block(pts[:n, 0], pts[:n, 1], depth, tab, level, in_frame)
+        _, _, *want = reference_descend_batch(pts[:n], depth, P)
+        for g, w in zip([level, in_frame, rho] + centers, want[:3] + want[3]):
             assert g.dtype == w.dtype and g.shape == w.shape == (n,)
             assert g.tobytes() == w.tobytes()
+
+
+def reference_fields_batch(points, depth, params):
+    """The whole-array image and field epilogue that preceded the
+    blocked map, on the whole-array walk, kept as the reference
+    evaluate_batch and fields_batch must match byte for byte."""
+    tab, x, level, in_frame, rho, centers = reference_descend_batch(points, depth, params)
+    (x0, x1), (c0, c1, ci0, ci1) = x, centers
+    av = np.array(tab.a)[level]
+    t = av + np.array(tab.b)[level] / np.where(in_frame, rho, 1.0)
+    scale = np.where(in_frame, t, tab.s_sim)
+    img = np.column_stack((ci0 + scale * (x0 - c0), ci1 + scale * (x1 - c1)))
+    s_sim, r, R = tab.s_sim, np.array(tab.r)[level], np.array(tab.R)[level]
+    return {
+        "image": img,
+        "level": level,
+        "in_frame": in_frame,
+        "derivative_norm": np.where(in_frame, np.maximum(av, t), s_sim),
+        "jacobian": np.where(in_frame, av * t, s_sim * s_sim),
+        "distortion": np.where(in_frame, np.maximum(t / av, av / t), 1.0),
+        "on_skeleton": in_frame
+        & ((np.abs(rho - r) <= 1e-12 * r) | (np.abs(rho - R) <= 1e-12 * R)),
+    }
+
+
+@pytest.mark.parametrize("depth", [6, 32, 60])
+@pytest.mark.parametrize("kind", ["uniform", "cantor", "mix"])
+def test_blocked_map_matches_the_whole_array_map(kind, depth):
+    pts = _block_edge_points(kind, depth)
+    for n in _BLOCK_EDGE_SIZES:
+        want = reference_fields_batch(pts[:n], depth, P)
+        got = fields_batch(pts[:n], depth, P)
+        assert list(got) == list(want)
+        pairs = [(got[key], want[key]) for key in want]
+        for g, w in pairs + [(evaluate_batch(pts[:n], depth, P), want["image"])]:
+            assert g.dtype == w.dtype and g.shape == w.shape and g.shape[0] == n
+            assert g.tobytes() == w.tobytes()
+
+
+def reference_descend(x0, x1, depth, params):
+    """The scalar walk that tested rho = max(|d0|, |d1|) at every level,
+    kept as the reference _descend must match in all eight items."""
+    if not (0.0 <= x0 <= 1.0 and 0.0 <= x1 <= 1.0):
+        raise ValueError(f"point ({x0}, {x1}) lies outside the unit square")
+    tab = _level_table(params, depth)
+    r, steps, isteps = tab.r, tab.step, tab.istep
+    o0, o1 = min(int(x0 * 8.0), 7), min(int(x1 * 8.0), 7)
+    c0 = ci0 = (o0 + 0.5) / 8.0
+    c1 = ci1 = (o1 + 0.5) / 8.0
+    p0 = p1 = 1
+    for k in range(MIN_LEVEL, depth + 1):
+        rho = max(abs(x0 - c0), abs(x1 - c1))
+        in_frame = rho >= r[k]
+        if in_frame or k == depth:
+            break
+        step, istep = steps[k], isteps[k]
+        if x0 >= c0:
+            c0 += step
+            ci0 += istep
+            p0 = 2 * p0 + 1
+        else:
+            c0 -= step
+            ci0 -= istep
+            p0 = 2 * p0
+        if x1 >= c1:
+            c1 += step
+            ci1 += istep
+            p1 = 2 * p1 + 1
+        else:
+            c1 -= step
+            ci1 -= istep
+            p1 = 2 * p1
+    return tab, in_frame, k, rho, (o0, o1), (p0, p1), (c0, c1), (ci0, ci1)
+
+
+# sigma = 1/4 puts the level-3 frame test's bounds c +- r_3 = c +- 1/128
+# on exact doubles: points on them and one ulp to either side
+_R3_EDGES = np.array(
+    [
+        [np.nextafter(1.0 / 16.0 + sign / 128.0, to), 1.0 / 16.0 + shift]
+        for sign in (1.0, -1.0)
+        for to in (0.0, 1.0 / 16.0 + sign / 128.0, 1.0)
+        for shift in (0.0, 1.0 / 128.0, -1.0 / 128.0, 0.001)
+    ]
+)
+
+
+@settings(max_examples=150)
+@given(_point_sets())
+@example((P4, 3, _R3_EDGES))
+@example((P4, 6, _R3_EDGES))
+@example((P, 3, _LEVEL3_EXITS))
+@example((P, 3, np.random.default_rng(3).random((48, 2))))
+def test_scalar_walk_matches_the_reference_walk(case):
+    params, depth, pts = case
+    for p in pts:
+        x0, x1 = float(p[0]), float(p[1])
+        got, want = _descend(x0, x1, depth, params), reference_descend(x0, x1, depth, params)
+        assert got[0] is want[0]
+        # repr spells every float exactly, so this is a bit-for-bit comparison
+        assert repr(got[1:]) == repr(want[1:])
 
 
 @pytest.mark.parametrize("depth", [53, 54, 55, 60])
@@ -491,6 +604,29 @@ def test_batch_rejects_nan_and_outside_points(bad):
     # the scalar path rejects the same point
     with pytest.raises(ValueError, match="outside the unit square"):
         fields(bad, 6, P)
+
+
+@pytest.mark.parametrize(
+    "points, depth, message",
+    [
+        (np.zeros((5, 3)), 6, "points must have shape (n, 2), got (5, 3)"),
+        (np.zeros((5, 3)), 2, "points must have shape (n, 2), got (5, 3)"),
+        (np.zeros(4), 6, "points must have shape (n, 2), got (4,)"),
+        (0.5, 6, "points must have shape (n, 2), got ()"),
+        ([[0.1, 0.2], [0.3]], 6, "setting an array element with a sequence."),
+        ([[0.1, 0.2], [0.3, math.nan]], 6, "some points are NaN or lie outside the unit square"),
+        ([[math.nan, 0.5]], 2, "some points are NaN or lie outside the unit square"),
+        (np.empty((0, 2)), 2, "depth must lie in [3, depth_max=60], got 2"),
+    ],
+    ids=["shape-5x3", "shape-before-depth", "1-d", "0-d", "ragged", "nan", "nan-before-depth",
+         "empty-bad-depth"],
+)
+def test_batch_input_errors(points, depth, message):
+    """Inputs are checked before any work, in the order shape, points, depth."""
+    for fn in (evaluate_batch, fields_batch):
+        with pytest.raises(ValueError) as err:
+            fn(points, depth, P)
+        assert str(err.value).startswith(message)
 
 
 def test_similarity_ratio_values():
