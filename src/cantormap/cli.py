@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
 from dataclasses import asdict
-from pathlib import Path
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -89,11 +89,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str) -> None:
+def _emit(parts: Iterable[str], out: str) -> None:
+    """Write the parts in order to out, - for stdout.
+
+    Commands call it only once every check has passed, so a failed
+    command leaves stdout empty and an existing --out file as it was.
+    The parts may be a generator: a table is then formatted and written
+    one block of rows at a time, and the whole document never exists
+    as one string.
+    """
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.writelines(parts)
+
+
+# rows formatted per write: a block's strings stay small however many
+# rows the table has
+_ROW_BLOCK = 1 << 12
+
+
+def _blocks(n: int) -> Iterator[slice]:
+    """Slices of n rows, _ROW_BLOCK at a time."""
+    return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, n, _ROW_BLOCK))
+
+
+def _json_table(doc: str, key: str, blocks: Iterator[str]) -> Iterator[str]:
+    """doc with its list results[key] filled in from blocks of rows.
+
+    doc is written with results[key] == [], its only empty list in the
+    last top-level key; each block holds rows laid out as json.dumps(doc,
+    indent=2, sort_keys=True) lays out entries of that list, joined by
+    ",\n".  With no blocks the list stays [], as json.dumps writes it.
+    """
+    first = next(blocks, None)
+    if first is None:
+        yield doc
+        return
+    head, _, tail = doc.rpartition(f'"{key}": []')
+    yield f'{head}"{key}": [\n'
+    yield first
+    for block in blocks:
+        yield ",\n"
+        yield block
+    yield f"\n    ]{tail}"
 
 
 def _params_echo(args: argparse.Namespace) -> dict:
@@ -163,25 +203,30 @@ def cmd_construct(args: argparse.Namespace) -> int:
     params = _make_params(args)
     k = args.depth
     i0, i1 = cell_axis_indices(k, params, cap=args.cap)
-    i0, i1 = i0.tolist(), i1.tolist()
     pre, paths = axis_centers(k, params, image=False)
     pre = list(map(repr, pre.tolist()))
     side = preimage_side(k, params)
+    cell_blocks = (zip(i0[sl].tolist(), i1[sl].tolist()) for sl in _blocks(len(i0)))
     if args.format == "csv":
         row = f"{k},%s,%s,%s,%s,{side!r}\n"
-        body = "".join(
-            [row % (paths[a], paths[b], pre[a], pre[b]) for a, b in zip(i0, i1)]
+        body = (
+            "".join([row % (paths[a], paths[b], pre[a], pre[b]) for a, b in cells])
+            for cells in cell_blocks
         )
-        _emit(_csv_text(["level", "ax0_path", "ax1_path", "cx", "cy", "side"], []) + body, args.out)
+        header = _csv_text(["level", "ax0_path", "ax1_path", "cx", "cy", "side"], [])
+        _emit(itertools.chain((header,), body), args.out)
         return 0
     report = validate_geometry(min(k, 10), params)
     img = list(map(repr, axis_centers(k, params, image=True)[0].tolist()))
     level = str(k)
-    cells = ",\n".join(
-        [
-            _CONSTRUCT_JSON_CELL % (paths[a], paths[b], img[a], img[b], level, pre[a], pre[b])
-            for a, b in zip(i0, i1)
-        ]
+    body = (
+        ",\n".join(
+            [
+                _CONSTRUCT_JSON_CELL % (paths[a], paths[b], img[a], img[b], level, pre[a], pre[b])
+                for a, b in cells
+            ]
+        )
+        for cells in cell_blocks
     )
     results = {
         "level": k,
@@ -198,28 +243,27 @@ def cmd_construct(args: argparse.Namespace) -> int:
             "target": "0 violations",
         }
     ]
-    doc = _json_doc(args, results, checks)
-    # results is the last top-level key, and its cells the only empty list
-    head, _, tail = doc.rpartition('"cells": []')
-    _emit(f'{head}"cells": [\n{cells}\n    ]{tail}', args.out)
+    _emit(_json_table(_json_doc(args, results, checks), "cells", body), args.out)
     return 0 if report.passed else 1
 
 
 def _read_points(path: str) -> np.ndarray:
-    rows = []
+    xs, ys = [], []
+    add_x, add_y = xs.append, ys.append
     with open(path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or not "".join(row).strip():
-                continue
             try:
-                rows.append([float(row[0]), float(row[1])])
+                x, y = float(row[0]), float(row[1])
             except (ValueError, IndexError):
-                if lineno == 1:
-                    continue  # header row
+                # float() fails on every blank or all-whitespace row
+                if not row or not "".join(row).strip() or lineno == 1:
+                    continue  # blank row or header row
                 raise ValueError(f"bad point at {path}:{lineno}: {row!r}")
-    if not rows:
+            add_x(x)
+            add_y(y)
+    if not xs:
         raise ValueError(f"no points found in {path}")
-    return np.array(rows)
+    return np.column_stack((xs, ys))
 
 
 _MAP_CSV_ROW = "%s,%s,%s,%s,%s,%s,%s,%s\n"
@@ -272,6 +316,25 @@ def _map_columns(pts: np.ndarray, f: dict, as_json: bool) -> list[list[str]]:
     return cols
 
 
+def _map_rows(pts: np.ndarray, f: dict, as_json: bool) -> Iterator[str]:
+    """map's rows, one string per block of _ROW_BLOCK points.
+
+    A CSV block is its lines; a JSON block is its row objects joined
+    by ",\n", for _json_table to splice into the document.
+    """
+    flag = ("false", "true") if as_json else ("0", "1")
+    for sl in _blocks(len(pts)):
+        fb = {key: col[sl] for key, col in f.items()}
+        x, y, fx, fy, dn, jac, kk = _map_columns(pts[sl], fb, as_json)
+        flags = [flag[s] for s in fb["on_skeleton"].tolist()]
+        if as_json:
+            level = map(str, fb["level"].tolist())
+            rows = zip(kk, dn, fx, fy, jac, level, flags, x, y)
+            yield ",\n".join(map(_MAP_JSON_ROW.__mod__, rows))
+        else:
+            yield "".join(map(_MAP_CSV_ROW.__mod__, zip(x, y, fx, fy, dn, jac, kk, flags)))
+
+
 def cmd_map(args: argparse.Namespace) -> int:
     params = _make_params(args)
     if args.points is not None:
@@ -280,26 +343,13 @@ def cmd_map(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(args.seed)
         pts = rng.random((args.samples, 2))
     f = fields_batch(pts, args.depth, params)
-    skel = f["on_skeleton"].tolist()
-    if args.format == "csv":
-        x, y, fx, fy, dn, jac, kk = _map_columns(pts, f, as_json=False)
-        flags = [("0", "1")[s] for s in skel]
-        body = map(_MAP_CSV_ROW.__mod__, zip(x, y, fx, fy, dn, jac, kk, flags))
-        header = ["x", "y", "fx", "fy", "dnorm", "jac", "K", "skeleton"]
-        _emit(_csv_text(header, []) + "".join(body), args.out)
-        return 0
-    x, y, fx, fy, dn, jac, kk = _map_columns(pts, f, as_json=True)
-    flags = [("false", "true")[s] for s in skel]
-    level = map(str, f["level"].tolist())
-    rows = ",\n".join(
-        map(_MAP_JSON_ROW.__mod__, zip(kk, dn, fx, fy, jac, level, flags, x, y))
-    )
-    doc = _json_doc(args, {"rows": []}, [])
-    if rows:
-        # results is the last top-level key and rows its only entry
-        head, _, tail = doc.rpartition('"rows": []')
-        doc = f'{head}"rows": [\n{rows}\n    ]{tail}'
-    _emit(doc, args.out)
+    as_json = args.format == "json"
+    rows = _map_rows(pts, f, as_json)
+    if as_json:
+        _emit(_json_table(_json_doc(args, {"rows": []}, []), "rows", rows), args.out)
+    else:
+        header = _csv_text(["x", "y", "fx", "fy", "dnorm", "jac", "K", "skeleton"], [])
+        _emit(itertools.chain((header,), rows), args.out)
     return 0
 
 
@@ -313,7 +363,7 @@ def cmd_series(args: argparse.Namespace) -> int:
             [t.level, t.log_term, r, diag.verdict]
             for t, r in zip(diag.terms, diag.ratios)
         ]
-        _emit(_csv_text(["k", "log_term", "ratio", "verdict"], rows), args.out)
+        _emit((_csv_text(["k", "log_term", "ratio", "verdict"], rows),), args.out)
         return 0
     results = {
         "kind": diag.kind,
@@ -333,7 +383,7 @@ def cmd_series(args: argparse.Namespace) -> int:
             for t, r in zip(diag.terms, diag.ratios)
         ],
     }
-    _emit(_json_doc(args, results, []), args.out)
+    _emit((_json_doc(args, results, []),), args.out)
     return 0
 
 
@@ -365,7 +415,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
             [row.beta_prime, row.level, row.log_sum, table.verdicts[row.beta_prime]]
             for row in table.rows
         ]
-        _emit(_csv_text(["beta_prime", "k", "log_sum", "verdict"], rows), args.out)
+        _emit((_csv_text(["beta_prime", "k", "log_sum", "verdict"], rows),), args.out)
         return 0
     rep = mass_distribution_bound(params, k_max=args.k_max)
     results = {
@@ -374,7 +424,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
         "lower_bound": rep.lower_bound,
         "first_admissible_k": rep.first_admissible_k,
     }
-    _emit(_json_doc(args, results, checks), args.out)
+    _emit((_json_doc(args, results, checks),), args.out)
     return 0 if all(c["status"] == "pass" for c in checks) else 1
 
 
@@ -385,21 +435,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
             [c.criterion, c.name, c.status, c.measured, c.target]
             for c in report.checks
         ]
-        _emit(_csv_text(["criterion", "name", "status", "measured", "target"], rows), args.out)
+        _emit((_csv_text(["criterion", "name", "status", "measured", "target"], rows),), args.out)
     else:
         results = {
             "passed": report.passed,
             "total": len(report.checks),
             "failed": sum(1 for c in report.checks if not c.passed),
         }
-        _emit(_json_doc(args, results, [asdict(c) for c in report.checks]), args.out)
+        _emit((_json_doc(args, results, [asdict(c) for c in report.checks]),), args.out)
     return 0 if report.passed else 1
 
 
 def cmd_render(args: argparse.Namespace) -> int:
     params = _make_params(args)
     svg = render_svg(params, depth=args.depth, grid=args.samples, cap=args.cap)
-    _emit(svg, args.out)
+    _emit((svg,), args.out)
     return 0
 
 

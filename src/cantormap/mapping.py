@@ -345,16 +345,22 @@ def _map_batch(points, depth: int, params: ConstructionParams, with_fields: bool
         else:  # evaluate_batch returns neither, so each block keeps its own
             level, in_frame = np.empty(len(x0), dtype=np.int64), np.empty(len(x0), dtype=bool)
         rho, (c0, c1, ci0, ci1) = _descend_block(x0, x1, depth, tab, level, in_frame)
+        # frame values t = a + b / rho only where in_frame, over the
+        # similarity's values: the other lanes neither compute nor warn
         av = a_of[level]
-        t = av + b_of[level] / np.where(in_frame, rho, 1.0)
-        scale = np.where(in_frame, t, s_sim)
-        np.add(ci0, scale * (x0 - c0), out=b["image"][:, 0])
-        np.add(ci1, scale * (x1 - c1), out=b["image"][:, 1])
+        t = np.full(len(x0), s_sim)
+        np.divide(b_of[level], rho, out=t, where=in_frame)
+        np.add(t, av, out=t, where=in_frame)
+        np.add(ci0, t * (x0 - c0), out=b["image"][:, 0])
+        np.add(ci1, t * (x1 - c1), out=b["image"][:, 1])
         if with_fields:
             r, R = r_of[level], R_of[level]
-            b["derivative_norm"][:] = np.where(in_frame, np.maximum(av, t), s_sim)
-            b["jacobian"][:] = np.where(in_frame, av * t, s_sim * s_sim)
-            b["distortion"][:] = np.where(in_frame, np.maximum(t / av, av / t), 1.0)
+            dn, jac, dist = b["derivative_norm"], b["jacobian"], b["distortion"]
+            dn[:], jac[:], dist[:] = s_sim, s_sim * s_sim, 1.0
+            np.maximum(av, t, out=dn, where=in_frame)
+            np.multiply(av, t, out=jac, where=in_frame)
+            np.divide(t, av, out=dist, where=in_frame)
+            np.maximum(dist, np.divide(av, t, out=np.ones(len(x0)), where=in_frame), out=dist)
             np.logical_and(
                 in_frame,
                 (np.abs(rho - r) <= _SKELETON_RTOL * r) | (np.abs(rho - R) <= _SKELETON_RTOL * R),

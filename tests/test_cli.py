@@ -3,6 +3,7 @@ import io
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mass_oracle import brute_mass_bound
 
 from cantormap.analysis import p_threshold
 from cantormap.cli import (
+    _ROW_BLOCK,
     _float_column,
     _make_params,
     _params_echo,
@@ -293,6 +295,142 @@ def test_map_json_no_rows(capsys):
     assert code == 0
     assert out == reference_map_output(argv)
     assert '"rows": []' in out and json.loads(out)["results"]["rows"] == []
+
+
+B = _ROW_BLOCK
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 17])
+def test_map_bytes_match_reference_across_row_blocks(n, fmt, capsys):
+    argv = ["map", "--samples", str(n), "--seed", "11", "--format", fmt]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.encode() == reference_map_output(argv).encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_map_special_rows_after_a_block_edge(fmt, tmp_path, capsys):
+    # skeleton rows and the infinite Jacobian of 0.0625,0.0625 at
+    # sigma = 1e-6, depth 30 all sit in the second row block
+    uniform = np.random.default_rng(3).random((B + 1, 2)).tolist()
+    special = [(0.5, 0.5), (0.0625, 0.0625), (0.0, 0.0), (0.0625, 0.0625)]
+    lines = ["x,y"] + [f"{x!r},{y!r}" for x, y in uniform + special + uniform[:5]]
+    pts = tmp_path / "pts.csv"
+    pts.write_text("\n".join(lines) + "\n")
+    argv = ["map", str(pts), "--sigma", "1e-6", "--depth", "30", "--format", fmt]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out.encode() == reference_map_output(argv).encode()
+    if fmt == "csv":
+        rows = out.splitlines()[1:]
+        assert rows[B + 1].endswith(",,,,1") and ",inf," in rows[B + 2]
+    else:
+        rows = json.loads(out)["results"]["rows"]
+        assert rows[B + 1]["K"] is None and rows[B + 2]["jac"] == math.inf
+        assert '"jac": Infinity' in out and '"K": null' in out
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_map_fields_epilogue_does_not_warn(fmt, tmp_path, capsys):
+    # the point is not in a frame, so the frame-map lanes, whose product
+    # would overflow at this depth, are never computed
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0.0625,0.0625\n")
+    argv = ["map", str(pts), "--sigma", "1e-6", "--depth", "30", "--format", fmt]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    assert out == reference_map_output(argv)
+    if fmt == "csv":
+        assert out.splitlines()[1] == (
+            "0.0625,0.0625,0.1111505843312852,0.1111505843312852,"
+            "2.738219721198142e+170,inf,1.0,0"
+        )
+
+
+FAILING_COMMANDS = {
+    "nan_on_last_row": ("x,y\n0.25,0.25\n0.5,0.75\n0.5,nan\n", ["--depth", "6"]),
+    "bad_row_2": ("x,y\n0.5\n0.25,0.25\n", ["--depth", "6"]),
+    "underflowing_depth": (None, ["--sigma", "1e-6", "--samples", "3", "--depth", "54"]),
+    "construct_cap": (None, ["--depth", "5", "--cap", "256"]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(FAILING_COMMANDS))
+def test_failed_command_leaves_output_untouched(case, fmt, tmp_path, capsys):
+    points, flags = FAILING_COMMANDS[case]
+    argv = ["construct" if case == "construct_cap" else "map"]
+    if points is not None:
+        (tmp_path / "pts.csv").write_text(points)
+        argv.append(str(tmp_path / "pts.csv"))
+    target = tmp_path / "out.txt"
+    before = b"earlier output\n\x00kept byte for byte\n"
+    target.write_bytes(before)
+    code, out, err = run_cli(argv + flags + ["--format", fmt, "--out", str(target)], capsys)
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert target.read_bytes() == before
+
+
+def reference_read_points(path: str) -> np.ndarray:
+    """The points reader as it was when each row became a two-float list."""
+    rows = []
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if not row or not "".join(row).strip():
+                continue
+            try:
+                rows.append([float(row[0]), float(row[1])])
+            except (ValueError, IndexError):
+                if lineno == 1:
+                    continue  # header row
+                raise ValueError(f"bad point at {path}:{lineno}: {row!r}")
+    if not rows:
+        raise ValueError(f"no points found in {path}")
+    return np.array(rows)
+
+
+READ_POINTS_CASES = {
+    "header": "x,y\n0.25,0.5\n0.125,0.75\n",
+    "no_header": "0.25,0.5\n0.125,0.75\n",
+    "quoted": '"x","y"\n"0.25","0.5"\n"0.125",0.75\n',
+    "quoted_newline": '"0.25\n",0.5\n"1\n2",0.5\n',
+    "crlf": "x,y\r\n0.25,0.5\r\n\r\n0.125,0.75\r\n",
+    "bare_cr": "x,y\r0.25,0.5\r0.125,0.75\r",
+    "blank_rows": "\n0.25,0.5\n   \n,\n , \n\t,\n0.125,0.75\n\n",
+    "header_after_blank": "\nx,y\n0.25,0.5\n",
+    "bad_row_1": "0.25\n0.125,0.75\n",
+    "bad_row_2": "0.25,0.5\nx,y\n",
+    "short_row_2": "x,y\n0.5\n",
+    "half_blank_row": "x,y\n0.5, \n",
+    "extra_columns": "x,y,z\n0.25,0.5,0.9,w\n0.125,0.75,,\n",
+    "underscores": "1_0,0.2_5\n",
+    "signs": "+.5,-0.\n+0.25,.75\n",
+    "leading_spaces": "  0.25,  0.5\n\t0.125 ,0.75\t\n",
+    "specials": "nan,inf\n-inf,1e400\n5e-324,1e-320\n",
+    "repr_digits": "0.1,0.30000000000000004\n0.9999999999999999,2.220446049250313e-16\n",
+    "empty": "",
+    "header_only": "x,y\n",
+    "blank_only": "\n \n,\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(READ_POINTS_CASES))
+def test_read_points_matches_reference(case, tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(READ_POINTS_CASES[case].encode())
+    try:
+        want = reference_read_points(str(path))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            _read_points(str(path))
+        assert str(got.value) == str(exc)
+        return
+    got = _read_points(str(path))
+    assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_float_column_spells_values_as_json_and_csv_do():
