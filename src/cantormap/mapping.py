@@ -356,11 +356,14 @@ def _map_batch(points, depth: int, params: ConstructionParams, with_fields: bool
         if with_fields:
             r, R = r_of[level], R_of[level]
             dn, jac, dist = b["derivative_norm"], b["jacobian"], b["distortion"]
-            dn[:], jac[:], dist[:] = s_sim, s_sim * s_sim, 1.0
+            out_frame = ~in_frame
+            np.copyto(dn, s_sim, where=out_frame)
+            np.copyto(jac, s_sim * s_sim, where=out_frame)
+            np.copyto(dist, 1.0, where=out_frame)
             np.maximum(av, t, out=dn, where=in_frame)
             np.multiply(av, t, out=jac, where=in_frame)
             np.divide(t, av, out=dist, where=in_frame)
-            np.maximum(dist, np.divide(av, t, out=np.ones(len(x0)), where=in_frame), out=dist)
+            np.maximum(dist, np.divide(av, t, out=av, where=in_frame), out=dist, where=in_frame)
             np.logical_and(
                 in_frame,
                 (np.abs(rho - r) <= _SKELETON_RTOL * r) | (np.abs(rho - R) <= _SKELETON_RTOL * R),

@@ -62,10 +62,15 @@ def _git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
+def unpack(rev: str, dest: Path) -> None:
+    """Unpack ``git archive REV`` into dest; tools/cli_bytes.py uses it too."""
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", rev))) as tar:
+        tar.extractall(dest, filter="data")
+
+
 def _prepare(tmp: Path, parent_rev: str) -> dict[str, Path]:
     sides = {"parent": tmp / "parent", "change": tmp / "change"}
-    with tarfile.open(fileobj=io.BytesIO(_git("archive", parent_rev))) as tar:
-        tar.extractall(sides["parent"], filter="data")
+    unpack(parent_rev, sides["parent"])
     sides["change"].mkdir()
     for part in CHANGE_PARTS:
         src, dst = ROOT / part, sides["change"] / part

@@ -1,6 +1,6 @@
 """Compare the CLI's output at a git revision with the working tree's.
 
-    python3 tools/cli_bytes.py --parent REV [--only NAME ...]
+    python3 tools/cli_bytes.py --parent REV
 
 Run it from the root of the repository.  The parent side is
 ``git archive REV`` unpacked into a temporary directory; the change side
@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import argparse
 import difflib
-import io
 import os
 import random
 import subprocess
 import sys
-import tarfile
 import tempfile
 from pathlib import Path
+
+from ab_pairs import unpack
 
 ROOT = Path(__file__).resolve().parent.parent
 SENTINEL = b"output of an earlier run\n"
@@ -123,23 +123,14 @@ def _run(src: Path, work: Path, argv: list[str]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
-    ap.add_argument("--only", action="append", default=[], metavar="NAME",
-                    help="run only this plan entry (repeatable)")
     args = ap.parse_args(argv)
 
     block = _row_block()
     plan = _plan(block)
-    unknown = set(args.only) - {name for name, _ in plan}
-    if unknown:
-        ap.error(f"no plan entry named {', '.join(sorted(unknown))}")
-    plan = [(name, cmd) for name, cmd in plan if not args.only or name in args.only]
-    archive = subprocess.run(["git", "archive", args.parent], cwd=ROOT, check=True,
-                             capture_output=True).stdout
     differ = 0
     with tempfile.TemporaryDirectory(prefix="cli_bytes_") as tmp:
         parent, work = Path(tmp) / "parent", Path(tmp) / "work"
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(parent, filter="data")
+        unpack(args.parent, parent)
         work.mkdir()
         for name, text in _inputs(block).items():
             (work / name).write_text(text)
