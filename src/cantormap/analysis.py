@@ -113,11 +113,15 @@ def frame_integral_mc(
 ) -> float:
     """Uniform Monte-Carlo estimate of a frame integral.
 
-    Samples uniformly on the sup-norm annulus (radius law
-    rho = sqrt(r^2 + U (R^2 - r^2)), position uniform on the square
-    ring of that radius) and returns mean(integrand) times the frame
-    area.  An oracle for the closed forms and quadrature that shares
-    none of their algebra.
+    Samples uniformly on the sup-norm annulus and returns
+    mean(integrand) times the frame area.  Every kind's integrand
+    depends on a point only through its sup-norm radius, which for a
+    uniform point is rho = sqrt(r^2 + U (R^2 - r^2)), so only rho is
+    drawn.  Drawing a face and an offset fl((2V - 1) rho) along it too
+    would give a point of sup-norm radius exactly rho, as
+    |2V - 1| <= 1, and would not change the draws rho reads first: the
+    estimate is the same double.  An oracle for the closed forms and
+    quadrature that shares none of their algebra.
     """
     if kind not in ("jacobian", "tv", "subexp"):
         raise ValueError(f"kind must be jacobian, tv or subexp, got {kind!r}")
@@ -128,12 +132,7 @@ def frame_integral_mc(
     c = coeffs(k, params)
     rng = np.random.default_rng(seed)
     rho = np.sqrt(rad.r**2 + rng.random(n_samples) * (rad.R**2 - rad.r**2))
-    face = rng.integers(0, 4, n_samples)
-    off = (2.0 * rng.random(n_samples) - 1.0) * rho
-    dx = np.where(face == 0, rho, np.where(face == 1, -rho, off))
-    dy = np.where(face >= 2, np.where(face == 2, rho, -rho), off)
-    rr = np.maximum(np.abs(dx), np.abs(dy))
-    t = c.a + c.b / rr
+    t = c.a + c.b / rho
     if kind == "jacobian":
         vals = c.a * t
     elif kind == "tv":

@@ -251,14 +251,17 @@ def _read_points(path: str) -> np.ndarray:
     xs, ys = [], []
     add_x, add_y = xs.append, ys.append
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+        reader = csv.reader(fh)
+        end = 0  # physical lines read through the previous record
+        for row in reader:
+            start, end = end + 1, reader.line_num
             try:
                 x, y = float(row[0]), float(row[1])
             except (ValueError, IndexError):
                 # float() fails on every blank or all-whitespace row
-                if not row or not "".join(row).strip() or lineno == 1:
+                if not row or not "".join(row).strip() or start == 1:
                     continue  # blank row or header row
-                raise ValueError(f"bad point at {path}:{lineno}: {row!r}")
+                raise ValueError(f"bad point at {path}:{start}: {row!r}")
             add_x(x)
             add_y(y)
     if not xs:
@@ -340,6 +343,8 @@ def cmd_map(args: argparse.Namespace) -> int:
     if args.points is not None:
         pts = _read_points(args.points)
     else:
+        if args.samples < 0:
+            raise ValueError(f"--samples must be >= 0, got {args.samples}")
         rng = np.random.default_rng(args.seed)
         pts = rng.random((args.samples, 2))
     f = fields_batch(pts, args.depth, params)

@@ -81,13 +81,15 @@ def render_svg(
         )
         parts.extend([rect % (xs[a], ys[b]) for a, b in zip(i0.tolist(), i1.tolist())])
     if grid > 0:
+        # gridlines i = 0..grid, each vertical then horizontal, stacked
+        # into one batch; a point's image does not depend on its batch
         m = samples_per_cell * grid + 1
         ts = np.linspace(0.0, 1.0, m)
+        lines = []
         for i in range(grid + 1):
             fixed = np.full(m, i / grid)
-            vertical = np.column_stack([fixed, ts])
-            parts.append(_polyline(evaluate_batch(vertical, depth, params)))
-            horizontal = np.column_stack([ts, fixed])
-            parts.append(_polyline(evaluate_batch(horizontal, depth, params)))
+            lines += [np.column_stack([fixed, ts]), np.column_stack([ts, fixed])]
+        img = evaluate_batch(np.concatenate(lines), depth, params)
+        parts.extend(_polyline(img[j : j + m]) for j in range(0, len(img), m))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -70,6 +70,44 @@ def test_subexp_integral_vs_monte_carlo():
     np.testing.assert_allclose(mc, quad, rtol=5e-3)
 
 
+def reference_frame_integral_mc(k, params, kind, p=None, n_samples=10**6, seed=0x5EED):
+    """frame_integral_mc as it was when it drew a full position: a face
+    and an offset along it after each radius, and the integrand read at
+    the sup-norm radius of that position."""
+    rad = radii(k, params)
+    c = coeffs(k, params)
+    rng = np.random.default_rng(seed)
+    rho = np.sqrt(rad.r**2 + rng.random(n_samples) * (rad.R**2 - rad.r**2))
+    face = rng.integers(0, 4, n_samples)
+    off = (2.0 * rng.random(n_samples) - 1.0) * rho
+    dx = np.where(face == 0, rho, np.where(face == 1, -rho, off))
+    dy = np.where(face >= 2, np.where(face == 2, rho, -rho), off)
+    rr = np.maximum(np.abs(dx), np.abs(dy))
+    t = c.a + c.b / rr
+    if kind == "jacobian":
+        vals = c.a * t
+    elif kind == "tv":
+        vals = np.maximum(c.a, t)
+    else:
+        K = np.maximum(t / c.a, c.a / t)
+        vals = np.exp(p * K / (1.0 + np.log(K)))
+    return float(vals.mean() * 4.0 * (rad.R**2 - rad.r**2))
+
+
+# (sigma, beta, level, seed); b < 0 at level 4 of (0.45, 2)
+MC_CASES = [(0.45, 2.0, 4, 0x5EED), (0.25, 2.0, 3, 7), (0.1, 0.5, 5, 123), (0.3, 1.0, 8, 2**40)]
+
+
+@pytest.mark.parametrize("n_samples", [1, 10, 10**5])
+@pytest.mark.parametrize("kind", ["jacobian", "tv", "subexp"])
+def test_frame_integral_mc_matches_position_draws(kind, n_samples):
+    p = 0.5 if kind == "subexp" else None
+    for sigma, beta, k, seed in MC_CASES:
+        params = ConstructionParams(sigma, beta)
+        got = frame_integral_mc(k, params, kind, p=p, n_samples=n_samples, seed=seed)
+        assert got == reference_frame_integral_mc(k, params, kind, p, n_samples, seed)
+
+
 def test_frame_integral_guards():
     with pytest.raises(ValueError, match="underflow"):
         frame_jacobian_integral(2000, P)

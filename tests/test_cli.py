@@ -375,18 +375,20 @@ def test_failed_command_leaves_output_untouched(case, fmt, tmp_path, capsys):
 
 
 def reference_read_points(path: str) -> np.ndarray:
-    """The points reader as it was when each row became a two-float list."""
+    """The points reader as it was when each row became a two-float list,
+    naming a bad record by the physical line it starts on."""
     rows = []
     with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row or not "".join(row).strip():
-                continue
-            try:
-                rows.append([float(row[0]), float(row[1])])
-            except (ValueError, IndexError):
-                if lineno == 1:
-                    continue  # header row
-                raise ValueError(f"bad point at {path}:{lineno}: {row!r}")
+        reader = csv.reader(fh)
+        lineno = 1
+        for row in reader:
+            if row and "".join(row).strip():
+                try:
+                    rows.append([float(row[0]), float(row[1])])
+                except (ValueError, IndexError):
+                    if lineno != 1:  # else a header row
+                        raise ValueError(f"bad point at {path}:{lineno}: {row!r}")
+            lineno = reader.line_num + 1
     if not rows:
         raise ValueError(f"no points found in {path}")
     return np.array(rows)
@@ -433,6 +435,14 @@ def test_read_points_matches_reference(case, tmp_path):
     assert got.tobytes() == want.tobytes()
 
 
+def test_read_points_names_the_line_a_bad_record_starts_on(tmp_path):
+    # the bad record "1\n2",0.5 is the second record and starts on line 3
+    path = tmp_path / "pts.csv"
+    path.write_bytes(READ_POINTS_CASES["quoted_newline"].encode())
+    with pytest.raises(ValueError, match=r"pts\.csv:3: \['1\\n2', '0\.5'\]$"):
+        _read_points(str(path))
+
+
 def test_float_column_spells_values_as_json_and_csv_do():
     values = np.array([0.1, -0.0, 5e-324, 1e16, 1e-5, math.inf, -math.inf, math.nan])
     assert _float_column(values, as_json=True) == [json.dumps(v) for v in values.tolist()]
@@ -453,6 +463,12 @@ def test_map_underflowing_depth_is_a_domain_error(depth, capsys):
     code, out, err = run_cli(["map", "--sigma", "1e-6", "--samples", "3", "--depth", depth], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "sigma=1e-06" in err
+
+
+def test_map_negative_samples_is_a_domain_error(capsys):
+    code, out, err = run_cli(["map", "--samples", "-1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --samples must be >= 0, got -1\n"
 
 
 def test_series_overflowing_limit_is_a_domain_error(capsys):

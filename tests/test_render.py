@@ -11,7 +11,7 @@ from cantormap.construction import (
     enumerate_cells,
     image_square,
 )
-from cantormap.mapping import evaluate_batch
+from cantormap.mapping import _BLOCK, evaluate_batch
 from cantormap.render import render_svg
 
 P = ConstructionParams(0.45, 2.0)
@@ -107,6 +107,14 @@ def test_render_bytes_match_reference(depth, grid, samples_per_cell):
     for params in (P, ConstructionParams(0.3, 1.0)):
         got = render_svg(params, depth, grid=grid, samples_per_cell=samples_per_cell)
         assert got == reference_render_svg(params, depth, grid, samples_per_cell)
+
+
+def test_render_mesh_across_batch_blocks_matches_reference():
+    # 130 gridlines of 513 points: 66,690 mesh points, three _BLOCK blocks
+    assert 2 * _BLOCK < 130 * 513 < 3 * _BLOCK
+    for params in (P, ConstructionParams(0.3, 1.0)):
+        got = render_svg(params, 4, grid=64, samples_per_cell=8)
+        assert got == reference_render_svg(params, 4, 64, 8)
 
 
 def test_render_cap_error_matches_enumeration():

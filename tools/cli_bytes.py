@@ -12,11 +12,13 @@ each run.  For every command the tool compares stdout, stderr, the exit
 code and the output file's bytes, prints one line per command and a
 diff of any differing stderr, and exits 1 when anything differs.
 
-The plan covers every subcommand, ``map`` in CSV and JSON at depths 6
-and 32 on a points file, on samples and on no samples, sample counts on
-either side of the row-block size of ``map``'s writer, skeleton rows
-and an infinite Jacobian after a block edge, and failing commands that
-must leave an existing output file as it was.
+The plan covers every subcommand, ``verify`` at two seeds, ``render``
+with no mesh and with a mesh of many evaluation blocks, ``map`` in CSV
+and JSON at depths 6 and 32 on a points file, on samples and on no
+samples, sample counts on either side of the row-block size of
+``map``'s writer, skeleton rows and an infinite Jacobian after a block
+edge, and failing commands that must leave an existing output file as
+it was.
 """
 
 from __future__ import annotations
@@ -72,11 +74,14 @@ def _plan(block: int) -> list[tuple[str, list[str]]]:
         ("verify_json", ["verify"]),
         ("verify_csv", ["verify", "--format", "csv"]),
         ("verify_literal", ["verify", "--debug-literal-radii"]),
+        ("verify_seed7", ["verify", "--seed", "7"]),
         ("construct_d8_json", ["construct", "--depth", "8", "--format", "json"]),
         ("construct_d8_csv", ["construct", "--depth", "8"]),
         ("construct_half_json", ["construct", "--sigma", "0.49999999999999994", "--format", "json"]),
         ("construct_d6_csv", ["construct", "--depth", "6"]),
         ("render_d7", ["render", "--depth", "7"]),
+        ("render_d4_samples200", ["render", "--depth", "4", "--samples", "200"]),
+        ("render_d5_no_mesh", ["render", "--depth", "5", "--samples", "0"]),
         ("measure_json", ["measure", "--k-max", "100000000"]),
         ("measure_csv", ["measure", "--k-max", "100000000", "--format", "csv"]),
         ("measure_beta50_json", ["measure", "--beta", "50"]),
