@@ -25,12 +25,10 @@ from .construction import (
     CellAddress,
     ConstructionParams,
     EnumerationCapError,
-    Frame,
     LevelRadii,
     Square,
     ValidationReport,
     enumerate_cells,
-    frame,
     image_side,
     image_square,
     preimage_side,

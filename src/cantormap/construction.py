@@ -161,29 +161,6 @@ class CellAddress:
     def level(self) -> int:
         return MIN_LEVEL + len(self.refinements[0])
 
-    def child(self, bit0: int, bit1: int) -> "CellAddress":
-        return CellAddress(
-            self.octant,
-            (self.refinements[0] + (bit0,), self.refinements[1] + (bit1,)),
-        )
-
-    def parent(self) -> "CellAddress":
-        if self.level == MIN_LEVEL:
-            raise ValueError("level-3 cells have no parent")
-        return CellAddress(
-            self.octant, (self.refinements[0][:-1], self.refinements[1][:-1])
-        )
-
-    def extends(self, other: "CellAddress") -> bool:
-        """True when self is a strict descendant (or equal refinement) of other."""
-        if self.octant != other.octant or self.level < other.level:
-            return False
-        n = len(other.refinements[0])
-        return (
-            self.refinements[0][:n] == other.refinements[0]
-            and self.refinements[1][:n] == other.refinements[1]
-        )
-
     def axis_path(self, axis: int) -> str:
         """Octant digit followed by the refinement bits, e.g. '5011'."""
         return str(self.octant[axis]) + "".join(str(b) for b in self.refinements[axis])
@@ -206,24 +183,6 @@ class CellAddress:
 class Square:
     center: tuple[float, float]
     side: float
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Open sup-norm annulus {r < |x - center|_inf < R}.
-
-    Per-cell form of what the axis-center table (_axis_levels,
-    axis_centers, cell_axis_indices) gives; no command calls it, and it
-    stays with the squares perfbench/ wraps by name.
-    """
-
-    center: tuple[float, float]
-    r: float
-    R: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.r < self.R:
-            raise ValueError(f"need 0 < r < R, got r={self.r}, R={self.R}")
 
 
 def _axis_center(
@@ -266,23 +225,6 @@ def image_square(addr: CellAddress, params: ConstructionParams) -> Square:
         ),
         image_side(addr.level, params),
     )
-
-
-def frame(addr: CellAddress, params: ConstructionParams, side: str = "pre") -> Frame:
-    """The frame around the addressed square, in either family.
-
-    Per-cell form of what the axis-center table (_axis_levels,
-    axis_centers, cell_axis_indices) gives; no command calls it, and it
-    stays with the squares perfbench/ wraps by name.
-    """
-    if side not in ("pre", "image"):
-        raise ValueError(f"side must be 'pre' or 'image', got {side!r}")
-    rad = radii(addr.level, params)
-    if side == "pre":
-        sq = preimage_square(addr, params)
-        return Frame(sq.center, rad.r, rad.R)
-    sq = image_square(addr, params)
-    return Frame(sq.center, rad.r_img, rad.R_img)
 
 
 def _bits(value: int, nbits: int) -> tuple[int, ...]:
@@ -393,34 +335,31 @@ class ValidationReport:
         return not self.violations
 
 
-# levels at which validate_geometry counts its two 2-D checks
-_PAIRWISE_LEVEL_MAX = 5
-
-
 def validate_geometry(
     k_max: int, params: ConstructionParams, tol: float = 1e-12
 ) -> ValidationReport:
-    """Check the nesting and tiling invariants of both families.
+    """Check the nesting and disjointness invariants of both families.
 
-    Per level and family: the frame inner radius equals half the
-    square side, the outer radius equals the parent quadrant
-    half-width, every level-3 interval sits centered strictly inside
-    its grid cell, every deeper interval sits centered strictly inside
-    the parent half selected by its bit, and sibling frames along an
-    axis have disjoint interiors.  Axis factors are exhausted up to
-    k_max.  The 2-D checks (square and frame interiors pairwise
-    disjoint) follow from the 1-D gaps, since the level-k centers are
-    the product set C x C; they are counted at levels up to
-    _PAIRWISE_LEVEL_MAX = 5.
+    Three checks per level and family, each of which the input can fail:
+    every level-3 interval lies strictly inside its grid cell, and every
+    deeper one strictly inside the parent half selected by its bit
+    (one check per interval); the least gap between two axis centers is
+    at least 2R - tol, so sibling frames along an axis have disjoint
+    interiors; and the same gap is at least side - tol, so square
+    interiors are disjoint.  The level-k centers are the product set
+    C x C, so the least sup-norm distance between two of them is the
+    least axis gap, as the same double (rounding is monotone): the 2-D
+    check reads that gap.  Axis factors are exhausted up to k_max.
+
+    The frame radii and the interval centers are not checked against
+    the sides: radii and _axis_levels compute them from the sides by
+    the very formulas such a check would use, so it would compare each
+    double with itself.
 
     Violations are reported as (level, locator, invariant) triples.
     """
     _check_level(k_max, params)
     report = ValidationReport(k_max)
-
-    def close(x: float, y: float) -> bool:
-        return abs(x - y) <= tol * max(abs(x), abs(y), 1.0)
-
     for image in (False, True):
         fam = "image" if image else "pre"
         side_fn = image_side if image else preimage_side
@@ -428,71 +367,33 @@ def validate_geometry(
         for k, c, paths in _axis_levels(k_max, params, image):
             side = side_fn(k, params)
             rad = radii(k, params)
-            r = rad.r_img if image else rad.r
             R = rad.R_img if image else rad.R
 
-            report.checks_run += 1
-            if not close(r, side / 2.0):
-                report.violations.append((k, fam, "frame inner radius != side/2"))
-            quad_half = (
-                LEVEL3_OUTER_RADIUS if k == MIN_LEVEL else side_fn(k - 1, params) / 4.0
-            )
-            report.checks_run += 1
-            if not close(R, quad_half):
-                report.violations.append(
-                    (k, fam, "frame outer radius != quadrant half-width")
-                )
-
-            # two checks per axis interval: it sits strictly inside, and
-            # centered in, its grid cell (level 3) or its parent half
             if k == MIN_LEVEL:
                 octant = np.arange(8)
-                outside = ~((octant / 8.0 < c - r) & (c + r < (octant + 1) / 8.0))
-                off_center = np.abs(c - (octant + 0.5) / 8.0) > tol
-                messages = (
-                    "level-3 interval not strictly inside its grid cell",
-                    "level-3 interval not centered in its grid cell",
-                )
+                lo, hi = octant / 8.0, (octant + 1) / 8.0
+                message = "level-3 interval not strictly inside its grid cell"
             else:
                 parent_c = np.repeat(parent, 2)
-                parent_side = side_fn(k - 1, params)
+                parent_half = side_fn(k - 1, params) / 2.0
                 high = np.zeros(len(c), dtype=bool)
                 high[1::2] = True  # refinement bit 1: the parent's high half
-                lo = np.where(high, parent_c, parent_c - parent_side / 2.0)
-                hi = np.where(high, parent_c + parent_side / 2.0, parent_c)
-                expected = np.where(
-                    high, parent_c + parent_side / 4.0, parent_c - parent_side / 4.0
-                )
-                outside = ~((lo < c - side / 2.0) & (c + side / 2.0 < hi))
-                off_center = np.abs(c - expected) > tol
-                messages = (
-                    "child interval not strictly inside parent half",
-                    "child interval not centered in parent half",
-                )
-            report.checks_run += 2 * len(c)
-            for j in np.flatnonzero(outside | off_center).tolist():
-                for failed, message in zip((outside[j], off_center[j]), messages):
-                    if failed:
-                        report.violations.append((k, f"{fam}:{paths[j]}", message))
+                lo = np.where(high, parent_c, parent_c - parent_half)
+                hi = np.where(high, parent_c + parent_half, parent_c)
+                message = "child interval not strictly inside parent half"
+            outside = ~((lo < c - side / 2.0) & (c + side / 2.0 < hi))
+            report.checks_run += len(c)
+            for j in np.flatnonzero(outside).tolist():
+                report.violations.append((k, f"{fam}:{paths[j]}", message))
             parent = c
 
             gap = np.diff(np.sort(c)).min()
-            report.checks_run += 1
+            report.checks_run += 2
             if gap < 2.0 * R - tol:
                 report.violations.append(
                     (k, fam, "sibling frames overlap along an axis")
                 )
-
-            if k <= _PAIRWISE_LEVEL_MAX:
-                # centers are C x C: the least sup-norm distance between two is
-                # the least axis gap, as the same double (rounding is monotone).
-                # "frame interiors overlap" repeats the sibling-gap comparison;
-                # it stays because checks_run and the violation list are part
-                # of construct --format json
-                report.checks_run += 2
-                if gap < side - tol:
-                    report.violations.append((k, fam, "square interiors overlap"))
-                if gap < 2.0 * R - tol:
-                    report.violations.append((k, fam, "frame interiors overlap"))
+            if gap < side - tol:
+                report.violations.append((k, fam, "square interiors overlap"))
 
     return report

@@ -7,19 +7,16 @@ from hypothesis import strategies as st
 
 from cantormap.construction import (
     DEFAULT_CELL_CAP,
-    LEVEL3_OUTER_RADIUS,
     MIN_LEVEL,
     CellAddress,
     ConstructionParams,
     EnumerationCapError,
-    Frame,
     ValidationReport,
     _axis_center,
     _bits,
     axis_centers,
     cell_axis_indices,
     enumerate_cells,
-    frame,
     image_side,
     image_square,
     log_image_side,
@@ -117,7 +114,7 @@ def test_level3_squares():
 
 def test_child_center_offsets():
     parent = CellAddress((5, 1))
-    child = parent.child(1, 0)
+    child = CellAddress((5, 1), ((1,), (0,)))
     sq_p = image_square(parent, P)
     sq_c = image_square(child, P)
     l3 = image_side(3, P)
@@ -140,10 +137,6 @@ def test_address_validation_and_paths():
     assert addr.axis_path(0) == "5011"
     assert addr.axis_path(1) == "3100"
     assert CellAddress.from_axis_paths("5011", "3100") == addr
-    assert addr.parent().axis_path(0) == "501"
-    assert addr.extends(addr.parent())
-    assert addr.extends(CellAddress((5, 3)))
-    assert not addr.extends(CellAddress((5, 4)))
     with pytest.raises(ValueError):
         CellAddress.from_axis_paths("8011", "3100")
     with pytest.raises(ValueError):
@@ -179,22 +172,12 @@ def test_enumerate_cap():
     assert next(iter(it)).level == 12
 
 
-def test_frame_object():
-    fr = frame(CellAddress((0, 0)), P, side="pre")
-    assert fr.r == 0.45**3 / 2.0 and fr.R == 1.0 / 16.0
-    fr_img = frame(CellAddress((0, 0)), P, side="image")
-    np.testing.assert_allclose(fr_img.r, image_side(3, P) / 2.0, rtol=1e-15)
-    with pytest.raises(ValueError):
-        frame(CellAddress((0, 0)), P, side="other")
-    with pytest.raises(ValueError):
-        Frame((0.5, 0.5), 0.2, 0.1)
-
-
 @pytest.mark.parametrize("sigma,beta", [(0.30, 1.0), (0.45, 2.0), (0.49, 2.0), (0.499, 0.5)])
 def test_validate_geometry_clean(sigma, beta):
     report = validate_geometry(8, ConstructionParams(sigma, beta))
     assert report.passed, report.violations[:5]
-    assert report.checks_run > 1000
+    # per family and level: one check per axis interval and the two gap checks
+    assert report.checks_run == 2 * sum(8 * 2 ** (k - 3) + 2 for k in range(3, 9)) == 1032
 
 
 def test_depth_max_enforced():
@@ -264,68 +247,45 @@ def reference_validate_geometry(k_max, params, tol=1e-12):
 
     Each interval's center and its parent's come from _axis_center, one
     path at a time; the array version must report the same checks_run
-    and the same violations in the same order.  The 2-D checks run on
-    the full sup-norm distance matrix at levels up to 5.
+    and the same violations in the same order.  The square check runs
+    on the full sup-norm distance matrix at levels up to 5 and on the
+    least sorted axis gap above, the same double
+    (test_pairwise_minimum_is_the_smallest_axis_gap).
     """
     report = ValidationReport(k_max)
-
-    def close(x, y):
-        return abs(x - y) <= tol * max(abs(x), abs(y), 1.0)
-
     for image in (False, True):
         fam = "image" if image else "pre"
         side_fn = image_side if image else preimage_side
         for k in range(MIN_LEVEL, k_max + 1):
             side = side_fn(k, params)
             rad = radii(k, params)
-            r = rad.r_img if image else rad.r
             R = rad.R_img if image else rad.R
-            report.checks_run += 1
-            if not close(r, side / 2.0):
-                report.violations.append((k, fam, "frame inner radius != side/2"))
-            quad_half = LEVEL3_OUTER_RADIUS if k == MIN_LEVEL else side_fn(k - 1, params) / 4.0
-            report.checks_run += 1
-            if not close(R, quad_half):
-                report.violations.append((k, fam, "frame outer radius != quadrant half-width"))
             centers = []
             for octant, bits in reference_axis_paths(k):
                 c = _axis_center(octant, bits, params, image)
                 centers.append(c)
                 where = f"{fam}:" + str(octant) + "".join(map(str, bits))
+                report.checks_run += 1
                 if k == MIN_LEVEL:
-                    report.checks_run += 1
-                    if not (octant / 8.0 < c - r and c + r < (octant + 1) / 8.0):
+                    if not (octant / 8.0 < c - side / 2.0 and c + side / 2.0 < (octant + 1) / 8.0):
                         report.violations.append(
                             (k, where, "level-3 interval not strictly inside its grid cell")
-                        )
-                    report.checks_run += 1
-                    if abs(c - (octant + 0.5) / 8.0) > tol:
-                        report.violations.append(
-                            (k, where, "level-3 interval not centered in its grid cell")
                         )
                 else:
                     parent_c = _axis_center(octant, bits[:-1], params, image)
                     parent_side = side_fn(k - 1, params)
                     if bits[-1]:
                         lo, hi = parent_c, parent_c + parent_side / 2.0
-                        expected = parent_c + parent_side / 4.0
                     else:
                         lo, hi = parent_c - parent_side / 2.0, parent_c
-                        expected = parent_c - parent_side / 4.0
-                    report.checks_run += 1
                     if not (lo < c - side / 2.0 and c + side / 2.0 < hi):
                         report.violations.append(
                             (k, where, "child interval not strictly inside parent half")
                         )
-                    report.checks_run += 1
-                    if abs(c - expected) > tol:
-                        report.violations.append(
-                            (k, where, "child interval not centered in parent half")
-                        )
             centers.sort()
-            gaps = [b - a for a, b in zip(centers, centers[1:])]
-            report.checks_run += 1
-            if gaps and min(gaps) < 2.0 * R - tol:
+            gap = min(b - a for a, b in zip(centers, centers[1:]))
+            report.checks_run += 2
+            if gap < 2.0 * R - tol:
                 report.violations.append((k, fam, "sibling frames overlap along an axis"))
             if k <= 5:
                 cs = np.array(centers)
@@ -334,11 +294,11 @@ def reference_validate_geometry(k_max, params, tol=1e-12):
                     np.abs(cx[:, None] - cx[None, :]), np.abs(cy[:, None] - cy[None, :])
                 )
                 np.fill_diagonal(dist, np.inf)
-                report.checks_run += 2
-                if dist.min() < side - tol:
-                    report.violations.append((k, fam, "square interiors overlap"))
-                if dist.min() < 2.0 * R - tol:
-                    report.violations.append((k, fam, "frame interiors overlap"))
+                least = dist.min()
+            else:
+                least = gap
+            if least < side - tol:
+                report.violations.append((k, fam, "square interiors overlap"))
     return report
 
 
@@ -358,8 +318,14 @@ def test_validate_geometry_matches_reference_loop(sigma, beta, tol):
             want.k_max, want.checks_run, want.violations
         )
     if tol < 0.0:
-        # every check with a tolerance fails, so every locator is compared
-        assert len(got.violations) > got.checks_run / 2
+        # both gap checks read tol, so both fail at every (family, level)
+        gap_failures = {v for v in got.violations if v[1] in ("pre", "image")}
+        assert gap_failures == {
+            (k, fam, message)
+            for k in range(MIN_LEVEL, 8)
+            for fam in ("pre", "image")
+            for message in ("sibling frames overlap along an axis", "square interiors overlap")
+        }
     elif sigma == 0.49999999999999994:
         assert {v[2] for v in got.violations} == {
             "level-3 interval not strictly inside its grid cell",
@@ -417,4 +383,4 @@ def test_validate_geometry_2d_checks_match_the_matrix(tol):
         messages |= {v[2] for v in got.violations}
     if tol == -1e-3:
         # "square interiors overlap" shows at four of the six sigmas
-        assert {"square interiors overlap", "frame interiors overlap"} <= messages
+        assert {"square interiors overlap", "sibling frames overlap along an axis"} <= messages

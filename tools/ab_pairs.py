@@ -93,10 +93,14 @@ def _run(side: str, cwd: Path, workload: str, seed: int, seconds: float, trace: 
     run = {"side": side, "seed": seed, "pair": pair, "first": first,
            "command": "python3 " + " ".join(argv), "exit_code": proc.returncode,
            "failed": result["failed"], "attempted": result["attempted"]}
-    run.update({name: m["value"] for name, m in result["metrics"].items()})
-    shown = ("pass_s", "peak_rss_mb", "setup_s", "mapping.fields_batch.s", "scalar_fields_us")
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    run.update(metrics)
+    # untraced runs report the end-to-end metrics; traced ones show the op
+    # figures (names without a dot) of the ops this workload ran
+    shown = metrics if not trace else {
+        k: v for k, v in metrics.items() if "." not in k and k != "fail_ratio" and v}
     print(f"  {side:6} seed {seed} trace {trace}: "
-          + ", ".join(f"{k}={run[k]:.4g}" for k in shown if k in run), flush=True)
+          + ", ".join(f"{k}={v:.4g}" for k, v in shown.items()), flush=True)
     return run
 
 

@@ -9,8 +9,9 @@ is the working tree.  Both sides run the same fixed plan of commands as
 ``src/``, from one scratch directory that holds the plan's input files.
 Commands with ``--out`` find their output file holding a sentinel before
 each run.  For every command the tool compares stdout, stderr, the exit
-code and the output file's bytes, prints one line per command and a
-diff of any differing stderr, and exits 1 when anything differs.
+code and the output file's bytes, prints one line per command, a diff
+of any differing stderr and, for a differing stdout or output file, the
+first line that differs on each side, and exits 1 when anything differs.
 
 The plan covers every subcommand, ``verify`` at two seeds, ``render``
 with no mesh and with a mesh of many evaluation blocks, ``map`` in CSV
@@ -36,6 +37,7 @@ from ab_pairs import unpack
 
 ROOT = Path(__file__).resolve().parent.parent
 SENTINEL = b"output of an earlier run\n"
+SHOWN_CHARS = 200
 EDGE_POINTS = "x,y\n0.5,0.5\n0.0,0.0\n\n1.0,1.0\n5e-324,1e-05\n0.9999999999999999,0.0001\n"
 DEEP = ["--sigma", "1e-6", "--depth", "30"]
 
@@ -125,6 +127,22 @@ def _run(src: Path, work: Path, argv: list[str]) -> dict:
             "out file": out.read_bytes()}
 
 
+def _first_line_diff(was: bytes, now: bytes) -> str:
+    """The first differing line of two outputs, numbered from 1, with
+    both sides cut to SHOWN_CHARS and quoted, line end included; a
+    line-by-line scan, not a diff, so it stays cheap on the 18.8 MB
+    construct document."""
+    old, new = was.splitlines(keepends=True), now.splitlines(keepends=True)
+    n = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+
+    def shown(lines: list[bytes]) -> str:
+        if n >= len(lines):
+            return f"<no line {n + 1}: {len(lines)} lines>"
+        return repr(lines[n].decode(errors="replace")[:SHOWN_CHARS])
+
+    return f"line {n + 1}\n  - parent: {shown(old)}\n  + change: {shown(new)}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
@@ -151,6 +169,10 @@ def main(argv: list[str] | None = None) -> int:
                     was["stderr"].decode(errors="replace").splitlines(keepends=True),
                     now["stderr"].decode(errors="replace").splitlines(keepends=True),
                     "parent stderr", "change stderr"))
+            for key in ("stdout", "out file"):
+                if key in diffs:
+                    print(f"  {key} first differs at " + _first_line_diff(was[key], now[key]),
+                          end="", flush=True)
     print(f"{differ} of {len(plan)} commands differ from {args.parent}")
     return 1 if differ else 0
 
