@@ -30,6 +30,11 @@ from .mapping import coeffs, log_coeffs, sup_distortion
 from .quadrature import integrate
 
 
+def _check_finite_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def subexp_gain(t: float, p: float) -> float:
     """Exponent p t / (1 + log t) of the sub-exponential gauge, t >= 1."""
     if t < 1.0:
@@ -90,8 +95,7 @@ def frame_subexp_integral(k: int, p: float, params: ConstructionParams) -> float
     reduces to 1-D quadrature against 8 rho.  Raises if the integrand
     exceeds double range; series_terms covers those levels in log space.
     """
-    if p <= 0.0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check_finite_positive("p", p)
     rad = _linear_radii(k, params)
     Kf = frame_distortion_profile(k, params)
     if subexp_gain(sup_distortion(k, params), p) > 700.0:
@@ -247,12 +251,12 @@ def series_terms(
     if kind not in ("tv", "subexp"):
         raise ValueError(f"kind must be 'tv' or 'subexp', got {kind!r}")
     if kind == "subexp":
-        if p is None or p <= 0.0:
+        if p is None:
             raise ValueError("subexp series needs p > 0")
+        _check_finite_positive("p", p)
     else:
         p = None
-    if margin <= 0.0:
-        raise ValueError(f"margin must be positive, got {margin}")
+    _check_finite_positive("margin", margin)
     lvls = sorted(set(int(k) for k in levels))
     if not lvls:
         raise ValueError("need at least one level")
@@ -304,8 +308,7 @@ def gain_ratio(k: int, p: float, params: ConstructionParams) -> float:
     digits of k to spare; the result is accurate to double precision
     for 4 <= k <= GAIN_RATIO_MAX_LEVEL and raises ValueError outside.
     """
-    if p <= 0.0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check_finite_positive("p", p)
     k = int(k)
     if not MIN_LEVEL + 1 <= k <= GAIN_RATIO_MAX_LEVEL:
         raise ValueError(
@@ -339,8 +342,7 @@ def _bound_gain(k: int, p: float, params: ConstructionParams) -> Decimal:
 def gain_ratio_limit(p: float, params: ConstructionParams) -> float:
     """exp(2 p (1 - 2 sigma) / (2 sigma beta)), the large-k limit of
     gain_ratio."""
-    if p <= 0.0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check_finite_positive("p", p)
     sigma = params.sigma
     alpha = (1.0 - 2.0 * sigma) / (2.0 * sigma)
     exponent = 2.0 * p * alpha / params.beta

@@ -39,7 +39,7 @@ class ConstructionParams:
     """Shape parameters shared by the two families.
 
     sigma: per-level contraction of the pre-image side, in (0, 1/2).
-    beta: exponent of the logarithmic haircut on the image side, > 0.
+    beta: exponent of the logarithmic haircut on the image side, finite, > 0.
     depth_max: deepest level any operation may address.
     """
 
@@ -50,8 +50,8 @@ class ConstructionParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.sigma < 0.5:
             raise ValueError(f"sigma must lie in (0, 1/2), got {self.sigma}")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta > 0.0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
         if self.depth_max < MIN_LEVEL:
             raise ValueError(f"depth_max must be at least {MIN_LEVEL}, got {self.depth_max}")
 

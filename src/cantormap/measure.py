@@ -30,7 +30,7 @@ _GAUGE_DOMAIN_EDGE = -1.0  # log t < -1 keeps log(1/t) > 1, so loglog(1/t) > 0
 class Gauge:
     """h(t) = t^n (log log(1/t))^beta on 0 < t < e^-1.
 
-    n is the volume power (2 for planar sets), beta >= 0 the doubly
+    n is the volume power (2 for planar sets), finite beta >= 0 the doubly
     logarithmic correction; beta = 0 degenerates to the power gauge
     t^n used for ordinary box and Hausdorff dimension checks.
     """
@@ -41,8 +41,8 @@ class Gauge:
     def __post_init__(self) -> None:
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be non-negative, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValueError(f"beta must be finite and non-negative, got {self.beta}")
 
 
 def gauge_log_eval(gauge: Gauge, log_t: float) -> float:

@@ -202,6 +202,24 @@ def test_series_validation():
         series_terms("tv", [4], P, margin=0.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: series_terms("subexp", [1000], P, p=v),
+        lambda v: series_terms("subexp", [1000], P, p=0.5, margin=v),
+        lambda v: series_terms("tv", [1000], P, margin=v),
+        lambda v: gain_ratio(1000, v, P),
+        lambda v: gain_ratio_limit(v, P),
+        lambda v: frame_subexp_integral(5, v, P),
+    ],
+    ids=["series_p", "series_margin", "tv_margin", "gain_ratio", "gain_ratio_limit", "frame_integral"],
+)
+def test_exponents_and_margins_must_be_finite(call, value):
+    with pytest.raises(ValueError, match="must be finite and positive, got"):
+        call(value)
+
+
 def test_gain_ratio_limit_quarter_sigma():
     # alpha = 1 at sigma = 1/4, so the limit at p = 2, beta = 2 is e^2
     params = ConstructionParams(0.25, 2.0)

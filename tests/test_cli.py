@@ -13,8 +13,6 @@ from cantormap.analysis import p_threshold
 from cantormap.cli import (
     _ROW_BLOCK,
     _float_column,
-    _make_params,
-    _params_echo,
     _read_points,
     build_parser,
     main,
@@ -82,7 +80,7 @@ def reference_construct_output(argv):
     these bytes.
     """
     args = build_parser().parse_args(argv)
-    params = _make_params(args)
+    params = ConstructionParams(args.sigma, args.beta)
     cells = list(enumerate_cells(args.depth, params, cap=args.cap))
     side = preimage_side(args.depth, params)
     if args.format == "csv":
@@ -121,7 +119,7 @@ def reference_construct_output(argv):
             "target": "0 violations",
         }
     ]
-    doc = {"params": _params_echo(args), "results": results, "checks": checks}
+    doc = {"params": vars(args), "results": results, "checks": checks}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -215,7 +213,7 @@ def reference_map_output(argv):
         pts = _read_points(args.points)
     else:
         pts = np.random.default_rng(args.seed).random((args.samples, 2))
-    f = fields_batch(pts, args.depth, _make_params(args))
+    f = fields_batch(pts, args.depth, ConstructionParams(args.sigma, args.beta))
     img, skel = f["image"], f["on_skeleton"]
     if args.format == "csv":
         buf = io.StringIO()
@@ -246,7 +244,7 @@ def reference_map_output(argv):
                 "level": int(f["level"][i]),
             }
         )
-    doc = {"params": _params_echo(args), "results": {"rows": rows}, "checks": []}
+    doc = {"params": vars(args), "results": {"rows": rows}, "checks": []}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -596,3 +594,113 @@ def test_unknown_flag_exits_two():
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["unknowncmd"])
+
+
+FLAGS = {
+    "construct": {"sigma", "beta", "depth", "format", "out", "cap"},
+    "map": {"points", "sigma", "beta", "depth", "seed", "samples", "format", "out"},
+    "series": {"kind", "sigma", "beta", "p", "k_min", "k_max", "tol", "format", "out"},
+    "measure": {"sigma", "beta", "gauge_beta", "k_min", "k_max", "format", "out"},
+    "verify": {"sigma", "beta", "seed", "format", "out", "debug_literal_radii"},
+    "render": {"sigma", "beta", "depth", "samples", "cap", "out"},
+}
+
+
+def _subparsers():
+    return next(a for a in build_parser()._actions if a.dest == "command").choices
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_each_command_takes_only_the_flags_it_reads(command):
+    dests = {a.dest for a in _subparsers()[command]._actions if a.dest != "help"}
+    assert dests == FLAGS[command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--depth", "3"],
+        ["map", "--samples", "3"],
+        ["series", "tv"],
+        ["measure", "--k-max", "10000"],
+        ["verify", "--seed", "7"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_json_params_echo_exactly_the_command_flags(argv, capsys):
+    code, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    assert code in (0, 1)
+    params = json.loads(out)["params"]
+    assert set(params) == FLAGS[argv[0]] | {"command"}
+    assert params["command"] == argv[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--depth", "7"],
+        ["series", "--depth", "7"],
+        ["render", "--format", "json"],
+        ["construct", "--seed", "1"],
+        ["measure", "--p", "1"],
+        ["map", "--cap", "5"],
+        ["verify", "--sigma", "0.3"],
+        ["verify", "--beta", "1"],
+    ],
+    ids=" ".join,
+)
+def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_verify_accepts_its_pinned_sigma_and_beta(capsys):
+    _, plain, _ = run_cli(["verify"], capsys)
+    code, pinned, _ = run_cli(["verify", "--sigma", "0.45", "--beta", "2.0"], capsys)
+    assert code == 1
+    plain, pinned = json.loads(plain), json.loads(pinned)
+    assert (pinned["results"], pinned["checks"]) == (plain["results"], plain["checks"])
+
+
+NON_FINITE_INPUTS = [
+    ["series", "subexp", "--p", "nan"],
+    ["series", "subexp", "--p", "inf"],
+    ["series", "subexp", "--tol", "nan"],
+    ["series", "subexp", "--beta", "inf"],
+    ["map", "--beta", "inf", "--samples", "3"],
+    ["construct", "--beta", "inf"],
+    ["measure", "--gauge-beta", "inf", "--format", "csv"],
+    ["measure", "--gauge-beta", "nan"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_INPUTS, ids=" ".join)
+def test_non_finite_inputs_are_domain_errors(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "must be finite and" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["map", "--depth", "61", "--samples", "3"], "depth must lie in [3, depth_max=60], got 61"),
+        (["construct", "--depth", "61"], "level 61 exceeds depth_max 60"),
+        (["render", "--depth", "61"], "depth must lie in [3, depth_max=60], got 61"),
+    ],
+    ids=["map", "construct", "render"],
+)
+def test_depth_past_the_library_limit_is_a_domain_error(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_map_points_file_past_depth_limit(tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x,y\n0.25,0.25\n")
+    code, out, err = run_cli(["map", str(pts), "--depth", "200"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: depth must lie in [3, depth_max=60], got 200\n"

@@ -41,6 +41,12 @@ def test_params_validation():
         ConstructionParams(0.45, 2.0, depth_max=2)
 
 
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+def test_params_reject_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="beta must be finite and positive"):
+        ConstructionParams(0.45, beta)
+
+
 def test_sides_closed_forms():
     # values pinned against 30-digit evaluation of the closed forms
     np.testing.assert_allclose(image_side(3, P), 0.11377990332835468, rtol=5e-15)

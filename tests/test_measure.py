@@ -28,6 +28,12 @@ def test_gauge_validation():
     Gauge(2, 0.0)
 
 
+@pytest.mark.parametrize("beta", [math.inf, math.nan])
+def test_gauge_rejects_non_finite_beta(beta):
+    with pytest.raises(ValueError, match="beta must be finite and non-negative"):
+        Gauge(2, beta)
+
+
 def test_gauge_domain():
     with pytest.raises(ValueError):
         gauge_log_eval(H, -1.0)

@@ -11,7 +11,9 @@ Commands with ``--out`` find their output file holding a sentinel before
 each run.  For every command the tool compares stdout, stderr, the exit
 code and the output file's bytes, prints one line per command, a diff
 of any differing stderr and, for a differing stdout or output file, the
-first line that differs on each side, and exits 1 when anything differs.
+first line that differs on each side and, when both sides parse as JSON
+objects, which of their top-level keys (``params``, ``results``,
+``checks``) differ; it exits 1 when anything differs.
 
 The plan covers every subcommand, ``verify`` at two seeds, ``render``
 with no mesh and with a mesh of many evaluation blocks, ``map`` in CSV
@@ -19,13 +21,17 @@ and JSON at depths 6 and 32 on a points file, on samples and on no
 samples, sample counts on either side of the row-block size of
 ``map``'s writer, skeleton rows and an infinite Jacobian after a block
 edge, and failing commands that must leave an existing output file as
-it was.
+it was.  Its last entries are usage and domain errors (exit 2): a flag
+each command does not read, a ``verify`` parameter other than the one
+its suite pins, non-finite numeric inputs, and a depth past the
+library's limit of 60.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import random
 import subprocess
@@ -112,6 +118,17 @@ def _plan(block: int) -> list[tuple[str, list[str]]]:
                                               "--depth", "54", "--format", fmt, "--out", "out"]))
         plan.append((f"construct_cap_{fmt}", ["construct", "--depth", "5", "--cap", "256",
                                               "--format", fmt, "--out", "out"]))
+    rejected = [
+        ["verify", "--depth", "7"], ["series", "--depth", "7"], ["render", "--format", "json"],
+        ["construct", "--seed", "1"], ["measure", "--p", "1"], ["map", "--cap", "5"],
+        ["verify", "--sigma", "0.3"], ["verify", "--beta", "1"],
+        ["series", "subexp", "--p", "nan"], ["series", "subexp", "--p", "inf"],
+        ["series", "subexp", "--tol", "nan"], ["series", "subexp", "--beta", "inf"],
+        ["map", "--beta", "inf", "--samples", "3"], ["construct", "--beta", "inf"],
+        ["measure", "--gauge-beta", "inf", "--format", "csv"], ["measure", "--gauge-beta", "nan"],
+        ["map", "--depth", "61", "--samples", "3"], ["map", "points.csv", "--depth", "61"],
+    ]
+    plan += [("rejected_" + "_".join(a.lstrip("-") for a in cmd), cmd) for cmd in rejected]
     return plan
 
 
@@ -143,6 +160,20 @@ def _first_line_diff(was: bytes, now: bytes) -> str:
     return f"line {n + 1}\n  - parent: {shown(old)}\n  + change: {shown(new)}\n"
 
 
+def _json_keys_differ(was: bytes, now: bytes) -> list[str] | None:
+    """The top-level keys whose values differ, when both outputs parse
+    as JSON objects; None otherwise.  NaN and the infinities are read as
+    their spellings, so equal documents compare equal."""
+    try:
+        old, new = (json.loads(b, parse_constant=str) for b in (was, now))
+    except ValueError:
+        return None
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return None
+    missing = object()
+    return [k for k in sorted(old.keys() | new.keys()) if old.get(k, missing) != new.get(k, missing)]
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision to compare against")
@@ -161,9 +192,12 @@ def main(argv: list[str] | None = None) -> int:
             was, now = _run(parent / "src", work, cmd), _run(ROOT / "src", work, cmd)
             diffs = [key for key in was if was[key] != now[key]]
             differ += bool(diffs)
+            exit_codes = now["exit code"]
+            if "exit code" in diffs:
+                exit_codes = f"{was['exit code']} -> {now['exit code']}"
             print(f"{'DIFF' if diffs else 'same'}  {name}: cantormap {' '.join(cmd)}"
                   + (f"  [{', '.join(diffs)}]" if diffs else "")
-                  + f"  (exit {now['exit code']}, {len(now['stdout'])} stdout bytes)", flush=True)
+                  + f"  (exit {exit_codes}, {len(now['stdout'])} stdout bytes)", flush=True)
             if "stderr" in diffs:
                 sys.stdout.writelines(difflib.unified_diff(
                     was["stderr"].decode(errors="replace").splitlines(keepends=True),
@@ -173,6 +207,10 @@ def main(argv: list[str] | None = None) -> int:
                 if key in diffs:
                     print(f"  {key} first differs at " + _first_line_diff(was[key], now[key]),
                           end="", flush=True)
+                    keys = _json_keys_differ(was[key], now[key])
+                    if keys is not None:
+                        print(f"  {key} JSON keys that differ: {', '.join(keys) or 'none'}",
+                              flush=True)
     print(f"{differ} of {len(plan)} commands differ from {args.parent}")
     return 1 if differ else 0
 
