@@ -51,7 +51,6 @@ from .mapping import (
     evaluate_batch,
     fields,
     fields_batch,
-    frame_map,
     locate,
     sup_distortion,
 )

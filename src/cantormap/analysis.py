@@ -25,8 +25,8 @@ from .construction import (
     image_side,
     radii,
 )
-from .logspace import log_add
-from .mapping import coeffs, log_coeffs, sup_distortion
+from .logspace import LOG_DOUBLE_MAX, log_add
+from .mapping import coeffs, log_coeffs, log_pre_gap, sup_distortion
 from .quadrature import integrate
 
 
@@ -46,7 +46,7 @@ def _linear_radii(k: int, params: ConstructionParams):
     rad = radii(k, params)
     if rad.r == 0.0 or rad.r_img == 0.0:
         raise ValueError(
-            f"level {k} sides underflow double precision; use series_terms"
+            f"level {k} sides underflow double precision"
         )
     return rad
 
@@ -130,8 +130,9 @@ def frame_integral_mc(
     if kind not in ("jacobian", "tv", "subexp"):
         raise ValueError(f"kind must be jacobian, tv or subexp, got {kind!r}")
     if kind == "subexp":
-        if p is None or p <= 0.0:
+        if p is None:
             raise ValueError("subexp integrals need p > 0")
+        _check_finite_positive("p", p)
     rad = _linear_radii(k, params)
     c = coeffs(k, params)
     rng = np.random.default_rng(seed)
@@ -160,11 +161,6 @@ def image_area_partition_defect(depth: int, params: ConstructionParams) -> float
     return abs(1.0 - total)
 
 
-def _log_pre_gap(k: int, params: ConstructionParams) -> float:
-    # log(R - r) = log(sigma^(k-1) (1 - 2 sigma) / 4), k >= 4
-    return (k - 1) * math.log(params.sigma) + math.log((1.0 - 2.0 * params.sigma) / 4.0)
-
-
 def _log_pre_span(k: int, params: ConstructionParams) -> float:
     # log(R + r), k >= 4
     return (k - 1) * math.log(params.sigma) + math.log((1.0 + 2.0 * params.sigma) / 4.0)
@@ -175,16 +171,16 @@ def _log_pre_area(k: int, params: ConstructionParams) -> float:
     if k == MIN_LEVEL:
         rad = radii(k, params)
         return math.log(4.0 * (rad.R**2 - rad.r**2))
-    return math.log(4.0) + _log_pre_gap(k, params) + _log_pre_span(k, params)
+    return math.log(4.0) + log_pre_gap(k, params) + _log_pre_span(k, params)
 
 
 def _tv_log_per_frame(k: int, params: ConstructionParams) -> float:
     if k == MIN_LEVEL:
         return math.log(frame_tv_integral(k, params))
     log_a, sign_b, log_b = log_coeffs(k, params)
-    first = math.log(4.0) + log_a + _log_pre_gap(k, params) + _log_pre_span(k, params)
+    first = math.log(4.0) + log_a + log_pre_gap(k, params) + _log_pre_span(k, params)
     if sign_b > 0:
-        return log_add(first, math.log(8.0) + log_b + _log_pre_gap(k, params))
+        return log_add(first, math.log(8.0) + log_b + log_pre_gap(k, params))
     return first
 
 
@@ -267,10 +263,20 @@ def series_terms(
     ratios = []
     for k in lvls:
         pf = _series_log_per_frame(kind, k, p, params)
+        if not math.isfinite(pf):
+            raise ValueError(f"level-{k} log term is past double range (log per frame {pf!r})")
         count_log2 = 2 * (k - 1)
         terms.append(SeriesTerm(k, count_log2, pf, count_log2 * LOG2 + pf))
-        pf_next = _series_log_per_frame(kind, k + 1, p, params)
-        ratios.append(math.exp(2.0 * LOG2 + pf_next - pf))
+        log_ratio = 2.0 * LOG2 + _series_log_per_frame(kind, k + 1, p, params) - pf
+        # the two per-level logs are of size ~k, so log_ratio carries an
+        # absolute error near k * 2^-53: past range here says nothing of
+        # whether the exact ratio is
+        if not log_ratio < LOG_DOUBLE_MAX:
+            raise ValueError(
+                f"level-{k} term ratio exp({log_ratio!r}), formed from the difference of"
+                " two per-level logs, is past double range"
+            )
+        ratios.append(math.exp(log_ratio))
 
     two_sigma = 2.0 * params.sigma
     if kind == "tv":

@@ -100,6 +100,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unread_flags(sp: argparse.ArgumentParser, args: list[str]) -> list[str]:
+    """The flags of _FLAGS in args that sp does not take, each followed
+    by the values its spec reads.  Left to argparse, such a flag's value
+    can fill an optional positional: "series --depth 7" read 7 as the
+    series kind, and "map --cap 5" read 5 as the points file."""
+    unread, values = [], 0
+    for tok in args:
+        if tok in _FLAGS and tok not in sp._option_string_actions:
+            spec = _FLAGS[tok]
+            unread.append(tok)
+            values = 0 if "action" in spec else math.inf if "nargs" in spec else 1
+        elif values and not tok.startswith("--"):
+            unread.append(tok)
+            values -= 1
+        else:
+            values = 0
+    return unread
+
+
 def _emit(parts: Iterable[str], out: str) -> None:
     """Write the parts in order to out, - for stdout.
 
@@ -455,7 +474,13 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    unread = _unread_flags(commands[argv[0]], argv[1:]) if argv and argv[0] in commands else []
+    if unread:
+        parser.error(f"unrecognized arguments: {' '.join(unread)}")
+    args = parser.parse_args(argv)
     handlers = {
         "construct": cmd_construct,
         "map": cmd_map,

@@ -8,6 +8,10 @@ kept as logs and only exponentiated when provably moderate.
 from __future__ import annotations
 
 import math
+import sys
+
+# exp(x) is a finite double for every x below this, the log of the largest
+LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 def log_add(log_x: float, log_y: float) -> float:

@@ -30,6 +30,7 @@ from .construction import (
     preimage_side,
     radii,
 )
+from .logspace import LOG_DOUBLE_MAX
 
 Point = tuple[float, float]
 
@@ -56,7 +57,22 @@ def coeffs(k: int, params: ConstructionParams, literal: bool = False) -> FrameMa
         )
     a = (rad.R_img - rad.r_img) / den
     b = (rad.R * rad.r_img - rad.R_img * rad.r) / den
+    # a frame point at sup-radius rho >= r is scaled by t = a + b/rho,
+    # monotone in rho even as rounded, so t > 0 on the frame exactly when
+    # a > 0 and t(r) > 0 (r = 0 is left to similarity_ratio)
+    if not (a > 0.0 and (rad.r == 0.0 or a + b / rad.r > 0.0)):
+        raise ValueError(
+            f"level-{k} frame map is degenerate in double precision at sigma={params.sigma},"
+            f" beta={params.beta}: its scale a + b/rho is not positive on the frame"
+            " (R' - r' or r' is lost to rounding); use a smaller depth or a less extreme beta"
+        )
     return FrameMapCoeffs(k, a, b)
+
+
+def log_pre_gap(k: int, params: ConstructionParams) -> float:
+    """log(R - r) = log(sigma^(k-1) (1 - 2 sigma) / 4), the width of a
+    level-k pre-image frame, k >= 4."""
+    return (k - 1) * math.log(params.sigma) + math.log((1.0 - 2.0 * params.sigma) / 4.0)
 
 
 def log_coeffs(k: int, params: ConstructionParams) -> tuple[float, int, float]:
@@ -78,7 +94,7 @@ def log_coeffs(k: int, params: ConstructionParams) -> tuple[float, int, float]:
     llr = log_log_ratio(k)
     one_minus_u = -math.expm1(-0.5 * beta * llr)
     log_lk1 = log_image_side(k - 1, params)
-    log_gap_pre = (k - 1) * math.log(sigma) + math.log((1.0 - 2.0 * sigma) / 4.0)
+    log_gap_pre = log_pre_gap(k, params)
     log_a = log_lk1 + math.log(one_minus_u / 4.0) - log_gap_pre
     u = math.exp(-0.5 * beta * llr)
     x = u / 2.0 - sigma
@@ -94,25 +110,20 @@ def log_coeffs(k: int, params: ConstructionParams) -> tuple[float, int, float]:
     return log_a, sign_b, log_b
 
 
-def frame_map(x: Point, q: Point, q_img: Point, c: FrameMapCoeffs) -> Point:
-    """Apply one frame map given pre and image centers."""
-    dx, dy = x[0] - q[0], x[1] - q[1]
-    rho = max(abs(dx), abs(dy))
-    if rho == 0.0:
-        raise ValueError("frame map is singular at the frame center")
-    scale = c.a + c.b / rho
-    return (q_img[0] + scale * dx, q_img[1] + scale * dy)
-
-
 def similarity_ratio(k: int, params: ConstructionParams) -> float:
     """Scale of the similarity onto a level-k image square."""
-    side = preimage_side(k, params)
+    side, side_img = preimage_side(k, params), image_side(k, params)
     if side == 0.0:
         raise ValueError(
             f"level-{k} square has zero side in double precision at sigma={params.sigma}"
             " (sigma^k underflows); use a smaller depth"
         )
-    return image_side(k, params) / side
+    if side_img == 0.0:
+        raise ValueError(
+            f"level-{k} image square has zero side in double precision at beta={params.beta}"
+            " (2^-k (log k)^(-beta/2) underflows); use a smaller depth or beta"
+        )
+    return side_img / side
 
 
 @dataclass(frozen=True)
@@ -392,16 +403,28 @@ def sup_distortion(k: int, params: ConstructionParams) -> float:
 
     The radial profile makes the distortion max(t/a, a/t) monotone in
     rho with t = a + b/rho, so the sup sits at the inner radius where
-    t = r'/r.  Evaluated in log space; valid to k ~ 1e9.
+    t = r'/r.  Evaluated in log space past level 3; raises ValueError
+    where the sup is past double range.
     """
     if k == MIN_LEVEL:
         c = coeffs(k, params)
         rad = radii(k, params)
-        t = rad.r_img / rad.r
-        return max(t / c.a, c.a / t)
-    log_t = log_image_side(k, params) - k * math.log(params.sigma)
-    log_a, _, _ = log_coeffs(k, params)
-    return math.exp(abs(log_t - log_a))
+        try:
+            t = rad.r_img / rad.r
+            K = max(t / c.a, c.a / t)
+        except ZeroDivisionError:  # r or r' underflows to 0
+            K = math.inf
+    else:
+        log_t = log_image_side(k, params) - k * math.log(params.sigma)
+        log_a, _, _ = log_coeffs(k, params)
+        log_K = abs(log_t - log_a)
+        K = math.exp(log_K) if log_K < LOG_DOUBLE_MAX else math.inf
+    if K == math.inf:
+        raise ValueError(
+            f"level-{k} sup distortion overflows double precision"
+            f" at sigma={params.sigma}, beta={params.beta}"
+        )
+    return K
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,15 @@ eventually stationary covering sums under the doubly logarithmic
 gauge h(t) = t^2 (log log(1/t))^beta, with beta the construction's
 own exponent.  Perturbing the gauge exponent tips the sums to 0 or
 infinity, which locates the generalized dimension of the image set;
-power gauges do the same for the pre-image family.
+power gauges, the beta = 0 case h(t) = t^alpha, do the same for the
+pre-image family.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -30,17 +31,17 @@ _GAUGE_DOMAIN_EDGE = -1.0  # log t < -1 keeps log(1/t) > 1, so loglog(1/t) > 0
 class Gauge:
     """h(t) = t^n (log log(1/t))^beta on 0 < t < e^-1.
 
-    n is the volume power (2 for planar sets), finite beta >= 0 the doubly
-    logarithmic correction; beta = 0 degenerates to the power gauge
-    t^n used for ordinary box and Hausdorff dimension checks.
+    Finite n > 0 is the power (2 for the planar image covers), finite
+    beta >= 0 the doubly logarithmic correction; Gauge(alpha, 0) is the
+    power gauge t^alpha of ordinary box and Hausdorff dimension checks.
     """
 
-    n: int
+    n: float
     beta: float
 
     def __post_init__(self) -> None:
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n}")
+        if not (math.isfinite(self.n) and self.n > 0.0):
+            raise ValueError(f"n must be finite and positive, got {self.n}")
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError(f"beta must be finite and non-negative, got {self.beta}")
 
@@ -51,26 +52,19 @@ def gauge_log_eval(gauge: Gauge, log_t: float) -> float:
         raise ValueError(
             f"gauge defined for log t < {_GAUGE_DOMAIN_EDGE}, got log t = {log_t}"
         )
-    if gauge.beta == 0.0:
-        return gauge.n * log_t
     return gauge.n * log_t + gauge.beta * math.log(math.log(-log_t))
 
 
-def natural_cover_sum(
-    side: str,
-    gauge_or_alpha: Union[Gauge, float],
-    k: int,
-    params: ConstructionParams,
-) -> float:
-    """Natural log of the canonical level-k covering sum.
+def natural_cover_sum(side: str, gauge: Gauge, k: int, params: ConstructionParams) -> float:
+    """Natural log of the canonical level-k covering sum under gauge.
 
     side "image": the 2^(2k) level-k image squares cover the planar
     image set.  side "pre": the 2^k level-k intervals of length
     sigma^k cover one axis factor of the pre-image set; the per-axis
-    count is the relevant one for the axis dimension.  The gauge is a
-    Gauge, or a bare float alpha meaning the power gauge t^alpha, and
-    it reads the side of each cover.  Every level k >= 3 lies in a
-    Gauge's domain log t < -1: both sides have log t < 3 log(1/2).
+    count is the relevant one for the axis dimension, measured with
+    power gauges Gauge(alpha, 0).  The gauge reads the side t of each
+    cover; every level k >= 3 lies in its domain log t < -1, as both
+    sides have log t < 3 log(1/2).
     """
     if side not in ("pre", "image"):
         raise ValueError(f"side must be 'pre' or 'image', got {side!r}")
@@ -82,12 +76,7 @@ def natural_cover_sum(
     else:
         log_t = log_image_side(k, params)
         log_count = 2 * k * LOG2
-    if isinstance(gauge_or_alpha, Gauge):
-        return log_count + gauge_log_eval(gauge_or_alpha, log_t)
-    alpha = float(gauge_or_alpha)
-    if alpha <= 0.0:
-        raise ValueError(f"power-gauge exponent must be positive, got {alpha}")
-    return log_count + alpha * log_t
+    return log_count + gauge_log_eval(gauge, log_t)
 
 
 @dataclass(frozen=True)
@@ -149,7 +138,6 @@ class MassDistributionReport:
     Any measure spreading mass evenly over the image cells gives every
     small set U mass at most gauge(diam U) * 4 / m; equivalently the
     generalized measure of the image set is at least lower_bound = m/4.
-    tail_limit records the analytic limit 1 of the sums for context.
     first_admissible_k is always MIN_LEVEL: the gauge needs log t < -1,
     and every level-k image side has log t = -k log 2 - (beta/2) loglog k
     < -3 log 2 < -2 for k >= 3 and beta > 0.
@@ -159,7 +147,6 @@ class MassDistributionReport:
     at_k: int
     lower_bound: float
     first_admissible_k: int
-    tail_limit: float
 
 
 def mass_distribution_bound(
@@ -211,17 +198,13 @@ def mass_distribution_bound(
         raise ValueError(
             f"mass bound exp(min log-sum) = exp({best!r}) overflows double precision"
         ) from None
-    return MassDistributionReport(m, best_k, m / 4.0, MIN_LEVEL, 1.0)
+    return MassDistributionReport(m, best_k, m / 4.0, MIN_LEVEL)
 
 
-def box_dimension_pre(k: int, params: ConstructionParams) -> float:
-    """Box-counting slope of the planar pre-image family at level k:
-    log(2^(2k)) / log(1 / sigma^k) = 2 log 2 / log(1/sigma).
-
-    Constant in k (the covers are exactly self-similar), and below 2
-    for every sigma < 1/2.  The k argument is kept so call sites can
-    assert the independence.
+def box_dimension_pre(params: ConstructionParams) -> float:
+    """Box-counting dimension of the planar pre-image family:
+    log(2^(2k)) / log(1 / sigma^k) = 2 log 2 / log(1/sigma) at every
+    level k (the covers are exactly self-similar), below 2 for every
+    sigma < 1/2.
     """
-    if k < MIN_LEVEL:
-        raise ValueError(f"levels start at {MIN_LEVEL}, got {k}")
     return 2.0 * LOG2 / math.log(1.0 / params.sigma)

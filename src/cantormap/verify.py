@@ -284,9 +284,9 @@ def check_power_gauges() -> list[CheckResult]:
     for sigma in _SIGMA_GRID:
         params = ConstructionParams(sigma, 2.0)
         alpha = math.log(2.0) / math.log(1.0 / sigma)
-        at_crit = natural_cover_sum("pre", alpha, 10**3, params)
-        above = math.exp(natural_cover_sum("pre", alpha + 0.05, 10**3, params))
-        dim = box_dimension_pre(3, params)
+        at_crit = natural_cover_sum("pre", Gauge(alpha, 0.0), 10**3, params)
+        above = math.exp(natural_cover_sum("pre", Gauge(alpha + 0.05, 0.0), 10**3, params))
+        dim = box_dimension_pre(params)
         ok = abs(at_crit) < 1e-9 and above < 1e-6 and dim < 2.0
         out.append(
             _check(

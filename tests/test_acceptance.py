@@ -149,13 +149,14 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 RETIRED_NAMES = (
     "SubexpFunctional", "subexp_A", "gauge_eval", "monotone_threshold",
     "log_preimage_side", "LogQuantity", "log_sum", "_diam_factor", "SQRT2",
-    "Frame", "frame",
+    "Frame", "frame", "frame_map",
 )
 RETIRED_OPTIONS = {
     ("analysis", "frame_tv_integral"): ("include_square",),
     ("analysis", "frame_subexp_integral"): ("include_square",),
     ("construction", "validate_geometry"): ("pairwise_level_max",),
     ("measure", "natural_cover_sum"): ("diam_convention",),
+    ("measure", "box_dimension_pre"): ("k",),
     ("measure", "threshold_scan"): ("diam_convention",),
     ("measure", "mass_distribution_bound"): ("gauge", "diam_convention"),
     ("quadrature", "integrate"): ("rel_tol", "abs_floor"),

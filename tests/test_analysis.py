@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gain_oracle import exact_gain_ratio
 from log_oracle import log_sum
@@ -212,8 +214,12 @@ def test_series_validation():
         lambda v: gain_ratio(1000, v, P),
         lambda v: gain_ratio_limit(v, P),
         lambda v: frame_subexp_integral(5, v, P),
+        lambda v: frame_integral_mc(4, P, "subexp", p=v, n_samples=16),
     ],
-    ids=["series_p", "series_margin", "tv_margin", "gain_ratio", "gain_ratio_limit", "frame_integral"],
+    ids=[
+        "series_p", "series_margin", "tv_margin", "gain_ratio", "gain_ratio_limit",
+        "frame_integral", "frame_integral_mc",
+    ],
 )
 def test_exponents_and_margins_must_be_finite(call, value):
     with pytest.raises(ValueError, match="must be finite and positive, got"):
@@ -279,3 +285,39 @@ def test_threshold_anchors():
         p_threshold(ConstructionParams(0.499, 1.0)), 0.9989993326658104, rtol=1e-12
     )
     assert p_threshold(ConstructionParams(0.45, 4.0)) == 2.0 * p_threshold(P)
+
+
+def _log_uniform(lo: float, hi: float):
+    """Floats in [lo, hi], spread evenly over the decades as well as
+    Hypothesis's own picks (which favor the ends and round numbers)."""
+    spread = st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0**e, lo), hi))
+    return st.one_of(st.floats(lo, hi), spread)
+
+
+@settings(max_examples=400)
+@given(
+    sigma=st.one_of(
+        st.just(1e-300), st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        _log_uniform(1e-300, 0.49999999999999994),
+    ),
+    beta=_log_uniform(1e-300, 1e6),
+    p=_log_uniform(1e-300, 1e3),
+    levels=st.lists(
+        st.one_of(st.integers(3, 10**6), _log_uniform(3.0, 1e6).map(int)), min_size=1, max_size=3
+    ),
+    kind=st.sampled_from(["tv", "subexp"]),
+)
+@example(sigma=1e-6, beta=2.0, p=0.5, levels=[4, 100], kind="subexp")
+@example(sigma=0.1, beta=1e6, p=0.5, levels=[4, 100], kind="subexp")
+@example(sigma=0.1, beta=1e6, p=1e-300, levels=[3, 5], kind="subexp")
+@example(sigma=1e-300, beta=2.0, p=0.5, levels=[3], kind="tv")
+def test_series_terms_are_finite_or_a_domain_error(sigma, beta, p, levels, kind):
+    """Every printed log term and ratio is a finite double, or the call
+    raises ValueError; no other exception escapes."""
+    params = ConstructionParams(sigma, beta)
+    try:
+        diag = series_terms(kind, levels, params, p=p)
+    except ValueError:
+        return
+    assert all(math.isfinite(t.log_term) for t in diag.terms)
+    assert all(math.isfinite(r) for r in diag.ratios)

@@ -656,6 +656,26 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv,unread",
+    [
+        (["series", "--depth", "7"], "--depth 7"),
+        (["map", "--cap", "5"], "--cap 5"),
+        (["map", "--cap", "5", "pts.csv"], "--cap 5"),
+        (["series", "tv", "--gauge-beta", "1", "2", "--p", "1"], "--gauge-beta 1 2"),
+        (["verify", "--depth", "7"], "--depth 7"),
+        (["series", "--debug-literal-radii", "tv"], "--debug-literal-radii"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_a_flag_the_command_does_not_take_is_named_with_its_values(argv, unread, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.endswith(f"cantormap: error: unrecognized arguments: {unread}\n")
+
+
 def test_verify_accepts_its_pinned_sigma_and_beta(capsys):
     _, plain, _ = run_cli(["verify"], capsys)
     code, pinned, _ = run_cli(["verify", "--sigma", "0.45", "--beta", "2.0"], capsys)
@@ -704,3 +724,34 @@ def test_map_points_file_past_depth_limit(tmp_path, capsys):
     code, out, err = run_cli(["map", str(pts), "--depth", "200"], capsys)
     assert code == 2 and out == ""
     assert err == "error: depth must lie in [3, depth_max=60], got 200\n"
+
+
+PAST_DOUBLE_RANGE = [
+    (["series", "subexp", "--sigma", "1e-6", "--k-min", "4", "--k-max", "100"],
+     "level-4 term ratio exp("),
+    (["series", "subexp", "--sigma", "0.1", "--beta", "1e6", "--k-min", "4", "--k-max", "100"],
+     "level-4 sup distortion overflows double precision"),
+    (["series", "subexp", "--sigma", "0.1", "--beta", "1e6", "--k-min", "3", "--k-max", "5",
+      "--p", "1e-300"], "level-3 frame map is degenerate"),
+    # the exact ratio is about 0.87 here; the per-level logs lose it
+    (["series", "subexp", "--k-max", "1000000000000"], "formed from the difference of two"),
+    (["series", "tv", "--sigma", "1e-300", "--k-min", "3"], "level 3 sides underflow"),
+    # R' - r' rounds to 0, so the frame map has slope a = 0
+    (["map", "--sigma", "0.1", "--beta", "1e-300", "--samples", "3"],
+     "level-3 frame map is degenerate"),
+    # the level-3 image side underflows
+    (["map", "--sigma", "0.1", "--beta", "1e6", "--samples", "3"],
+     "level-3 frame map is degenerate"),
+    (["render", "--sigma", "0.1", "--beta", "1e6", "--depth", "4"],
+     "level-3 frame map is degenerate"),
+]
+
+
+@pytest.mark.parametrize("argv,message", PAST_DOUBLE_RANGE, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_parameters_past_double_range_are_domain_errors(argv, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: level") and message in err
+    assert "series_terms" not in err and err.count("\n") == 1

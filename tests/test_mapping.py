@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from cantormap.mapping import (
     evaluate_batch,
     fields,
     fields_batch,
-    frame_map,
     locate,
     log_coeffs,
     similarity_ratio,
@@ -92,31 +92,48 @@ def test_frame_map_boundary_and_direction():
     addr = CellAddress((3, 4), ((1,), (0,)))
     q = preimage_square(addr, P).center
     qi = image_square(addr, P).center
-    k = addr.level
-    rad = radii(k, P)
-    c = coeffs(k, P)
+    rad = radii(addr.level, P)
+
+    def frame_image(x):
+        fs = fields(x, 6, P)
+        assert (fs.level, fs.in_frame) == (addr.level, True)
+        return fs.image
 
     inner = (q[0] + rad.r, q[1] + 0.3 * rad.r)
-    y = frame_map(inner, q, qi, c)
+    y = frame_image(inner)
     np.testing.assert_allclose(
         max(abs(y[0] - qi[0]), abs(y[1] - qi[1])), rad.r_img, rtol=1e-12
     )
     outer = (q[0] - rad.R, q[1] + 0.6 * rad.R)
-    y = frame_map(outer, q, qi, c)
+    y = frame_image(outer)
     np.testing.assert_allclose(
         max(abs(y[0] - qi[0]), abs(y[1] - qi[1])), rad.R_img, rtol=1e-12
     )
 
     # radial rays are preserved: image offsets are a positive multiple
-    x = (q[0] + 0.7 * rad.R, q[1] - 0.5 * rad.R)
-    y = frame_map(x, q, qi, c)
+    # (rho = 0.95 R lies in the frame, where r = 2 sigma R = 0.9 R)
+    x = (q[0] + 0.95 * rad.R, q[1] - 0.5 * rad.R)
+    y = frame_image(x)
     lam0 = (y[0] - qi[0]) / (x[0] - q[0])
     lam1 = (y[1] - qi[1]) / (x[1] - q[1])
     np.testing.assert_allclose(lam0, lam1, rtol=1e-13)
     assert lam0 > 0.0
 
-    with pytest.raises(ValueError):
-        frame_map(q, q, qi, c)
+
+def test_degenerate_levels_are_domain_errors():
+    # R' - r' rounds to 0 at beta = 1e-300, so the slope a is 0
+    with pytest.raises(ValueError, match="level-3 frame map is degenerate"):
+        coeffs(3, ConstructionParams(0.1, 1e-300))
+    # a + b/r, which should be r'/r ~ 6e-62, cancels to <= 0
+    with pytest.raises(ValueError, match="level-3 frame map is degenerate"):
+        coeffs(3, ConstructionParams(0.49, 3000.0))
+    with pytest.raises(ValueError, match="level-3 image square has zero side"):
+        similarity_ratio(3, ConstructionParams(0.1, 1e6))
+    with pytest.raises(ValueError, match="level-4 sup distortion overflows"):
+        sup_distortion(4, ConstructionParams(0.1, 1e6))
+    # r = sigma^3 / 2 underflows to 0
+    with pytest.raises(ValueError, match="level-3 sup distortion overflows"):
+        sup_distortion(3, ConstructionParams(1e-300, 2.0))
 
 
 def test_centers_map_to_image_centers():
@@ -276,6 +293,38 @@ def test_scalar_and_batch_agree_bit_for_bit(case):
                                     fb["jacobian"][i], fb["distortion"][i], fb["on_skeleton"][i])
         loc = locate(p, depth, params)
         assert (loc.address.level, isinstance(loc, FrameAt)) == (fs.level, fs.in_frame)
+
+
+@settings(max_examples=300)
+@given(
+    sigma=st.floats(0.05, 0.49),
+    beta=st.one_of(
+        st.sampled_from([1e-300, 1e6]),
+        st.floats(-300.0, 6.0).map(lambda e: 10.0**e),
+        st.floats(1.0, 2e4),  # where b < 0 and the inner scale a + b/r cancels
+    ),
+    depth=st.integers(3, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sigma=0.1, beta=1e-300, depth=3, seed=0)
+@example(sigma=0.1, beta=1e-14, depth=12, seed=0)
+@example(sigma=0.1, beta=1e6, depth=3, seed=0)
+@example(sigma=0.49, beta=3000.0, depth=3, seed=0)
+def test_fields_batch_is_finite_or_a_domain_error(sigma, beta, depth, seed):
+    """Extreme beta gives finite fields or ValueError, never inf, NaN or
+    a numpy warning."""
+    params = ConstructionParams(sigma, beta)
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(MIN_LEVEL, depth + 1))
+    pts = np.vstack([rng.random((64, 2)), _cell_points(rng, 64, k, params)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            f = fields_batch(pts, depth, params)
+        except ValueError:
+            return
+    for key in ("image", "derivative_norm", "jacobian", "distortion"):
+        assert np.all(np.isfinite(f[key])), key
 
 
 @pytest.mark.parametrize("depth", [6, 32, 60])

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mass_oracle import brute_mass_bound
 
-from cantormap.construction import ConstructionParams
+from cantormap.construction import LOG2, ConstructionParams
 from cantormap.measure import (
     Gauge,
     box_dimension_pre,
@@ -22,10 +24,15 @@ def test_gauge_validation():
     with pytest.raises(ValueError):
         Gauge(0, 2.0)
     with pytest.raises(ValueError):
-        Gauge(1.5, 2.0)
-    with pytest.raises(ValueError):
         Gauge(2, -0.1)
     Gauge(2, 0.0)
+    Gauge(1.5, 2.0)  # any real power n > 0
+
+
+@pytest.mark.parametrize("n", [-1.0, math.inf, math.nan])
+def test_gauge_rejects_non_finite_or_non_positive_n(n):
+    with pytest.raises(ValueError, match="n must be finite and positive"):
+        Gauge(n, 0.0)
 
 
 @pytest.mark.parametrize("beta", [math.inf, math.nan])
@@ -63,10 +70,25 @@ def test_image_cover_sums_stationary_under_own_gauge():
 def test_pre_cover_sums_power_gauge():
     for sigma in (0.30, 0.45, 0.49):
         params = ConstructionParams(sigma, 2.0)
-        alpha_star = box_dimension_pre(3, params) / 2.0
-        s = natural_cover_sum("pre", alpha_star, 1000, params)
+        alpha_star = box_dimension_pre(params) / 2.0
+        s = natural_cover_sum("pre", Gauge(alpha_star, 0.0), 1000, params)
         assert abs(s) <= 1e-9
-        assert math.exp(natural_cover_sum("pre", alpha_star + 0.05, 1000, params)) < 1e-6
+        above = natural_cover_sum("pre", Gauge(alpha_star + 0.05, 0.0), 1000, params)
+        assert math.exp(above) < 1e-6
+
+
+@given(
+    alpha=st.floats(1e-300, 1e300),
+    sigma=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    k=st.integers(3, 10**9),
+)
+def test_power_gauge_sum_is_the_bare_power_law(alpha, sigma, k):
+    """Gauge(alpha, 0) gives log_count + alpha log t to the bit: the
+    0.0 * loglog(1/t) term is a signed zero, as log t < -1."""
+    params = ConstructionParams(sigma, 2.0)
+    log_t = k * math.log(sigma)
+    assert gauge_log_eval(Gauge(alpha, 0.0), log_t) == alpha * log_t
+    assert natural_cover_sum("pre", Gauge(alpha, 0.0), k, params) == k * LOG2 + alpha * log_t
 
 
 def test_natural_cover_sum_validation():
@@ -75,7 +97,7 @@ def test_natural_cover_sum_validation():
     with pytest.raises(ValueError):
         natural_cover_sum("pre", H, 2, P)
     with pytest.raises(ValueError):
-        natural_cover_sum("pre", -1.0, 5, P)
+        natural_cover_sum("pre", Gauge(-1.0, 0.0), 5, P)
 
 
 def test_threshold_scan_verdicts():
@@ -95,7 +117,6 @@ def test_mass_distribution_bound():
     assert rep.at_k == 3
     assert rep.first_admissible_k == 3
     assert rep.lower_bound == rep.m / 4.0
-    assert rep.tail_limit == 1.0
 
 
 def test_mass_bound_stable_in_k_max():
@@ -136,10 +157,6 @@ def test_mass_distribution_validation():
 
 def test_box_dimension_pre():
     quarter = ConstructionParams(0.25, 2.0)
-    assert box_dimension_pre(3, quarter) == 1.0
+    assert box_dimension_pre(quarter) == 1.0
     for sigma in (0.1, 0.3, 0.45, 0.499):
-        params = ConstructionParams(sigma, 2.0)
-        assert box_dimension_pre(3, params) < 2.0
-        assert box_dimension_pre(3, params) == box_dimension_pre(50, params)
-    with pytest.raises(ValueError):
-        box_dimension_pre(2, P)
+        assert box_dimension_pre(ConstructionParams(sigma, 2.0)) < 2.0

@@ -23,8 +23,9 @@ samples, sample counts on either side of the row-block size of
 edge, and failing commands that must leave an existing output file as
 it was.  Its last entries are usage and domain errors (exit 2): a flag
 each command does not read, a ``verify`` parameter other than the one
-its suite pins, non-finite numeric inputs, and a depth past the
-library's limit of 60.
+its suite pins, non-finite numeric inputs, a depth past the library's
+limit of 60, and parameters whose series terms, distortion sups or
+level tables leave double precision.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ def _plan(block: int) -> list[tuple[str, list[str]]]:
         ("measure_json", ["measure", "--k-max", "100000000"]),
         ("measure_csv", ["measure", "--k-max", "100000000", "--format", "csv"]),
         ("measure_beta50_json", ["measure", "--beta", "50"]),
+        ("measure_gauge_beta_0_2_csv", ["measure", "--gauge-beta", "0", "2", "--format", "csv"]),
         ("series_subexp_json", ["series", "subexp", "--format", "json"]),
         ("series_tv", ["series", "tv"]),
         ("map_edge_file_json", ["map", "edge.csv", "--format", "json"]),
@@ -129,6 +131,18 @@ def _plan(block: int) -> list[tuple[str, list[str]]]:
         ["map", "--depth", "61", "--samples", "3"], ["map", "points.csv", "--depth", "61"],
     ]
     plan += [("rejected_" + "_".join(a.lstrip("-") for a in cmd), cmd) for cmd in rejected]
+    past_range = [
+        ["series", "subexp", "--sigma", "1e-6", "--k-min", "4", "--k-max", "100"],
+        ["series", "subexp", "--sigma", "0.1", "--beta", "1e6", "--k-min", "4", "--k-max", "100"],
+        ["series", "subexp", "--sigma", "0.1", "--beta", "1e6", "--k-min", "3", "--k-max", "5",
+         "--p", "1e-300"],
+        ["series", "subexp", "--k-max", "1000000000000"],
+        ["series", "tv", "--sigma", "1e-300", "--k-min", "3"],
+        ["map", "--sigma", "0.1", "--beta", "1e-300", "--samples", "3"],
+        ["map", "--sigma", "0.1", "--beta", "1e6", "--samples", "3"],
+        ["render", "--sigma", "0.1", "--beta", "1e6", "--depth", "4"],
+    ]
+    plan += [("past_range_" + "_".join(a.lstrip("-") for a in cmd), cmd) for cmd in past_range]
     return plan
 
 
