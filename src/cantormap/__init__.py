@@ -38,14 +38,12 @@ from .construction import (
 )
 from .logspace import log_add
 from .mapping import (
-    DistortionComparison,
     FieldSample,
     FrameAt,
     FrameMapCoeffs,
     RegionLocation,
     SquareInteriorAt,
     coeffs,
-    compare_distortion_bound,
     consistency_check,
     evaluate,
     evaluate_batch,

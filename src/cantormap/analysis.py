@@ -23,10 +23,12 @@ from .construction import (
     MIN_LEVEL,
     ConstructionParams,
     image_side,
+    log_image_side,
+    log_log_ratio,
     radii,
 )
 from .logspace import LOG_DOUBLE_MAX, log_add
-from .mapping import coeffs, log_coeffs, log_pre_gap, sup_distortion
+from .mapping import coeffs, sup_distortion
 from .quadrature import integrate
 
 
@@ -161,6 +163,12 @@ def image_area_partition_defect(depth: int, params: ConstructionParams) -> float
     return abs(1.0 - total)
 
 
+def log_pre_gap(k: int, params: ConstructionParams) -> float:
+    """log(R - r) = log(sigma^(k-1) (1 - 2 sigma) / 4), the width of a
+    level-k pre-image frame, k >= 4."""
+    return (k - 1) * math.log(params.sigma) + math.log((1.0 - 2.0 * params.sigma) / 4.0)
+
+
 def _log_pre_span(k: int, params: ConstructionParams) -> float:
     # log(R + r), k >= 4
     return (k - 1) * math.log(params.sigma) + math.log((1.0 + 2.0 * params.sigma) / 4.0)
@@ -175,19 +183,22 @@ def _log_pre_area(k: int, params: ConstructionParams) -> float:
 
 
 def _tv_log_per_frame(k: int, params: ConstructionParams) -> float:
+    """log of frame_tv_integral, k >= 3, at levels far past double range.
+
+    Past level 3, with u = (log(k-1)/log k)^(beta/2), the radii give
+    R' - r' = l_{k-1} (1 - u) / 4 and R r' - R' r = sigma^(k-1) l_{k-1}
+    (u/2 - sigma) / 8, so the terms 4 a (R^2 - r^2) = 4 (R' - r') (R + r)
+    and, where b > 0, 8 b (R - r) = 8 (R r' - R' r) factor into logs.
+    """
     if k == MIN_LEVEL:
         return math.log(frame_tv_integral(k, params))
-    log_a, sign_b, log_b = log_coeffs(k, params)
-    first = math.log(4.0) + log_a + log_pre_gap(k, params) + _log_pre_span(k, params)
-    if sign_b > 0:
-        return log_add(first, math.log(8.0) + log_b + log_pre_gap(k, params))
+    sigma, half_beta_llr = params.sigma, 0.5 * params.beta * log_log_ratio(k)
+    log_lk1 = log_image_side(k - 1, params)
+    first = log_lk1 + math.log(-math.expm1(-half_beta_llr)) + _log_pre_span(k, params)
+    x = math.exp(-half_beta_llr) / 2.0 - sigma
+    if x > 0.0:
+        return log_add(first, (k - 1) * math.log(sigma) + log_lk1 + math.log(x))
     return first
-
-
-def _subexp_log_per_frame(k: int, p: float, params: ConstructionParams) -> float:
-    # area times the gauge at the frame sup of the distortion; the sup
-    # equals the closed-form bound alpha/T_k wherever b_k > 0
-    return _log_pre_area(k, params) + subexp_gain(sup_distortion(k, params), p)
 
 
 @dataclass(frozen=True)
@@ -211,10 +222,34 @@ class SeriesDiagnostics:
     ratios: tuple[float, ...]
 
 
-def _series_log_per_frame(kind: str, k: int, p: Optional[float], params) -> float:
+def _series_log_per_frame(kind: str, k: int, p: Optional[float], params) -> tuple[float, float]:
+    """The level-k log per frame and the magnitude M of the logs summed
+    into it.  A subexp term is the frame area times the gauge at the
+    frame sup of the distortion; its area and gain logs have opposite
+    signs, so M is |log area| + gain.  The tv logs share one sign."""
     if kind == "tv":
-        return _tv_log_per_frame(k, params)
-    return _subexp_log_per_frame(k, p, params)
+        pf = _tv_log_per_frame(k, params)
+        return pf, abs(pf)
+    log_area = _log_pre_area(k, params)
+    gain = subexp_gain(sup_distortion(k, params), p)
+    return log_area + gain, abs(log_area) + gain
+
+
+# Largest relative rounding error a printed series ratio may carry.
+SERIES_RATIO_RTOL = 1e-6
+
+# A term ratio is exp(2 log 2 + pf(k+1) - pf(k)), and each log per frame
+# pf sums logs whose magnitudes add up to M (_series_log_per_frame).  To
+# first order, with each rounding within u = 2^-53 of its result and each
+# log, log1p and expm1 within one ulp = 2u, the error of a subexp pf is
+# at most 3.5 u |log area| (one product, four sums) plus 15 u gain (8 u
+# from T_k's log, two log1p and expm1, seven roundings on the way to K
+# and the gain; alpha's rounding is the same at both levels) plus u M for
+# their sum, so at most 16 u M; a tv pf, whose logs share one sign, is
+# within 6 u M (4 u in each log_add argument, 2 u in log_add).  Forming
+# log_ratio adds u M, and exp's own rounding, u relative, is absorbed as
+# M > 1: the ratio is within 17 u (M(k) + M(k+1)) relative.
+_RATIO_ROUNDINGS = 17
 
 
 def series_terms(
@@ -243,6 +278,10 @@ def series_terms(
     Each term stores its count exponent (count = 2^(2(k-1)), the
     frames of level k grouped under their level-(k-1) parents) and the
     per-frame log integral; log_term is their log-space product.
+
+    Raises ValueError at the first level whose ratio is past double
+    range, or whose rounding bound exceeds SERIES_RATIO_RTOL: the logs
+    it is formed from grow like k, and so does their rounding.
     """
     if kind not in ("tv", "subexp"):
         raise ValueError(f"kind must be 'tv' or 'subexp', got {kind!r}")
@@ -262,12 +301,13 @@ def series_terms(
     terms = []
     ratios = []
     for k in lvls:
-        pf = _series_log_per_frame(kind, k, p, params)
+        pf, mag = _series_log_per_frame(kind, k, p, params)
         if not math.isfinite(pf):
             raise ValueError(f"level-{k} log term is past double range (log per frame {pf!r})")
         count_log2 = 2 * (k - 1)
         terms.append(SeriesTerm(k, count_log2, pf, count_log2 * LOG2 + pf))
-        log_ratio = 2.0 * LOG2 + _series_log_per_frame(kind, k + 1, p, params) - pf
+        pf_next, mag_next = _series_log_per_frame(kind, k + 1, p, params)
+        log_ratio = 2.0 * LOG2 + pf_next - pf
         # the two per-level logs are of size ~k, so log_ratio carries an
         # absolute error near k * 2^-53: past range here says nothing of
         # whether the exact ratio is
@@ -275,6 +315,13 @@ def series_terms(
             raise ValueError(
                 f"level-{k} term ratio exp({log_ratio!r}), formed from the difference of"
                 " two per-level logs, is past double range"
+            )
+        bound = _RATIO_ROUNDINGS * 2.0**-53 * (mag + mag_next)
+        if bound > SERIES_RATIO_RTOL:
+            raise ValueError(
+                f"level-{k} term ratio is formed from logs of size {mag + mag_next:.3g}, so"
+                f" its rounding bound {bound:.3g} exceeds the relative {SERIES_RATIO_RTOL:g}"
+                " a printed ratio must meet; use smaller levels"
             )
         ratios.append(math.exp(log_ratio))
 

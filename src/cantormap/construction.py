@@ -75,6 +75,27 @@ def image_side(k: int, params: ConstructionParams) -> float:
     return 2.0**-k * math.log(k) ** (-params.beta / 2.0)
 
 
+def nonzero_side(k: int, params: ConstructionParams, image: bool) -> float:
+    """The level-k side of one family; raises ValueError where it rounds
+    to 0 in double precision.  Sides decrease in k, so a check at the
+    deepest level a caller uses covers every shallower one."""
+    if not image:
+        side = preimage_side(k, params)
+        if side == 0.0:
+            raise ValueError(
+                f"level-{k} square has zero side in double precision at sigma={params.sigma}"
+                " (sigma^k underflows); use a smaller depth"
+            )
+    else:
+        side = image_side(k, params)
+        if side == 0.0:
+            raise ValueError(
+                f"level-{k} image square has zero side in double precision at beta={params.beta}"
+                " (2^-k (log k)^(-beta/2) underflows); use a smaller depth or beta"
+            )
+    return side
+
+
 def log_image_side(k: int, params: ConstructionParams) -> float:
     """log of image_side, usable far beyond double range (k ~ 1e9)."""
     _check_level(k)
@@ -293,9 +314,12 @@ def _axis_levels(
     digit and refinement bits of paths[j]; its children at level k + 1
     are entries 2j (bit 0) and 2j + 1 (bit 1).  Each level adds -step or
     +step to its parent, the same float additions _axis_center makes,
-    so the table equals it bit for bit.
+    so the table equals it bit for bit.  Raises nonzero_side's
+    ValueError before the first level where the family's level-k_max
+    side underflows: its centers would collapse onto their parents'.
     """
     _check_level(k_max, params)
+    nonzero_side(k_max, params, image)
     side_fn = image_side if image else preimage_side
     centers = (np.arange(8) + 0.5) / 8.0
     paths = [str(octant) for octant in range(8)]
@@ -356,7 +380,9 @@ def validate_geometry(
     the very formulas such a check would use, so it would compare each
     double with itself.
 
-    Violations are reported as (level, locator, invariant) triples.
+    Violations are reported as (level, locator, invariant) triples.  A
+    family whose level-k_max side underflows raises nonzero_side's
+    ValueError instead: its centers collapse and no check means anything.
     """
     _check_level(k_max, params)
     report = ValidationReport(k_max)

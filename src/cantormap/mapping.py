@@ -25,12 +25,11 @@ from .construction import (
     CellAddress,
     ConstructionParams,
     image_side,
-    log_image_side,
     log_log_ratio,
+    nonzero_side,
     preimage_side,
     radii,
 )
-from .logspace import LOG_DOUBLE_MAX
 
 Point = tuple[float, float]
 
@@ -69,61 +68,10 @@ def coeffs(k: int, params: ConstructionParams, literal: bool = False) -> FrameMa
     return FrameMapCoeffs(k, a, b)
 
 
-def log_pre_gap(k: int, params: ConstructionParams) -> float:
-    """log(R - r) = log(sigma^(k-1) (1 - 2 sigma) / 4), the width of a
-    level-k pre-image frame, k >= 4."""
-    return (k - 1) * math.log(params.sigma) + math.log((1.0 - 2.0 * params.sigma) / 4.0)
-
-
-def log_coeffs(k: int, params: ConstructionParams) -> tuple[float, int, float]:
-    """(log a, sign of b, log |b|) for deep levels, k >= 4.
-
-    The linear formulas lose the small differences R' - r' and
-    R*r' - R'*r once the sides underflow; these closed forms factor
-    the common scales out first.  With u = (log(k-1)/log k)^(beta/2):
-
-        a = l_{k-1} (1 - u) / (sigma^(k-1) (1 - 2 sigma))
-        b = l_{k-1} sigma^(k-1) (u/2 - sigma) / (sigma^(k-1) (1 - 2 sigma)) * 2
-
-    expressed below entirely in logs; b keeps only its sign and
-    log-magnitude.  sign 0 encodes b = 0.
-    """
-    if k < MIN_LEVEL + 1:
-        raise ValueError(f"log_coeffs needs k >= {MIN_LEVEL + 1}, got {k}")
-    sigma, beta = params.sigma, params.beta
-    llr = log_log_ratio(k)
-    one_minus_u = -math.expm1(-0.5 * beta * llr)
-    log_lk1 = log_image_side(k - 1, params)
-    log_gap_pre = log_pre_gap(k, params)
-    log_a = log_lk1 + math.log(one_minus_u / 4.0) - log_gap_pre
-    u = math.exp(-0.5 * beta * llr)
-    x = u / 2.0 - sigma
-    if x == 0.0:
-        return log_a, 0, float("-inf")
-    sign_b = 1 if x > 0.0 else -1
-    log_b = (
-        (k - 1) * math.log(sigma)
-        + log_lk1
-        + math.log(abs(x) / 8.0)
-        - log_gap_pre
-    )
-    return log_a, sign_b, log_b
-
-
 def similarity_ratio(k: int, params: ConstructionParams) -> float:
     """Scale of the similarity onto a level-k image square."""
-    side, side_img = preimage_side(k, params), image_side(k, params)
-    if side == 0.0:
-        raise ValueError(
-            f"level-{k} square has zero side in double precision at sigma={params.sigma}"
-            " (sigma^k underflows); use a smaller depth"
-        )
-    if side_img == 0.0:
-        raise ValueError(
-            f"level-{k} image square has zero side in double precision at beta={params.beta}"
-            " (2^-k (log k)^(-beta/2) underflows); use a smaller depth or beta"
-        )
-    return side_img / side
+    side = nonzero_side(k, params, image=False)
+    return nonzero_side(k, params, image=True) / side
 
 
 @dataclass(frozen=True)
@@ -403,60 +351,34 @@ def sup_distortion(k: int, params: ConstructionParams) -> float:
 
     The radial profile makes the distortion max(t/a, a/t) monotone in
     rho with t = a + b/rho, so the sup sits at the inner radius where
-    t = r'/r.  Evaluated in log space past level 3; raises ValueError
-    where the sup is past double range.
+    t = r'/r.  Past level 3, with u = (log(k-1)/log k)^(beta/2), the
+    radii give t = l_{k-1} u / (2 sigma^k) and
+    a = l_{k-1} (1 - u) / (sigma^(k-1) (1 - 2 sigma)), so t/a is exactly
+    alpha u / (1 - u) = alpha / T_k with alpha = (1 - 2 sigma) / (2 sigma)
+    and T_k = distortion_bound_T(k, beta).  The offset b has the sign of
+    u/2 - sigma, so the pre-asymptotic levels (b <= 0, where t <= a and
+    the sup is T_k / alpha) are exactly those with T_k >= alpha.  Level 3,
+    where R = R' = 1/16, keeps the linear form.  Raises ValueError where
+    the sup is past double range.
     """
-    if k == MIN_LEVEL:
-        c = coeffs(k, params)
-        rad = radii(k, params)
-        try:
+    try:
+        if k == MIN_LEVEL:
+            c = coeffs(k, params)
+            rad = radii(k, params)
             t = rad.r_img / rad.r
             K = max(t / c.a, c.a / t)
-        except ZeroDivisionError:  # r or r' underflows to 0
-            K = math.inf
-    else:
-        log_t = log_image_side(k, params) - k * math.log(params.sigma)
-        log_a, _, _ = log_coeffs(k, params)
-        log_K = abs(log_t - log_a)
-        K = math.exp(log_K) if log_K < LOG_DOUBLE_MAX else math.inf
+        else:
+            alpha = (1.0 - 2.0 * params.sigma) / (2.0 * params.sigma)
+            T = distortion_bound_T(k, params.beta)
+            K = max(alpha / T, T / alpha)
+    except (ZeroDivisionError, OverflowError):  # r, r' or T_k underflows, or T_k overflows
+        K = math.inf
     if K == math.inf:
         raise ValueError(
             f"level-{k} sup distortion overflows double precision"
             f" at sigma={params.sigma}, beta={params.beta}"
         )
     return K
-
-
-@dataclass(frozen=True)
-class DistortionComparison:
-    """Exact frame sup of the distortion next to its closed-form bound.
-
-    pre_asymptotic marks levels where the radial offset b is not yet
-    positive; there the bound still dominates but is no longer tight.
-    """
-
-    level: int
-    exact: float
-    bound: float
-    ratio: float
-    pre_asymptotic: bool
-
-
-def compare_distortion_bound(k: int, params: ConstructionParams) -> DistortionComparison:
-    """Exact sup distortion vs the bound alpha / T_k, k >= 4.
-
-    alpha = (1 - 2 sigma) / (2 sigma).  Once b > 0 (u/2 > sigma, which
-    holds for all large k) the two agree exactly; the ratio is 1 up to
-    rounding.
-    """
-    if k < MIN_LEVEL + 1:
-        raise ValueError(f"comparison needs k >= {MIN_LEVEL + 1}, got {k}")
-    sigma = params.sigma
-    alpha = (1.0 - 2.0 * sigma) / (2.0 * sigma)
-    exact = sup_distortion(k, params)
-    bound = alpha / distortion_bound_T(k, params.beta)
-    _, sign_b, _ = log_coeffs(k, params)
-    return DistortionComparison(k, exact, bound, exact / bound, sign_b <= 0)
 
 
 def consistency_check(

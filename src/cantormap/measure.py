@@ -21,7 +21,6 @@ from .construction import (
     LOG2,
     MIN_LEVEL,
     ConstructionParams,
-    log_image_side,
 )
 
 _GAUGE_DOMAIN_EDGE = -1.0  # log t < -1 keeps log(1/t) > 1, so loglog(1/t) > 0
@@ -70,13 +69,24 @@ def natural_cover_sum(side: str, gauge: Gauge, k: int, params: ConstructionParam
         raise ValueError(f"side must be 'pre' or 'image', got {side!r}")
     if k < MIN_LEVEL:
         raise ValueError(f"levels start at {MIN_LEVEL}, got {k}")
-    if side == "pre":
-        log_t = k * math.log(params.sigma)
-        log_count = k * LOG2
-    else:
-        log_t = log_image_side(k, params)
-        log_count = 2 * k * LOG2
-    return log_count + gauge_log_eval(gauge, log_t)
+    if side == "image":
+        return float(_image_log_sums(gauge, np.array([float(k)]), params)[0])
+    return k * LOG2 + gauge_log_eval(gauge, k * math.log(params.sigma))
+
+
+def _image_log_sums(gauge: Gauge, ks: np.ndarray, params: ConstructionParams) -> np.ndarray:
+    """natural_cover_sum("image", gauge, k) at each level of the float
+    array ks.  With log(1/t) = k log 2 + (beta/2) loglog k, the count
+    2^(2k) and the gauge's t^n combine to (2 - n) k log 2 before any
+    rounding, which is exactly 0 for the planar n = 2: the sum carries no
+    terms of size k that cancel."""
+    half_beta_llk = 0.5 * params.beta * np.log(np.log(ks))
+    n = gauge.n
+    return (
+        (2.0 - n) * ks * LOG2
+        - n * half_beta_llk
+        + gauge.beta * np.log(np.log(ks * LOG2 + half_beta_llk))
+    )
 
 
 @dataclass(frozen=True)
@@ -166,26 +176,24 @@ def mass_distribution_bound(
     beta log(log(kL) / log k), and LB increases in k (L < 1).  Levels
     are scanned in growing chunks, and the scan ends once LB at the
     next unscanned level exceeds the best sum: every true sum past it
-    is larger.  The float sums carry a rounding error of about
-    k * 1e-16, far below that margin where the scan stops, so the
-    result is that of a full scan to k_max (the tests compare the two).
+    is larger.  The float sums (_image_log_sums) carry no terms of size
+    k, so their rounding error is a few 1e-16 times beta loglog k, far
+    below that margin where the scan stops, and the result is that of a
+    full scan to k_max (the tests compare the two).
     """
     if k_max < MIN_LEVEL:
         raise ValueError(f"k_max must be at least {MIN_LEVEL}, got {k_max}")
 
-    def log_t_of(ks: np.ndarray) -> np.ndarray:
-        return -ks * LOG2 - 0.5 * params.beta * np.log(np.log(ks))
-
     def lower_bound(k: int) -> float:
         return params.beta * math.log(math.log(k * LOG2) / math.log(k))
 
+    own_gauge = Gauge(2.0, params.beta)
     best = math.inf
     best_k = MIN_LEVEL
     start, chunk = MIN_LEVEL, 64
     while start <= k_max and not lower_bound(start) > best:
         ks = np.arange(start, min(start + chunk, k_max + 1), dtype=np.float64)
-        log_t = log_t_of(ks)
-        ln_sum = 2.0 * ks * LOG2 + 2 * log_t + params.beta * np.log(np.log(-log_t))
+        ln_sum = _image_log_sums(own_gauge, ks, params)
         i = int(np.argmin(ln_sum))
         if ln_sum[i] < best:
             best = float(ln_sum[i])

@@ -1,13 +1,17 @@
-"""Exact oracle for the gauge-factor ratio, shared by the test modules.
+"""Exact oracles for the frame distortion and the series ratios, shared
+by the test modules.
 
 Evaluates the definitions at 300 significant digits, enough for every
 level up to 1e100: T_k = (log k / log(k-1))^(beta/2) - 1, K = alpha / T_k
 with alpha = (1 - 2 sigma) / (2 sigma), the gauge exponent
-p K / (1 + log K), and the ratio exp(G(K_{k+1}) - G(K_k)).  The
-parameters are taken at their exact double values.
+p K / (1 + log K), and the ratio exp(G(K_{k+1}) - G(K_k)).  The frame
+quantities are formed from the radii r = sigma^k / 2, R = sigma^(k-1) / 4,
+r' = l_k / 2 and R' = l_{k-1} / 4 (R = R' = 1/16 at level 3), with
+l_k = 2^-k (log k)^(-beta/2), in an exponent range wide enough for them
+at any level.  The parameters are taken at their exact double values.
 """
 
-from decimal import Decimal, localcontext
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 
 PRECISION = 300
 
@@ -34,3 +38,46 @@ def exact_gain_deviation(k, sigma, beta, p):
         alpha = (1 - two_sigma) / two_sigma
         limit = (2 * Decimal(p) * alpha / Decimal(beta)).exp()
         return float(abs(exact_gain_ratio(k, sigma, beta, p) / limit - 1))
+
+
+def _radii(k, sigma, beta):
+    """(r, R, r', R') of level k in the current decimal context."""
+    s, half_beta = Decimal(sigma), Decimal(beta) / 2
+
+    def side(n):
+        return Decimal(2) ** -n * Decimal(n).ln() ** -half_beta
+
+    if k == 3:
+        return s**3 / 2, Decimal(1) / 16, side(3) / 2, Decimal(1) / 16
+    return s**k / 2, s ** (k - 1) / 4, side(k) / 2, side(k - 1) / 4
+
+
+def _context(ctx):
+    ctx.prec = PRECISION
+    ctx.Emin, ctx.Emax = MIN_EMIN, MAX_EMAX
+
+
+def exact_sup_distortion(k, sigma, beta):
+    """max(t/a, a/t) at the inner radius, t = r'/r, a = (R' - r')/(R - r)."""
+    with localcontext() as ctx:
+        _context(ctx)
+        r, R, r_img, R_img = _radii(k, sigma, beta)
+        t, a = r_img / r, (R_img - r_img) / (R - r)
+        return max(t / a, a / t)
+
+
+def exact_tv_integral(k, sigma, beta):
+    """4 a (R^2 - r^2) + 8 max(b, 0) (R - r), the frame's derivative-norm integral."""
+    with localcontext() as ctx:
+        _context(ctx)
+        r, R, r_img, R_img = _radii(k, sigma, beta)
+        a = (R_img - r_img) / (R - r)
+        b = (R * r_img - R_img * r) / (R - r)
+        return 4 * a * (R**2 - r**2) + 8 * max(b, 0) * (R - r)
+
+
+def exact_tv_ratio(k, sigma, beta):
+    """The tv series' level-k term ratio, 4 (level-(k+1) / level-k integral)."""
+    with localcontext() as ctx:
+        _context(ctx)
+        return 4 * exact_tv_integral(k + 1, sigma, beta) / exact_tv_integral(k, sigma, beta)

@@ -2,8 +2,10 @@
 
 Scans every level from the first admissible one up to k_max, in chunks
 of 2^20 levels, with the library's float formula for the level-k
-log-sum.  The library stops early by a lower-bound argument; its result
-must equal this one.
+log-sum: with L = log 2 and u = kL + (beta/2) loglog k = -log t_k, the
+count 2^(2k) and t_k^2 cancel before any rounding, leaving
+-beta loglog k + beta log log u.  The library stops early by a
+lower-bound argument; its result must equal this one.
 """
 
 import math
@@ -28,8 +30,8 @@ def brute_mass_bound(params, k_max):
     chunk = 1 << 20
     for start in range(first, k_max + 1, chunk):
         ks = np.arange(start, min(start + chunk, k_max + 1), dtype=np.float64)
-        log_t = log_t_of(ks)
-        ln_sum = 2.0 * ks * LOG2 + 2 * log_t + beta * np.log(np.log(-log_t))
+        half_beta_llk = 0.5 * beta * np.log(np.log(ks))
+        ln_sum = beta * np.log(np.log(ks * LOG2 + half_beta_llk)) - 2.0 * half_beta_llk
         i = int(np.argmin(ln_sum))
         if ln_sum[i] < best:
             best, best_k = float(ln_sum[i]), int(ks[i])

@@ -149,7 +149,8 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 RETIRED_NAMES = (
     "SubexpFunctional", "subexp_A", "gauge_eval", "monotone_threshold",
     "log_preimage_side", "LogQuantity", "log_sum", "_diam_factor", "SQRT2",
-    "Frame", "frame", "frame_map",
+    "Frame", "frame", "frame_map", "log_coeffs", "compare_distortion_bound",
+    "DistortionComparison",
 )
 RETIRED_OPTIONS = {
     ("analysis", "frame_tv_integral"): ("include_square",),

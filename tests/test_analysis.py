@@ -1,15 +1,19 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gain_oracle import exact_gain_ratio
+from gain_oracle import exact_gain_ratio, exact_tv_ratio
 from log_oracle import log_sum
 
 from cantormap.analysis import (
+    _RATIO_ROUNDINGS,
     GAIN_RATIO_MAX_LEVEL,
+    SERIES_RATIO_RTOL,
+    _series_log_per_frame,
     frame_integral_mc,
     frame_jacobian_integral,
     frame_subexp_integral,
@@ -22,7 +26,7 @@ from cantormap.analysis import (
     subexp_gain,
 )
 from cantormap.construction import LOG2, ConstructionParams, radii
-from cantormap.mapping import coeffs, sup_distortion
+from cantormap.mapping import coeffs, distortion_bound_T, sup_distortion
 from cantormap.quadrature import integrate
 
 P = ConstructionParams(0.45, 2.0)
@@ -321,3 +325,43 @@ def test_series_terms_are_finite_or_a_domain_error(sigma, beta, p, levels, kind)
         return
     assert all(math.isfinite(t.log_term) for t in diag.terms)
     assert all(math.isfinite(r) for r in diag.ratios)
+
+
+@settings(max_examples=150)
+@given(
+    sigma=_log_uniform(1e-3, 0.49),
+    beta=_log_uniform(0.1, 10.0),
+    p=_log_uniform(0.01, 100.0),
+    k=_log_uniform(1e3, 1e11).map(int),
+    kind=st.sampled_from(["tv", "subexp"]),
+)
+@example(sigma=0.45, beta=2.0, p=0.5, k=10**6, kind="subexp")
+@example(sigma=0.25, beta=2.0, p=0.5, k=10**8, kind="subexp")
+@example(sigma=0.45, beta=1.0, p=0.5, k=10**9, kind="subexp")
+@example(sigma=0.45, beta=2.0, p=0.5, k=10**9, kind="tv")
+def test_series_ratios_are_within_their_rounding_bound(sigma, beta, p, k, kind):
+    """Against the decimal oracles, a term ratio is within its rounding
+    bound 17 u (M(k) + M(k+1)) at every level, and series_terms prints
+    it exactly where that bound meets SERIES_RATIO_RTOL.  A subexp ratio
+    is 4 sigma^2 gain_ratio wherever T_k < alpha, as the frame sup is
+    then alpha / T_k and the area ratio sigma^2."""
+    params = ConstructionParams(sigma, beta)
+    if kind == "tv":
+        exact = exact_tv_ratio(k, sigma, beta)
+    else:
+        alpha = (1.0 - 2.0 * sigma) / (2.0 * sigma)
+        # the sup is alpha / T_k, and the limit the verdict reads is finite
+        assume(distortion_bound_T(k, beta) < alpha and 2.0 * p * alpha / beta < 700.0)
+        exact = 4 * Decimal(sigma) ** 2 * exact_gain_ratio(k, sigma, beta, p)
+    pf, mag = _series_log_per_frame(kind, k, p, params)
+    pf_next, mag_next = _series_log_per_frame(kind, k + 1, p, params)
+    log_ratio = 2.0 * LOG2 + pf_next - pf
+    assume(log_ratio < 700.0)
+    ratio = math.exp(log_ratio)
+    bound = _RATIO_ROUNDINGS * 2.0**-53 * (mag + mag_next)
+    assert abs(Decimal(ratio) / exact - 1) <= bound
+    if bound <= SERIES_RATIO_RTOL:
+        assert series_terms(kind, [k], params, p=p).ratios == (ratio,)
+    else:
+        with pytest.raises(ValueError, match=f"level-{k} term ratio .* rounding bound"):
+            series_terms(kind, [k], params, p=p)

@@ -470,7 +470,8 @@ def test_map_negative_samples_is_a_domain_error(capsys):
 
 
 def test_series_overflowing_limit_is_a_domain_error(capsys):
-    argv = ["series", "subexp", "--sigma", "0.001", "--beta", "1", "--p", "1"]
+    # past level 1e5 the ratios at these parameters fail the rounding gate first
+    argv = ["series", "subexp", "--sigma", "0.001", "--beta", "1", "--p", "1", "--k-max", "100000"]
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "exp(998.0)" in err
@@ -733,8 +734,10 @@ PAST_DOUBLE_RANGE = [
      "level-4 sup distortion overflows double precision"),
     (["series", "subexp", "--sigma", "0.1", "--beta", "1e6", "--k-min", "3", "--k-max", "5",
       "--p", "1e-300"], "level-3 frame map is degenerate"),
-    # the exact ratio is about 0.87 here; the per-level logs lose it
-    (["series", "subexp", "--k-max", "1000000000000"], "formed from the difference of two"),
+    # the per-level logs grow like k, and past about 1.8e8 their rounding
+    # exceeds the 1e-6 a printed ratio must meet
+    (["series", "subexp", "--k-max", "1000000000000"],
+     "level-177827941 term ratio is formed from logs of size"),
     (["series", "tv", "--sigma", "1e-300", "--k-min", "3"], "level 3 sides underflow"),
     # R' - r' rounds to 0, so the frame map has slope a = 0
     (["map", "--sigma", "0.1", "--beta", "1e-300", "--samples", "3"],
@@ -743,7 +746,13 @@ PAST_DOUBLE_RANGE = [
     (["map", "--sigma", "0.1", "--beta", "1e6", "--samples", "3"],
      "level-3 frame map is degenerate"),
     (["render", "--sigma", "0.1", "--beta", "1e6", "--depth", "4"],
-     "level-3 frame map is degenerate"),
+     "level-3 image square has zero side"),
+    (["render", "--sigma", "0.1", "--beta", "1e6", "--depth", "4", "--samples", "0"],
+     "level-3 image square has zero side"),
+    (["construct", "--sigma", "0.1", "--beta", "1e6", "--depth", "4", "--format", "json"],
+     "level-4 image square has zero side"),
+    # sigma^11 = 1e-330 underflows; the CSV reads only the pre-image family
+    (["construct", "--sigma", "1e-30", "--depth", "11"], "level-11 square has zero side"),
 ]
 
 

@@ -1,10 +1,12 @@
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from gain_oracle import exact_sup_distortion
 
 from cantormap.construction import (
     MIN_LEVEL,
@@ -24,14 +26,13 @@ from cantormap.mapping import (
     _descend_block,
     _level_table,
     coeffs,
-    compare_distortion_bound,
     consistency_check,
+    distortion_bound_T,
     evaluate,
     evaluate_batch,
     fields,
     fields_batch,
     locate,
-    log_coeffs,
     similarity_ratio,
     sup_distortion,
 )
@@ -73,18 +74,6 @@ def test_literal_coeffs_are_four_times_corrected():
         lit = coeffs(k, P, literal=True)
         assert lit.a == 4.0 * c.a
         assert lit.b == 4.0 * c.b
-
-
-def test_log_coeffs_match_linear():
-    for k in range(4, 41):
-        c = coeffs(k, P)
-        log_a, sign_b, log_b = log_coeffs(k, P)
-        np.testing.assert_allclose(log_a, math.log(c.a), atol=1e-13)
-        if c.b != 0.0:
-            assert sign_b == (1 if c.b > 0.0 else -1)
-            np.testing.assert_allclose(log_b, math.log(abs(c.b)), atol=1e-12)
-    with pytest.raises(ValueError):
-        log_coeffs(3, P)
 
 
 def test_frame_map_boundary_and_direction():
@@ -583,16 +572,33 @@ def test_skeleton_flags():
 
 
 def test_sup_distortion_matches_bound_at_depth():
-    for k in (100, 10_000, 1_000_000):
-        cmp = compare_distortion_bound(k, P)
-        np.testing.assert_allclose(cmp.ratio, 1.0, atol=1e-9)
-        assert not cmp.pre_asymptotic
+    for k in (4, 5, 6, 7, 100, 10_000, 1_000_000, 10**9):
+        exact = exact_sup_distortion(k, P.sigma, P.beta)
+        assert abs(Decimal(sup_distortion(k, P)) / exact - 1) <= Decimal("1e-15")
 
 
 def test_pre_asymptotic_levels_flagged():
-    flags = {k: compare_distortion_bound(k, P).pre_asymptotic for k in range(4, 21)}
-    assert all(flags[k] for k in (4, 5, 6))
-    assert not any(flags[k] for k in range(7, 21))
+    """T_k >= alpha exactly where the frame offset b is not positive."""
+    alpha = (1.0 - 2.0 * P.sigma) / (2.0 * P.sigma)
+    for k in range(4, 21):
+        assert (distortion_bound_T(k, P.beta) >= alpha) == (coeffs(k, P).b <= 0.0), k
+    assert [k for k in range(4, 21) if coeffs(k, P).b <= 0.0] == [4, 5, 6]
+
+
+@settings(max_examples=200)
+@given(
+    sigma=st.floats(1e-3, 0.49),
+    beta=st.floats(0.1, 10.0),
+    k=st.one_of(st.integers(4, 10**9), st.floats(0.61, 9.0).map(lambda e: int(10.0**e))),
+)
+@example(sigma=0.45, beta=2.0, k=10**9)
+@example(sigma=0.25, beta=2.0, k=10**6)
+def test_sup_distortion_matches_exact_radii(sigma, beta, k):
+    """The closed form max(alpha / T_k, T_k / alpha) is the frame sup
+    max(t/a, a/t) formed from the exact radii, at every level."""
+    exact = exact_sup_distortion(k, sigma, beta)
+    got = sup_distortion(k, ConstructionParams(sigma, beta))
+    assert abs(Decimal(got) / exact - 1) <= Decimal("1e-13")
 
 
 def test_sup_distortion_grows_without_bound():

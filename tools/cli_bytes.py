@@ -24,8 +24,9 @@ edge, and failing commands that must leave an existing output file as
 it was.  Its last entries are usage and domain errors (exit 2): a flag
 each command does not read, a ``verify`` parameter other than the one
 its suite pins, non-finite numeric inputs, a depth past the library's
-limit of 60, and parameters whose series terms, distortion sups or
-level tables leave double precision.
+limit of 60, parameters whose series terms, distortion sups, level
+tables or square sides leave double precision, and series levels whose
+ratios round past the accepted 1e-6.
 """
 
 from __future__ import annotations
@@ -95,8 +96,10 @@ def _plan(block: int) -> list[tuple[str, list[str]]]:
         ("measure_csv", ["measure", "--k-max", "100000000", "--format", "csv"]),
         ("measure_beta50_json", ["measure", "--beta", "50"]),
         ("measure_gauge_beta_0_2_csv", ["measure", "--gauge-beta", "0", "2", "--format", "csv"]),
+        ("measure_k_max_1e18", ["measure", "--k-max", "1000000000000000000", "--gauge-beta", "2"]),
         ("series_subexp_json", ["series", "subexp", "--format", "json"]),
         ("series_tv", ["series", "tv"]),
+        ("series_subexp_k_max_1e8", ["series", "subexp", "--k-max", "100000000"]),
         ("map_edge_file_json", ["map", "edge.csv", "--format", "json"]),
     ]
     for depth in ("6", "32"):
@@ -136,11 +139,15 @@ def _plan(block: int) -> list[tuple[str, list[str]]]:
         ["series", "subexp", "--sigma", "0.1", "--beta", "1e6", "--k-min", "4", "--k-max", "100"],
         ["series", "subexp", "--sigma", "0.1", "--beta", "1e6", "--k-min", "3", "--k-max", "5",
          "--p", "1e-300"],
+        ["series", "subexp", "--k-max", "1000000000"],
         ["series", "subexp", "--k-max", "1000000000000"],
         ["series", "tv", "--sigma", "1e-300", "--k-min", "3"],
         ["map", "--sigma", "0.1", "--beta", "1e-300", "--samples", "3"],
         ["map", "--sigma", "0.1", "--beta", "1e6", "--samples", "3"],
         ["render", "--sigma", "0.1", "--beta", "1e6", "--depth", "4"],
+        ["render", "--sigma", "0.1", "--beta", "1e6", "--depth", "4", "--samples", "0"],
+        ["construct", "--sigma", "0.1", "--beta", "1e6", "--depth", "4", "--format", "json"],
+        ["construct", "--sigma", "1e-30", "--depth", "11"],
     ]
     plan += [("past_range_" + "_".join(a.lstrip("-") for a in cmd), cmd) for cmd in past_range]
     return plan
