@@ -40,7 +40,6 @@ from .logspace import log_add
 from .mapping import (
     FieldSample,
     FrameAt,
-    FrameMapCoeffs,
     RegionLocation,
     SquareInteriorAt,
     coeffs,

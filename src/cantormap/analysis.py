@@ -53,39 +53,47 @@ def _linear_radii(k: int, params: ConstructionParams):
     return rad
 
 
+def _cross_term(k: int, params: ConstructionParams) -> tuple[float, float]:
+    """8 (R r' - R' r) = s x of a level-k frame as (log s, x), free of the
+    products' cancellation: past level 3, with u = (log(k-1)/log k)^(beta/2),
+    s = sigma^(k-1) l_{k-1} and x = u/2 - sigma.  Level 3 reads its radii."""
+    if k == MIN_LEVEL:
+        rad = radii(k, params)
+        return 0.0, 8.0 * (rad.R * rad.r_img - rad.R_img * rad.r)
+    u = math.exp(-0.5 * params.beta * log_log_ratio(k))
+    return (k - 1) * math.log(params.sigma) + log_image_side(k - 1, params), u / 2.0 - params.sigma
+
+
 def frame_jacobian_integral(k: int, params: ConstructionParams) -> float:
     """Closed form of the Jacobian integral over one level-k frame.
 
-    Coarea gives 8 integral of a (a + b/rho) rho = 4 a^2 (R^2 - r^2)
-    + 8 a b (R - r), which telescopes to the image frame area
-    4 (R'^2 - r'^2) exactly.
+    Coarea gives 8 integral of a t rho with t rho = r' + a (rho - r),
+    which is 4 a^2 (R^2 - r^2) + 8 a (R r' - R' r) and telescopes to
+    the image frame area 4 (R'^2 - r'^2) exactly.
     """
-    rad = _linear_radii(k, params)
-    c = coeffs(k, params)
-    return 4.0 * c.a**2 * (rad.R**2 - rad.r**2) + 8.0 * c.a * c.b * (rad.R - rad.r)
+    rad, a = _linear_radii(k, params), coeffs(k, params)
+    log_s, x = _cross_term(k, params)
+    return 4.0 * a**2 * (rad.R**2 - rad.r**2) + a * math.exp(log_s) * x
 
 
 def frame_tv_integral(k: int, params: ConstructionParams) -> float:
     """Closed form of the derivative-norm integral over one level-k frame.
 
-    |Df| = max(a, a + b/rho): for b >= 0 the integral is
-    4 a (R^2 - r^2) + 8 b (R - r), for b < 0 the b-term drops.
+    |Df| = max(a, t) with t rho = a rho + (R r' - R' r) / (R - r), so the
+    integral is 4 a (R^2 - r^2) + 8 max(R r' - R' r, 0).
     """
     rad = _linear_radii(k, params)
-    c = coeffs(k, params)
-    val = 4.0 * c.a * (rad.R**2 - rad.r**2)
-    if c.b > 0.0:
-        val += 8.0 * c.b * (rad.R - rad.r)
-    return val
+    log_s, x = _cross_term(k, params)
+    return 4.0 * coeffs(k, params) * (rad.R**2 - rad.r**2) + max(math.exp(log_s) * x, 0.0)
 
 
 def frame_distortion_profile(k: int, params: ConstructionParams):
     """rho -> pointwise distortion on a level-k frame."""
-    c = coeffs(k, params)
+    rad, a = radii(k, params), coeffs(k, params)
 
     def K(rho: float) -> float:
-        t = c.a + c.b / rho
-        return max(t / c.a, c.a / t)
+        t = (rad.r_img + a * (rho - rad.r)) / rho
+        return max(t / a, a / t)
 
     return K
 
@@ -136,16 +144,16 @@ def frame_integral_mc(
             raise ValueError("subexp integrals need p > 0")
         _check_finite_positive("p", p)
     rad = _linear_radii(k, params)
-    c = coeffs(k, params)
+    a = coeffs(k, params)
     rng = np.random.default_rng(seed)
     rho = np.sqrt(rad.r**2 + rng.random(n_samples) * (rad.R**2 - rad.r**2))
-    t = c.a + c.b / rho
+    t = (rad.r_img + a * (rho - rad.r)) / rho
     if kind == "jacobian":
-        vals = c.a * t
+        vals = a * t
     elif kind == "tv":
-        vals = np.maximum(c.a, t)
+        vals = np.maximum(a, t)
     else:
-        K = np.maximum(t / c.a, c.a / t)
+        K = np.maximum(t / a, a / t)
         vals = np.exp(p * K / (1.0 + np.log(K)))
     area = 4.0 * (rad.R**2 - rad.r**2)
     return float(vals.mean() * area)
@@ -185,19 +193,18 @@ def _log_pre_area(k: int, params: ConstructionParams) -> float:
 def _tv_log_per_frame(k: int, params: ConstructionParams) -> float:
     """log of frame_tv_integral, k >= 3, at levels far past double range.
 
-    Past level 3, with u = (log(k-1)/log k)^(beta/2), the radii give
-    R' - r' = l_{k-1} (1 - u) / 4 and R r' - R' r = sigma^(k-1) l_{k-1}
-    (u/2 - sigma) / 8, so the terms 4 a (R^2 - r^2) = 4 (R' - r') (R + r)
-    and, where b > 0, 8 b (R - r) = 8 (R r' - R' r) factor into logs.
+    Past level 3, with u = (log(k-1)/log k)^(beta/2), R' - r' = l_{k-1} (1 - u) / 4,
+    so 4 a (R^2 - r^2) = 4 (R' - r') (R + r) and, where positive,
+    8 (R r' - R' r) (_cross_term) factor into logs.
     """
     if k == MIN_LEVEL:
         return math.log(frame_tv_integral(k, params))
-    sigma, half_beta_llr = params.sigma, 0.5 * params.beta * log_log_ratio(k)
+    half_beta_llr = 0.5 * params.beta * log_log_ratio(k)
     log_lk1 = log_image_side(k - 1, params)
     first = log_lk1 + math.log(-math.expm1(-half_beta_llr)) + _log_pre_span(k, params)
-    x = math.exp(-half_beta_llr) / 2.0 - sigma
+    log_s, x = _cross_term(k, params)
     if x > 0.0:
-        return log_add(first, (k - 1) * math.log(sigma) + log_lk1 + math.log(x))
+        return log_add(first, log_s + math.log(x))
     return first
 
 

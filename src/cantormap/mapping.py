@@ -1,14 +1,15 @@
 """The piecewise sup-norm stretch between the two square families.
 
 On each frame the map is radial in the sup norm around the cell
-center: x maps to q' + (a*rho + b) * (x - q) / rho with
-rho = |x - q|_inf, where a and b are chosen so the inner boundary
-lands on the image square and the outer boundary on the image
-quadrant.  Inside a square at the truncation depth the map is the
-plain similarity onto the image square.  Radii are matched so that
-every frame map agrees with the parent similarity on the shared
-quadrant boundary; the composite is then a homeomorphism of the unit
-square at every truncation depth.
+center: x maps to q' + t * (x - q) with rho = |x - q|_inf and
+t = (r' + a * (rho - r)) / rho, where the slope a = (R' - r') / (R - r)
+carries the inner boundary rho = r onto the image square and the outer
+boundary rho = R onto the image quadrant.  Every term of t is
+non-negative on the frame, so nothing cancels.  Inside a square at the
+truncation depth the map is the plain similarity onto the image
+square.  Radii are matched so that every frame map agrees with the
+parent similarity on the shared quadrant boundary; the composite is
+then a homeomorphism of the unit square at every truncation depth.
 """
 
 from __future__ import annotations
@@ -36,36 +37,27 @@ Point = tuple[float, float]
 _SKELETON_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FrameMapCoeffs:
-    """Affine radial profile rho -> a*rho + b of one level's frame map."""
-
-    level: int
-    a: float
-    b: float
-
-
-def coeffs(k: int, params: ConstructionParams, literal: bool = False) -> FrameMapCoeffs:
-    """Solve a*r + b = r', a*R + b = R' for the level-k frame map."""
+def coeffs(k: int, params: ConstructionParams, literal: bool = False) -> float:
+    """The slope a = (R' - r') / (R - r) of the level-k frame map; raises
+    ValueError where R - r, r' or R' - r' rounds to 0 and a frame map would
+    collapse a frame or its inner boundary to a point."""
     rad = radii(k, params, literal=literal)
-    den = rad.R - rad.r
-    if den == 0.0:
+    if not rad.R - rad.r > 0.0:
         raise ValueError(
             f"level-{k} frame has zero width in double precision at sigma={params.sigma}"
             " (sigma^k underflows); use a smaller depth"
         )
-    a = (rad.R_img - rad.r_img) / den
-    b = (rad.R * rad.r_img - rad.R_img * rad.r) / den
-    # a frame point at sup-radius rho >= r is scaled by t = a + b/rho,
-    # monotone in rho even as rounded, so t > 0 on the frame exactly when
-    # a > 0 and t(r) > 0 (r = 0 is left to similarity_ratio)
-    if not (a > 0.0 and (rad.r == 0.0 or a + b / rad.r > 0.0)):
+    if not rad.r_img > 0.0:
         raise ValueError(
-            f"level-{k} frame map is degenerate in double precision at sigma={params.sigma},"
-            f" beta={params.beta}: its scale a + b/rho is not positive on the frame"
-            " (R' - r' or r' is lost to rounding); use a smaller depth or a less extreme beta"
+            f"level-{k} image square has zero side in double precision at beta={params.beta}"
+            " (2^-k (log k)^(-beta/2) underflows); use a smaller depth or beta"
         )
-    return FrameMapCoeffs(k, a, b)
+    if not rad.R_img - rad.r_img > 0.0:
+        raise ValueError(
+            f"level-{k} image frame has zero width in double precision at beta={params.beta}"
+            " (R' - r' rounds to 0); use a smaller depth or a less extreme beta"
+        )
+    return (rad.R_img - rad.r_img) / (rad.R - rad.r)
 
 
 def similarity_ratio(k: int, params: ConstructionParams) -> float:
@@ -100,8 +92,8 @@ class _LevelTable(NamedTuple):
     R: tuple[float, ...]  # outer frame radius
     step: tuple[float, ...]  # sigma^k / 4, the move to a child's pre-image center
     istep: tuple[float, ...]  # l_k / 4, the move to a child's image center
-    a: tuple[float, ...]  # frame-map coefficients
-    b: tuple[float, ...]
+    r_img: tuple[float, ...]  # inner image frame radius l_k / 2
+    a: tuple[float, ...]  # frame-map slope
     s_sim: float  # similarity ratio onto a depth-level image square
     walk: tuple[tuple[int, float, float, float, float], ...]  # (k, r, -r, step, istep), k < depth
 
@@ -109,11 +101,18 @@ class _LevelTable(NamedTuple):
 @functools.lru_cache(maxsize=64)
 def _level_table(params: ConstructionParams, depth: int) -> _LevelTable:
     """The level table behind every evaluation; it raises coeffs' or similarity_ratio's
-    ValueError when any level up to depth underflows, so all entry points fail alike."""
+    ValueError when any level up to depth underflows, and its own when the depth-level
+    Jacobian s_sim^2 overflows, so all entry points fail alike."""
     if not MIN_LEVEL <= depth <= params.depth_max:
         raise ValueError(f"depth must lie in [{MIN_LEVEL}, depth_max={params.depth_max}], got {depth}")
     levels = range(MIN_LEVEL, depth + 1)
-    cs, rads = [coeffs(k, params) for k in levels], [radii(k, params) for k in levels]
+    slopes, rads = [coeffs(k, params) for k in levels], [radii(k, params) for k in levels]
+    s_sim = similarity_ratio(depth, params)
+    if math.isinf(s_sim * s_sim):
+        raise ValueError(
+            f"level-{depth} similarity Jacobian s^2 overflows double precision (s = {s_sim!r})"
+            f" at sigma={params.sigma}, beta={params.beta}; use a smaller depth"
+        )
     pad = (0.0,) * MIN_LEVEL
     r = pad + tuple(rad.r for rad in rads)
     step = pad + tuple(preimage_side(k, params) / 4.0 for k in levels)
@@ -123,9 +122,9 @@ def _level_table(params: ConstructionParams, depth: int) -> _LevelTable:
         pad + tuple(rad.R for rad in rads),
         step,
         istep,
-        pad + tuple(c.a for c in cs),
-        pad + tuple(c.b for c in cs),
-        similarity_ratio(depth, params),
+        pad + tuple(rad.r_img for rad in rads),
+        pad + tuple(slopes),
+        s_sim,
         tuple((k, r[k], -r[k], step[k], istep[k]) for k in range(MIN_LEVEL, depth)),
     )
 
@@ -211,7 +210,7 @@ def fields(x: Point, depth: int, params: ConstructionParams) -> FieldSample:
     tab, in_frame, k, rho, _, _, q, q_img = _descend(x0, x1, depth, params)
     if in_frame:
         a, r, R = tab.a[k], tab.r[k], tab.R[k]
-        s = a + tab.b[k] / rho
+        s = (tab.r_img[k] + a * (rho - r)) / rho
         dn, jac, dist = max(a, s), a * s, max(s / a, a / s)
         skel = abs(rho - r) <= _SKELETON_RTOL * r or abs(rho - R) <= _SKELETON_RTOL * R
     else:
@@ -290,7 +289,7 @@ def _map_batch(points, depth: int, params: ConstructionParams, with_fields: bool
         raise ValueError("some points are NaN or lie outside the unit square")
     tab = _level_table(params, depth)
     n, s_sim = len(pts), tab.s_sim
-    a_of, b_of, r_of, R_of = (np.array(col) for col in (tab.a, tab.b, tab.r, tab.R))
+    a_of, r_of, R_of, r_img_of = (np.array(col) for col in (tab.a, tab.r, tab.R, tab.r_img))
     out = {"image": np.empty((n, 2))}
     if with_fields:
         out.update(level=np.empty(n, dtype=np.int64), in_frame=np.empty(n, dtype=bool))
@@ -304,16 +303,18 @@ def _map_batch(points, depth: int, params: ConstructionParams, with_fields: bool
         else:  # evaluate_batch returns neither, so each block keeps its own
             level, in_frame = np.empty(len(x0), dtype=np.int64), np.empty(len(x0), dtype=bool)
         rho, (c0, c1, ci0, ci1) = _descend_block(x0, x1, depth, tab, level, in_frame)
-        # frame values t = a + b / rho only where in_frame, over the
-        # similarity's values: the other lanes neither compute nor warn
-        av = a_of[level]
+        # frame values t = (r' + a (rho - r)) / rho by fields' operations, only
+        # where in_frame, over the similarity's: other lanes neither compute nor warn
+        av, r = a_of[level], r_of[level]
         t = np.full(len(x0), s_sim)
-        np.divide(b_of[level], rho, out=t, where=in_frame)
-        np.add(t, av, out=t, where=in_frame)
+        np.subtract(rho, r, out=t, where=in_frame)
+        np.multiply(av, t, out=t, where=in_frame)
+        np.add(r_img_of[level], t, out=t, where=in_frame)
+        np.divide(t, rho, out=t, where=in_frame)
         np.add(ci0, t * (x0 - c0), out=b["image"][:, 0])
         np.add(ci1, t * (x1 - c1), out=b["image"][:, 1])
         if with_fields:
-            r, R = r_of[level], R_of[level]
+            R = R_of[level]
             dn, jac, dist = b["derivative_norm"], b["jacobian"], b["distortion"]
             out_frame = ~in_frame
             np.copyto(dn, s_sim, where=out_frame)
@@ -349,24 +350,24 @@ def distortion_bound_T(k: int, beta: float) -> float:
 def sup_distortion(k: int, params: ConstructionParams) -> float:
     """Supremum of the pointwise distortion over a level-k frame.
 
-    The radial profile makes the distortion max(t/a, a/t) monotone in
-    rho with t = a + b/rho, so the sup sits at the inner radius where
-    t = r'/r.  Past level 3, with u = (log(k-1)/log k)^(beta/2), the
-    radii give t = l_{k-1} u / (2 sigma^k) and
-    a = l_{k-1} (1 - u) / (sigma^(k-1) (1 - 2 sigma)), so t/a is exactly
+    The scale t = (r' + a (rho - r)) / rho = a + (R r' - R' r) / ((R - r) rho)
+    is monotone in rho, and so is the distortion max(t/a, a/t); the sup
+    sits at the inner radius, where t = r'/r.  Past level 3, with
+    u = (log(k-1)/log k)^(beta/2), the radii give t = l_{k-1} u / (2 sigma^k)
+    and a = l_{k-1} (1 - u) / (sigma^(k-1) (1 - 2 sigma)), so t/a is exactly
     alpha u / (1 - u) = alpha / T_k with alpha = (1 - 2 sigma) / (2 sigma)
-    and T_k = distortion_bound_T(k, beta).  The offset b has the sign of
-    u/2 - sigma, so the pre-asymptotic levels (b <= 0, where t <= a and
-    the sup is T_k / alpha) are exactly those with T_k >= alpha.  Level 3,
-    where R = R' = 1/16, keeps the linear form.  Raises ValueError where
-    the sup is past double range.
+    and T_k = distortion_bound_T(k, beta).  R r' - R' r has the sign of
+    u/2 - sigma, so the pre-asymptotic levels (R r' <= R' r, where t <= a
+    and the sup is T_k / alpha) are exactly those with T_k >= alpha.
+    Level 3, where R = R' = 1/16, keeps the linear form.  Raises
+    ValueError where the sup is past double range.
     """
     try:
         if k == MIN_LEVEL:
-            c = coeffs(k, params)
+            a = coeffs(k, params)
             rad = radii(k, params)
             t = rad.r_img / rad.r
-            K = max(t / c.a, c.a / t)
+            K = max(t / a, a / t)
         else:
             alpha = (1.0 - 2.0 * params.sigma) / (2.0 * params.sigma)
             T = distortion_bound_T(k, params.beta)
@@ -408,7 +409,7 @@ def consistency_check(
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     rad = radii(k, params, literal=literal)
-    cf = coeffs(k, params, literal=literal)
+    a = coeffs(k, params, literal=literal)
     s_par = similarity_ratio(k - 1, params)
     step = preimage_side(k - 1, params) / 4.0
     istep = image_side(k - 1, params) / 4.0
@@ -420,7 +421,7 @@ def consistency_check(
     dx = np.where(face == 0, rad.R, np.where(face == 1, -rad.R, off))
     dy = np.where(face >= 2, np.where(face == 2, rad.R, -rad.R), off)
     rho = np.maximum(np.abs(dx), np.abs(dy))
-    scale = cf.a + cf.b / rho
+    scale = (rad.r_img + a * (rho - rad.r)) / rho
     f0 = sgn0 * istep + scale * dx
     f1 = sgn1 * istep + scale * dy
     g0 = s_par * (sgn0 * step + dx)

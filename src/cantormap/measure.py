@@ -54,6 +54,14 @@ def gauge_log_eval(gauge: Gauge, log_t: float) -> float:
     return gauge.n * log_t + gauge.beta * math.log(math.log(-log_t))
 
 
+# Largest level natural_cover_sum("pre", ...) accepts.  Its log adds
+# k log 2 to n k log sigma, terms of size k that cancel at the box
+# dimension, so its rounding grows like k.  A 60-digit evaluation in the
+# tests puts the last power of ten where the log stays within 1e-6 of
+# exact (1e-6 relative on the sum) at 1e9.
+PRE_COVER_MAX_LEVEL = 10**9
+
+
 def natural_cover_sum(side: str, gauge: Gauge, k: int, params: ConstructionParams) -> float:
     """Natural log of the canonical level-k covering sum under gauge.
 
@@ -63,7 +71,8 @@ def natural_cover_sum(side: str, gauge: Gauge, k: int, params: ConstructionParam
     count is the relevant one for the axis dimension, measured with
     power gauges Gauge(alpha, 0).  The gauge reads the side t of each
     cover; every level k >= 3 lies in its domain log t < -1, as both
-    sides have log t < 3 log(1/2).
+    sides have log t < 3 log(1/2).  Side "pre" raises ValueError past
+    PRE_COVER_MAX_LEVEL.
     """
     if side not in ("pre", "image"):
         raise ValueError(f"side must be 'pre' or 'image', got {side!r}")
@@ -71,6 +80,11 @@ def natural_cover_sum(side: str, gauge: Gauge, k: int, params: ConstructionParam
         raise ValueError(f"levels start at {MIN_LEVEL}, got {k}")
     if side == "image":
         return float(_image_log_sums(gauge, np.array([float(k)]), params)[0])
+    if k > PRE_COVER_MAX_LEVEL:
+        raise ValueError(
+            f"pre-image cover sums need k <= {PRE_COVER_MAX_LEVEL}, got {k}: past it the"
+            " rounding of the two terms of size k they add exceeds 1e-6"
+        )
     return k * LOG2 + gauge_log_eval(gauge, k * math.log(params.sigma))
 
 

@@ -150,7 +150,7 @@ RETIRED_NAMES = (
     "SubexpFunctional", "subexp_A", "gauge_eval", "monotone_threshold",
     "log_preimage_side", "LogQuantity", "log_sum", "_diam_factor", "SQRT2",
     "Frame", "frame", "frame_map", "log_coeffs", "compare_distortion_bound",
-    "DistortionComparison",
+    "DistortionComparison", "FrameMapCoeffs",
 )
 RETIRED_OPTIONS = {
     ("analysis", "frame_tv_integral"): ("include_square",),

@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -53,20 +54,20 @@ def test_jacobian_integral_vs_monte_carlo():
 
 def test_tv_integral_vs_quadrature():
     for k in (3, 4, 7):
-        c = coeffs(k, P)
+        a = coeffs(k, P)
         rad = radii(k, P)
         oracle = integrate(
-            lambda rho: max(c.a, c.a + c.b / rho) * 8.0 * rho, rad.r, rad.R
+            lambda rho: max(a * rho, rad.r_img + a * (rho - rad.r)) * 8.0, rad.r, rad.R
         )
         np.testing.assert_allclose(frame_tv_integral(k, P), oracle, rtol=1e-9)
 
 
 def test_tv_integral_drops_negative_b_term():
-    # b < 0 at level 4 for these parameters, so |Df| = a on the frame
-    c = coeffs(4, P)
-    assert c.b < 0.0
+    # R r' < R' r at level 4 for these parameters, so t <= a and |Df| = a
+    # on the frame
     rad = radii(4, P)
-    expected = 4.0 * c.a * (rad.R**2 - rad.r**2)
+    assert Fraction(rad.R) * Fraction(rad.r_img) < Fraction(rad.R_img) * Fraction(rad.r)
+    expected = 4.0 * coeffs(4, P) * (rad.R**2 - rad.r**2)
     assert frame_tv_integral(4, P) == expected
 
 
@@ -81,7 +82,7 @@ def reference_frame_integral_mc(k, params, kind, p=None, n_samples=10**6, seed=0
     and an offset along it after each radius, and the integrand read at
     the sup-norm radius of that position."""
     rad = radii(k, params)
-    c = coeffs(k, params)
+    a = coeffs(k, params)
     rng = np.random.default_rng(seed)
     rho = np.sqrt(rad.r**2 + rng.random(n_samples) * (rad.R**2 - rad.r**2))
     face = rng.integers(0, 4, n_samples)
@@ -89,18 +90,18 @@ def reference_frame_integral_mc(k, params, kind, p=None, n_samples=10**6, seed=0
     dx = np.where(face == 0, rho, np.where(face == 1, -rho, off))
     dy = np.where(face >= 2, np.where(face == 2, rho, -rho), off)
     rr = np.maximum(np.abs(dx), np.abs(dy))
-    t = c.a + c.b / rr
+    t = (rad.r_img + a * (rr - rad.r)) / rr
     if kind == "jacobian":
-        vals = c.a * t
+        vals = a * t
     elif kind == "tv":
-        vals = np.maximum(c.a, t)
+        vals = np.maximum(a, t)
     else:
-        K = np.maximum(t / c.a, c.a / t)
+        K = np.maximum(t / a, a / t)
         vals = np.exp(p * K / (1.0 + np.log(K)))
     return float(vals.mean() * 4.0 * (rad.R**2 - rad.r**2))
 
 
-# (sigma, beta, level, seed); b < 0 at level 4 of (0.45, 2)
+# (sigma, beta, level, seed); R r' < R' r at level 4 of (0.45, 2)
 MC_CASES = [(0.45, 2.0, 4, 0x5EED), (0.25, 2.0, 3, 7), (0.1, 0.5, 5, 123), (0.3, 1.0, 8, 2**40)]
 
 

@@ -275,16 +275,21 @@ def test_map_bytes_match_reference(fmt, source, tmp_path, capsys):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_map_bytes_match_reference_on_infinite_jacobian(fmt, tmp_path, capsys):
     # at sigma = 1e-6 the float descent keeps the octant center 0.0625
-    # inside every square down to depth 30, where the similarity scale
-    # is 2.7e170 and its square, the Jacobian, overflows to inf
+    # inside every square down to the depth.  At depth 27 the similarity
+    # scale is 2.3e153 and its square, the Jacobian, the largest finite
+    # one; at depth 28 the scale is 1.1e159 and the Jacobian would
+    # overflow to inf, which is a domain error
     pts = tmp_path / "pts.csv"
     pts.write_text("0.0625,0.0625\n")
-    argv = ["map", str(pts), "--sigma", "1e-6", "--depth", "30", "--format", fmt]
-    with np.errstate(over="ignore"):
-        code, out, _ = run_cli(argv, capsys)
-        assert code == 0
-        assert out == reference_map_output(argv)
-    assert ("inf" if fmt == "csv" else '"jac": Infinity') in out
+    argv = ["map", str(pts), "--sigma", "1e-6", "--depth", "27", "--format", fmt]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == reference_map_output(argv)
+    assert (",5.110328516468033e+306," if fmt == "csv" else '"jac": 5.110328516468033e+306') in out
+    argv[5] = "28"
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: level-28 similarity Jacobian s^2 overflows double precision")
 
 
 def test_map_json_no_rows(capsys):
@@ -309,33 +314,33 @@ def test_map_bytes_match_reference_across_row_blocks(n, fmt, capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_map_special_rows_after_a_block_edge(fmt, tmp_path, capsys):
-    # skeleton rows and the infinite Jacobian of 0.0625,0.0625 at
-    # sigma = 1e-6, depth 30 all sit in the second row block
+    # skeleton rows and the largest finite Jacobian, 5.1e306 at
+    # 0.0625,0.0625 for sigma = 1e-6, depth 27, all sit in the second row block
     uniform = np.random.default_rng(3).random((B + 1, 2)).tolist()
     special = [(0.5, 0.5), (0.0625, 0.0625), (0.0, 0.0), (0.0625, 0.0625)]
     lines = ["x,y"] + [f"{x!r},{y!r}" for x, y in uniform + special + uniform[:5]]
     pts = tmp_path / "pts.csv"
     pts.write_text("\n".join(lines) + "\n")
-    argv = ["map", str(pts), "--sigma", "1e-6", "--depth", "30", "--format", fmt]
+    argv = ["map", str(pts), "--sigma", "1e-6", "--depth", "27", "--format", fmt]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out.encode() == reference_map_output(argv).encode()
     if fmt == "csv":
         rows = out.splitlines()[1:]
-        assert rows[B + 1].endswith(",,,,1") and ",inf," in rows[B + 2]
+        assert rows[B + 1].endswith(",,,,1") and ",5.110328516468033e+306," in rows[B + 2]
     else:
         rows = json.loads(out)["results"]["rows"]
-        assert rows[B + 1]["K"] is None and rows[B + 2]["jac"] == math.inf
-        assert '"jac": Infinity' in out and '"K": null' in out
+        assert rows[B + 1]["K"] is None and rows[B + 2]["jac"] == 5.110328516468033e+306
+        assert '"K": null' in out
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_map_fields_epilogue_does_not_warn(fmt, tmp_path, capsys):
-    # the point is not in a frame, so the frame-map lanes, whose product
-    # would overflow at this depth, are never computed
+    # the point is not in a frame, so the frame-map lanes are never
+    # computed; its Jacobian is the largest finite one at this sigma
     pts = tmp_path / "pts.csv"
     pts.write_text("0.0625,0.0625\n")
-    argv = ["map", str(pts), "--sigma", "1e-6", "--depth", "30", "--format", fmt]
+    argv = ["map", str(pts), "--sigma", "1e-6", "--depth", "27", "--format", fmt]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(argv, capsys)
@@ -343,8 +348,8 @@ def test_map_fields_epilogue_does_not_warn(fmt, tmp_path, capsys):
     assert out == reference_map_output(argv)
     if fmt == "csv":
         assert out.splitlines()[1] == (
-            "0.0625,0.0625,0.1111505843312852,0.1111505843312852,"
-            "2.738219721198142e+170,inf,1.0,0"
+            "0.0625,0.0625,0.1111505833483535,0.1111505833483535,"
+            "2.2606035734882915e+153,5.110328516468033e+306,1.0,0"
         )
 
 
@@ -732,19 +737,23 @@ PAST_DOUBLE_RANGE = [
      "level-4 term ratio exp("),
     (["series", "subexp", "--sigma", "0.1", "--beta", "1e6", "--k-min", "4", "--k-max", "100"],
      "level-4 sup distortion overflows double precision"),
+    # the level-3 image side underflows, so r' = 0
     (["series", "subexp", "--sigma", "0.1", "--beta", "1e6", "--k-min", "3", "--k-max", "5",
-      "--p", "1e-300"], "level-3 frame map is degenerate"),
+      "--p", "1e-300"], "level-3 image square has zero side"),
     # the per-level logs grow like k, and past about 1.8e8 their rounding
     # exceeds the 1e-6 a printed ratio must meet
     (["series", "subexp", "--k-max", "1000000000000"],
      "level-177827941 term ratio is formed from logs of size"),
     (["series", "tv", "--sigma", "1e-300", "--k-min", "3"], "level 3 sides underflow"),
-    # R' - r' rounds to 0, so the frame map has slope a = 0
+    # l_3 rounds to 1/8, so R' - r' = 1/16 - l_3/2 rounds to 0
     (["map", "--sigma", "0.1", "--beta", "1e-300", "--samples", "3"],
-     "level-3 frame map is degenerate"),
-    # the level-3 image side underflows
+     "level-3 image frame has zero width"),
+    # the level-3 image side underflows, so r' = 0
     (["map", "--sigma", "0.1", "--beta", "1e6", "--samples", "3"],
-     "level-3 frame map is degenerate"),
+     "level-3 image square has zero side"),
+    # the depth-30 similarity scale is 2.7e170, and its square overflows
+    (["map", "--sigma", "1e-6", "--depth", "30", "--samples", "3"],
+     "level-30 similarity Jacobian s^2 overflows double precision"),
     (["render", "--sigma", "0.1", "--beta", "1e6", "--depth", "4"],
      "level-3 image square has zero side"),
     (["render", "--sigma", "0.1", "--beta", "1e6", "--depth", "4", "--samples", "0"],

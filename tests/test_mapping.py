@@ -1,6 +1,7 @@
 import math
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,19 +47,19 @@ L5 = 0.01941671670498787
 
 
 def test_coeffs_solve_boundary_conditions():
+    """t rho = r' + a (rho - r), r' at rho = r by its form, is R' at rho = R."""
     for k in range(3, 13):
-        c = coeffs(k, P)
+        a = coeffs(k, P)
         rad = radii(k, P)
-        np.testing.assert_allclose(c.a * rad.r + c.b, rad.r_img, rtol=1e-13)
-        np.testing.assert_allclose(c.a * rad.R + c.b, rad.R_img, rtol=1e-13)
-        assert c.a > 0.0
+        np.testing.assert_allclose(rad.r_img + a * (rad.R - rad.r), rad.R_img, rtol=1e-13)
+        assert a > 0.0
 
 
 def test_coeffs_underflow_is_a_domain_error():
     # at sigma = 1e-6 the level-55 radii sigma^54 / 4 and sigma^55 / 2
     # both round to 0.0, and the level-54 side sigma^54 does too
     tiny = ConstructionParams(1e-6, 2.0)
-    assert coeffs(54, tiny).a > 0.0
+    assert coeffs(54, tiny) > 0.0
     with pytest.raises(ValueError, match="level-55 .* sigma=1e-06"):
         coeffs(55, tiny)
     assert similarity_ratio(53, tiny) > 0.0
@@ -69,11 +70,10 @@ def test_coeffs_underflow_is_a_domain_error():
 
 
 def test_literal_coeffs_are_four_times_corrected():
+    # the literal image radii are four times the corrected ones, and the
+    # factor 4 is exact in binary, so the slope is exactly four times too
     for k in (4, 7):
-        c = coeffs(k, P)
-        lit = coeffs(k, P, literal=True)
-        assert lit.a == 4.0 * c.a
-        assert lit.b == 4.0 * c.b
+        assert coeffs(k, P, literal=True) == 4.0 * coeffs(k, P)
 
 
 def test_frame_map_boundary_and_direction():
@@ -110,12 +110,20 @@ def test_frame_map_boundary_and_direction():
 
 
 def test_degenerate_levels_are_domain_errors():
-    # R' - r' rounds to 0 at beta = 1e-300, so the slope a is 0
-    with pytest.raises(ValueError, match="level-3 frame map is degenerate"):
-        coeffs(3, ConstructionParams(0.1, 1e-300))
-    # a + b/r, which should be r'/r ~ 6e-62, cancels to <= 0
-    with pytest.raises(ValueError, match="level-3 frame map is degenerate"):
-        coeffs(3, ConstructionParams(0.49, 3000.0))
+    # l_3 = 1/8 (log 3)^(-5e-301) rounds to 1/8, so R' - r' = 1/16 - l_3/2 is 0
+    flat = ConstructionParams(0.1, 1e-300)
+    assert radii(3, flat).R_img == radii(3, flat).r_img
+    with pytest.raises(ValueError, match="level-3 image frame has zero width"):
+        coeffs(3, flat)
+    # r'/r ~ 6e-62, where a + b/r cancels, is kept: the slope and the frame sup
+    # a / (r'/r) ~ 3e62 match their exact values from the double radii
+    steep = ConstructionParams(0.49, 3000.0)
+    rad = radii(3, steep)
+    slope = (Fraction(rad.R_img) - Fraction(rad.r_img)) / (Fraction(rad.R) - Fraction(rad.r))
+    a = coeffs(3, steep)
+    assert abs(Fraction(a) - slope) <= Fraction(math.ulp(a)) / 2
+    sup = Fraction(a) * Fraction(rad.r) / Fraction(rad.r_img)
+    assert abs(Fraction(sup_distortion(3, steep)) / sup - 1) <= Fraction(2, 2**53)
     with pytest.raises(ValueError, match="level-3 image square has zero side"):
         similarity_ratio(3, ConstructionParams(0.1, 1e6))
     with pytest.raises(ValueError, match="level-4 sup distortion overflows"):
@@ -286,22 +294,24 @@ def test_scalar_and_batch_agree_bit_for_bit(case):
 
 @settings(max_examples=300)
 @given(
-    sigma=st.floats(0.05, 0.49),
+    sigma=st.one_of(st.floats(1e-6, 0.49), st.floats(-6.0, -1.0).map(lambda e: 10.0**e)),
     beta=st.one_of(
         st.sampled_from([1e-300, 1e6]),
         st.floats(-300.0, 6.0).map(lambda e: 10.0**e),
-        st.floats(1.0, 2e4),  # where b < 0 and the inner scale a + b/r cancels
+        st.floats(1.0, 2e4),  # pre-asymptotic levels, where R r' < R' r
     ),
-    depth=st.integers(3, 12),
+    depth=st.integers(3, 60),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(sigma=0.1, beta=1e-300, depth=3, seed=0)
 @example(sigma=0.1, beta=1e-14, depth=12, seed=0)
 @example(sigma=0.1, beta=1e6, depth=3, seed=0)
 @example(sigma=0.49, beta=3000.0, depth=3, seed=0)
+@example(sigma=1e-6, beta=2.0, depth=27, seed=0)  # the largest finite s_sim^2 at this sigma
+@example(sigma=1e-6, beta=2.0, depth=28, seed=0)  # s_sim^2 overflows
 def test_fields_batch_is_finite_or_a_domain_error(sigma, beta, depth, seed):
-    """Extreme beta gives finite fields or ValueError, never inf, NaN or
-    a numpy warning."""
+    """Extreme sigma, beta and depth give finite fields or ValueError,
+    never inf, NaN or a numpy warning."""
     params = ConstructionParams(sigma, beta)
     rng = np.random.default_rng(seed)
     k = int(rng.integers(MIN_LEVEL, depth + 1))
@@ -423,11 +433,12 @@ def reference_fields_batch(points, depth, params):
     evaluate_batch and fields_batch must match byte for byte."""
     tab, x, level, in_frame, rho, centers = reference_descend_batch(points, depth, params)
     (x0, x1), (c0, c1, ci0, ci1) = x, centers
-    av = np.array(tab.a)[level]
-    t = av + np.array(tab.b)[level] / np.where(in_frame, rho, 1.0)
+    av, r = np.array(tab.a)[level], np.array(tab.r)[level]
+    rr = np.where(in_frame, rho, 1.0)
+    t = (np.array(tab.r_img)[level] + av * (rr - r)) / rr
     scale = np.where(in_frame, t, tab.s_sim)
     img = np.column_stack((ci0 + scale * (x0 - c0), ci1 + scale * (x1 - c1)))
-    s_sim, r, R = tab.s_sim, np.array(tab.r)[level], np.array(tab.R)[level]
+    s_sim, R = tab.s_sim, np.array(tab.R)[level]
     return {
         "image": img,
         "level": level,
@@ -518,10 +529,11 @@ def test_scalar_walk_matches_the_reference_walk(case):
         assert repr(got[1:]) == repr(want[1:])
 
 
-@pytest.mark.parametrize("depth", [53, 54, 55, 60])
+@pytest.mark.parametrize("depth", [27, 53, 54, 55, 60])
 def test_every_entry_point_fails_on_the_same_underflowing_depths(depth):
-    # at sigma = 1e-6 the level-54 side and the level-55 frame width
-    # underflow; (0.5, 0.5) leaves the walk at level 3 all the same
+    # at sigma = 1e-6 the depth-level Jacobian s_sim^2 overflows from
+    # depth 28, the level-54 side and the level-55 frame width underflow;
+    # (0.5, 0.5) leaves the walk at level 3 all the same
     tiny = ConstructionParams(1e-6, 2.0)
     x = (0.5, 0.5)
     calls = [
@@ -531,7 +543,7 @@ def test_every_entry_point_fails_on_the_same_underflowing_depths(depth):
         lambda: fields_batch([x], depth, tiny),
         lambda: evaluate_batch([x], depth, tiny),
     ]
-    if depth == 53:
+    if depth == 27:
         assert fields(x, depth, tiny).level == 3
         for call in calls:
             call()
@@ -541,7 +553,7 @@ def test_every_entry_point_fails_on_the_same_underflowing_depths(depth):
         with pytest.raises(ValueError, match="sigma=1e-06") as err:
             call()
         messages.add(str(err.value))
-    level = 54 if depth == 54 else 55
+    level = {53: 53, 54: 54}.get(depth, 55)
     assert len(messages) == 1 and messages.pop().startswith(f"level-{level} ")
 
 
@@ -571,6 +583,85 @@ def test_skeleton_flags():
     assert not generic.on_skeleton
 
 
+_FRAME_SIGMAS = st.one_of(
+    st.floats(1e-9, 0.5, exclude_max=True), st.sampled_from([0.0625, 0.125, 0.25, 0.375])
+)
+
+
+@st.composite
+def _frame_levels(draw):
+    """(params, k): sigma in [1e-9, 1/2), dyadic values included (below
+    ~1e-52 the level-3 Jacobian overflows), beta in [1e-3, 1e3] and a
+    level k in 3..20 whose side sigma^k is at least 2^-40, so that its
+    frames hold doubles apart from their centers."""
+    sigma = draw(_FRAME_SIGMAS)
+    beta = draw(st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+    k_max = max(MIN_LEVEL, min(20, int(-40.0 * math.log(2.0) / math.log(sigma))))
+    return ConstructionParams(sigma, beta), draw(st.integers(MIN_LEVEL, k_max))
+
+
+def _within_ulps(got, exact, n):
+    """|got - exact| <= n ulp, the ulp of a magnitude |exact| being at
+    most 2^-52 |exact|, and 2^-1074 below the normal range."""
+    return abs(Fraction(got) - exact) <= n * max(abs(exact) / 2**52, Fraction(1, 2**1074))
+
+
+# levels where the scale written a + b/rho, b = (R r' - R' r)/(R - r) < 0,
+# cancels to <= 0 in doubles: t(r) = r'/r is ~1e-62 at (0.49, 3000)
+_CANCELLING_LEVELS = [
+    (ConstructionParams(0.25, 400.0), 4),
+    (ConstructionParams(0.25, 800.0), 5),
+    (ConstructionParams(0.49, 3000.0), 3),
+]
+
+
+@settings(max_examples=300)
+@given(case=_frame_levels(), f=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(case=_CANCELLING_LEVELS[0], f=0.0, seed=0)
+@example(case=_CANCELLING_LEVELS[1], f=0.0, seed=1)
+@example(case=_CANCELLING_LEVELS[2], f=0.0, seed=2)
+@example(case=_CANCELLING_LEVELS[2], f=0.5, seed=3)
+def test_frame_fields_match_exact_values(case, f, seed):
+    """derivative_norm = max(a, t), jacobian = a t and distortion
+    max(t/a, a/t) from fields lie within 2 ulp of their exact values
+    for t = (r' + a (rho - r)) / rho, formed from the doubles the
+    formula reads: the radii r, r', the slope a and the rho of the walk.
+    The point sits at rho = r + f (R - r) from a seeded level-k center,
+    moved outward by ulps until the walk puts it in a frame."""
+    params, k = case
+    rad = radii(k, params)
+    rng = np.random.default_rng(seed)
+    c = _cell_centers(rng, 1, k, params)[0]
+    axis, sign = int(rng.integers(0, 2)), float(rng.choice([-1.0, 1.0]))
+    goal = rad.r + f * (rad.R - rad.r)
+    x = c.copy()
+    x[1 - axis] += rng.uniform(-1.0, 1.0) * goal
+    x[axis] += sign * goal
+    while abs(x[axis] - c[axis]) < rad.r:
+        x[axis] = np.nextafter(x[axis], sign * math.inf)
+    x = (float(np.clip(x[0], 0.0, 1.0)), float(np.clip(x[1], 0.0, 1.0)))
+    _, in_frame, level, rho = _descend(*x, k, params)[:4]
+    assert in_frame
+    fs = fields(x, k, params)
+    lv, a = radii(level, params), Fraction(coeffs(level, params))
+    t = (Fraction(lv.r_img) + a * (Fraction(rho) - Fraction(lv.r))) / Fraction(rho)
+    assert _within_ulps(fs.derivative_norm, max(a, t), 2)
+    assert _within_ulps(fs.jacobian, a * t, 2)
+    assert _within_ulps(fs.distortion, max(t / a, a / t), 2)
+
+
+@settings(max_examples=300)
+@given(_frame_levels())
+@example(_CANCELLING_LEVELS[0])
+@example(_CANCELLING_LEVELS[1])
+@example(_CANCELLING_LEVELS[2])
+def test_frame_maps_glue_to_their_parents(case):
+    """Over the same draws every frame map meets its parent similarity
+    within 4e-15 of the outer image radius, and no level is refused."""
+    params, k = case
+    assert consistency_check(max(k, MIN_LEVEL + 1), 256, params) <= 4e-15
+
+
 def test_sup_distortion_matches_bound_at_depth():
     for k in (4, 5, 6, 7, 100, 10_000, 1_000_000, 10**9):
         exact = exact_sup_distortion(k, P.sigma, P.beta)
@@ -578,11 +669,17 @@ def test_sup_distortion_matches_bound_at_depth():
 
 
 def test_pre_asymptotic_levels_flagged():
-    """T_k >= alpha exactly where the frame offset b is not positive."""
+    """T_k >= alpha exactly where R r' - R' r, exact from the double
+    radii, is not positive."""
     alpha = (1.0 - 2.0 * P.sigma) / (2.0 * P.sigma)
+
+    def cross(k):
+        rad = radii(k, P)
+        return Fraction(rad.R) * Fraction(rad.r_img) - Fraction(rad.R_img) * Fraction(rad.r)
+
     for k in range(4, 21):
-        assert (distortion_bound_T(k, P.beta) >= alpha) == (coeffs(k, P).b <= 0.0), k
-    assert [k for k in range(4, 21) if coeffs(k, P).b <= 0.0] == [4, 5, 6]
+        assert (distortion_bound_T(k, P.beta) >= alpha) == (cross(k) <= 0), k
+    assert [k for k in range(4, 21) if cross(k) <= 0] == [4, 5, 6]
 
 
 @settings(max_examples=200)
@@ -609,11 +706,11 @@ def test_sup_distortion_grows_without_bound():
 
 def test_sup_distortion_level3_brute_force():
     for params in (P, P4, ConstructionParams(0.49, 2.0)):
-        c = coeffs(3, params)
+        a = coeffs(3, params)
         rad = radii(3, params)
         rho = np.linspace(rad.r, rad.R, 100_001)
-        t = c.a + c.b / rho
-        brute = np.max(np.maximum(t / c.a, c.a / t))
+        t = (rad.r_img + a * (rho - rad.r)) / rho
+        brute = np.max(np.maximum(t / a, a / t))
         np.testing.assert_allclose(sup_distortion(3, params), brute, rtol=1e-12)
 
 

@@ -9,6 +9,7 @@ from mass_oracle import brute_mass_bound
 
 from cantormap.construction import LOG2, ConstructionParams
 from cantormap.measure import (
+    PRE_COVER_MAX_LEVEL,
     Gauge,
     box_dimension_pre,
     gauge_log_eval,
@@ -90,6 +91,51 @@ def test_power_gauge_sum_is_the_bare_power_law(alpha, sigma, k):
     log_t = k * math.log(sigma)
     assert gauge_log_eval(Gauge(alpha, 0.0), log_t) == alpha * log_t
     assert natural_cover_sum("pre", Gauge(alpha, 0.0), k, params) == k * LOG2 + alpha * log_t
+
+
+def exact_pre_log_sum(k, n, sigma):
+    """log of 2^k (sigma^k)^n at 60 digits, from the double n and sigma."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return k * Decimal(2).ln() + Decimal(n) * k * Decimal(sigma).ln()
+
+
+# sigmas at whose box dimension the pre-image log sum cancels to ~0
+_PRE_SIGMAS = [i / 100.0 for i in range(1, 50)]
+
+
+def _pre_log_sum_error(k):
+    """The worst |float - exact| of the level-k pre-image log sum at the
+    box dimension over _PRE_SIGMAS, the float formed the way
+    natural_cover_sum forms it, at any level."""
+    worst = 0.0
+    for sigma in _PRE_SIGMAS:
+        gauge = Gauge(box_dimension_pre(ConstructionParams(sigma, 2.0)) / 2.0, 0.0)
+        got = k * LOG2 + gauge_log_eval(gauge, k * math.log(sigma))
+        worst = max(worst, float(abs(Decimal(got) - exact_pre_log_sum(k, gauge.n, sigma))))
+    return worst
+
+
+def test_pre_cover_max_level_is_the_last_resolved_decade():
+    """PRE_COVER_MAX_LEVEL is the last power of ten at which the log sum
+    at the box dimension stays within 1e-6 of a 60-digit evaluation; the
+    error grows like k, so the resolved decades run from the first on."""
+    resolved = [j for j in range(3, 13) if _pre_log_sum_error(10**j) <= 1e-6]
+    assert resolved == list(range(3, resolved[-1] + 1))
+    assert PRE_COVER_MAX_LEVEL == 10 ** resolved[-1]
+
+
+def test_pre_cover_sum_refuses_levels_past_its_limit():
+    # at k = 1e12 the float log is 0.0 where the exact value is 1.9e-5
+    params = ConstructionParams(0.45, 2.0)
+    gauge = Gauge(box_dimension_pre(params) / 2.0, 0.0)
+    got = natural_cover_sum("pre", gauge, PRE_COVER_MAX_LEVEL, params)
+    assert abs(got - float(exact_pre_log_sum(PRE_COVER_MAX_LEVEL, gauge.n, 0.45))) <= 1e-6
+    for k in (PRE_COVER_MAX_LEVEL + 1, 10**12):
+        with pytest.raises(ValueError, match=f"pre-image cover sums need k <= 1000000000, got {k}"):
+            natural_cover_sum("pre", gauge, k, params)
+    # the image sums carry no such terms and have no such limit
+    assert math.isfinite(natural_cover_sum("image", H, 10**12, params))
 
 
 def exact_image_log_sum(k, beta, beta_prime):

@@ -19,14 +19,18 @@ The plan covers every subcommand, ``verify`` at two seeds, ``render``
 with no mesh and with a mesh of many evaluation blocks, ``map`` in CSV
 and JSON at depths 6 and 32 on a points file, on samples and on no
 samples, sample counts on either side of the row-block size of
-``map``'s writer, skeleton rows and an infinite Jacobian after a block
-edge, and failing commands that must leave an existing output file as
-it was.  Its last entries are usage and domain errors (exit 2): a flag
-each command does not read, a ``verify`` parameter other than the one
-its suite pins, non-finite numeric inputs, a depth past the library's
-limit of 60, parameters whose series terms, distortion sups, level
-tables or square sides leave double precision, and series levels whose
-ratios round past the accepted 1e-6.
+``map``'s writer, skeleton rows and the largest finite Jacobian after a
+block edge, and failing commands that must leave an existing output
+file as it was.  Its last entries are usage and domain errors (exit 2):
+a flag each command does not read, a ``verify`` parameter other than
+the one its suite pins, non-finite numeric inputs, a depth past the
+library's limit of 60, parameters whose series terms, distortion sups,
+level tables, square sides or depth-level Jacobians leave double
+precision, and series levels whose ratios round past the accepted 1e-6.
+Three ``map`` runs among them sit on either side of the level table's
+limits: two pre-asymptotic levels, where the frame scale a + b/rho
+would cancel and (r' + a (rho - r)) / rho does not, map (exit 0), and a
+depth-level Jacobian that overflows is refused.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SENTINEL = b"output of an earlier run\n"
 SHOWN_CHARS = 200
 EDGE_POINTS = "x,y\n0.5,0.5\n0.0,0.0\n\n1.0,1.0\n5e-324,1e-05\n0.9999999999999999,0.0001\n"
-DEEP = ["--sigma", "1e-6", "--depth", "30"]
+# the deepest map at this sigma whose Jacobian s_sim^2 is finite
+DEEP = ["--sigma", "1e-6", "--depth", "27"]
 
 
 def _row_block() -> int:
@@ -144,6 +149,9 @@ def _plan(block: int) -> list[tuple[str, list[str]]]:
         ["series", "tv", "--sigma", "1e-300", "--k-min", "3"],
         ["map", "--sigma", "0.1", "--beta", "1e-300", "--samples", "3"],
         ["map", "--sigma", "0.1", "--beta", "1e6", "--samples", "3"],
+        ["map", "--sigma", "0.25", "--beta", "800", "--depth", "5", "--samples", "3"],
+        ["map", "--sigma", "0.49", "--beta", "3000", "--depth", "3", "--samples", "3"],
+        ["map", "--sigma", "1e-6", "--depth", "30", "--samples", "3"],
         ["render", "--sigma", "0.1", "--beta", "1e6", "--depth", "4"],
         ["render", "--sigma", "0.1", "--beta", "1e6", "--depth", "4", "--samples", "0"],
         ["construct", "--sigma", "0.1", "--beta", "1e6", "--depth", "4", "--format", "json"],
