@@ -68,12 +68,11 @@ def frame_jacobian_integral(k: int, params: ConstructionParams) -> float:
     """Closed form of the Jacobian integral over one level-k frame.
 
     Coarea gives 8 integral of a t rho with t rho = r' + a (rho - r),
-    which is 4 a^2 (R^2 - r^2) + 8 a (R r' - R' r) and telescopes to
-    the image frame area 4 (R'^2 - r'^2) exactly.
+    which is 4 a (R - r) (R' + r'), every factor positive, and telescopes
+    to the image frame area 4 (R'^2 - r'^2) exactly.
     """
     rad, a = _linear_radii(k, params), coeffs(k, params)
-    log_s, x = _cross_term(k, params)
-    return 4.0 * a**2 * (rad.R**2 - rad.r**2) + a * math.exp(log_s) * x
+    return 4.0 * a * (rad.R - rad.r) * (rad.R_img + rad.r_img)
 
 
 def frame_tv_integral(k: int, params: ConstructionParams) -> float:

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 from typing import Iterable, Iterator, Optional
 
@@ -145,6 +146,21 @@ def _blocks(n: int) -> Iterator[slice]:
     return (slice(lo, lo + _ROW_BLOCK) for lo in range(0, n, _ROW_BLOCK))
 
 
+def _fill_rows(template: str, sep: str, cols: list[Iterable[str]]) -> str:
+    """sep.join(template % row for row in zip(*cols)), for a template whose
+    only conversions are %s.
+
+    Each row is one "".join of the template's pieces around its %s
+    interleaved with the row's values: a third to a half of the time a
+    % per row takes.
+    """
+    pieces = template.split("%s")
+    args = [itertools.repeat(pieces[0])]
+    for col, piece in zip(cols, pieces[1:], strict=True):
+        args += (col, itertools.repeat(piece))
+    return sep.join(map("".join, zip(*args)))
+
+
 def _json_table(doc: str, key: str, blocks: Iterator[str]) -> Iterator[str]:
     """doc with its list results[key] filled in from blocks of rows.
 
@@ -196,6 +212,12 @@ def _geometric_levels(k_min: int, k_max: int, num: int) -> list[int]:
     return sorted(levels)
 
 
+def _at(col: list[str], index: list[int]) -> Iterator[str]:
+    """col[i] for each i in index."""
+    return map(col.__getitem__, index)
+
+
+_CONSTRUCT_CSV_ROW = "%s,%s,%s,%s,%s,%s\n"
 # One entry of results.cells as json.dumps(doc, indent=2, sort_keys=True)
 # lays it out, keys in sorted order.
 _CONSTRUCT_JSON_CELL = (
@@ -222,27 +244,26 @@ def cmd_construct(args: argparse.Namespace) -> int:
     pre, paths = axis_centers(k, params, image=False)
     pre = list(map(repr, pre.tolist()))
     side = preimage_side(k, params)
-    cell_blocks = (zip(i0[sl].tolist(), i1[sl].tolist()) for sl in _blocks(len(i0)))
+    level = itertools.repeat(str(k))
+    cell_blocks = ((i0[sl].tolist(), i1[sl].tolist()) for sl in _blocks(len(i0)))
     if args.format == "csv":
-        row = f"{k},%s,%s,%s,%s,{side!r}\n"
+        side_col = itertools.repeat(repr(side))
         body = (
-            "".join([row % (paths[a], paths[b], pre[a], pre[b]) for a, b in cells])
-            for cells in cell_blocks
+            _fill_rows(_CONSTRUCT_CSV_ROW, "", [
+                level, _at(paths, a), _at(paths, b), _at(pre, a), _at(pre, b), side_col,
+            ])
+            for a, b in cell_blocks
         )
         header = _csv_text(["level", "ax0_path", "ax1_path", "cx", "cy", "side"], [])
         _emit(itertools.chain((header,), body), args.out)
         return 0
     report = validate_geometry(min(k, 10), params)
     img = list(map(repr, axis_centers(k, params, image=True)[0].tolist()))
-    level = str(k)
     body = (
-        ",\n".join(
-            [
-                _CONSTRUCT_JSON_CELL % (paths[a], paths[b], img[a], img[b], level, pre[a], pre[b])
-                for a, b in cells
-            ]
-        )
-        for cells in cell_blocks
+        _fill_rows(_CONSTRUCT_JSON_CELL, ",\n", [
+            _at(paths, a), _at(paths, b), _at(img, a), _at(img, b), level, _at(pre, a), _at(pre, b),
+        ])
+        for a, b in cell_blocks
     )
     results = {
         "level": k,
@@ -263,23 +284,89 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
+# A file holding any of these goes to the csv loop: a quote can carry a
+# record over line ends that numpy's reader takes as row ends, even in a
+# column it does not read, and numpy's float parser takes the ASCII
+# separators \x1c-\x1f as whitespace where float() refuses them.
+_CSV_ONLY_CHARS = '"\x1c\x1d\x1e\x1f'
+
+
+def _loadtxt_can_read(fh) -> bool:
+    """Whether numpy's reader reads the text file fh as the csv loop
+    does, where it reads it at all: fh holds none of _CSV_ONLY_CHARS, and
+    no line that could hold a field past csv's size limit.
+
+    fh is read in chunks of half the limit: a line past the limit fills
+    one whole chunk, so a full chunk with no line end refuses the file.
+    """
+    size = csv.field_size_limit() // 2
+    while chunk := fh.read(size):
+        if any(c in chunk for c in _CSV_ONLY_CHARS) or (len(chunk) == size and "\n" not in chunk):
+            return False
+    return True
+
+
+def _loadtxt_points(fh) -> Optional[np.ndarray]:
+    """The points of the seekable text file fh by numpy's C reader, or
+    None where it cannot match the csv loop of _read_points.
+
+    Line 1 is skipped exactly where that loop skips it: when it does not
+    hold two floats.  loadtxt raises on any other row that is not two
+    floats, as on blank-comma rows, underscores and non-ASCII digits,
+    and warns on a file with no rows.
+    """
+    if not (fh.seekable() and _loadtxt_can_read(fh)):
+        return None
+    fh.seek(0)
+    row = next(csv.reader([fh.readline()]), [])
+    try:
+        float(row[0]), float(row[1])
+        header = 0
+    except (ValueError, IndexError):
+        header = 1
+    fh.seek(0)
+    return np.loadtxt(fh, delimiter=",", usecols=(0, 1), comments=None, ndmin=2,
+                      skiprows=header)
+
+
 def _read_points(path: str) -> np.ndarray:
+    """The x,y points of the CSV file at path as an (n, 2) float64 array.
+
+    Blank records are skipped, and so is a first record that is not two
+    floats (a header).  numpy's C reader takes the file where it can;
+    the csv loop takes every file it refuses, and alone names a bad
+    record or an empty file.
+    """
+    try:
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = _loadtxt_points(fh)
+    except (ValueError, Warning):  # loadtxt refuses the file, or it is not text
+        pts = None
+    return _csv_points(path) if pts is None else pts
+
+
+def _csv_points(path: str) -> np.ndarray:
+    """_read_points by the csv module, one record at a time."""
     xs, ys = [], []
     add_x, add_y = xs.append, ys.append
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         end = 0  # physical lines read through the previous record
-        for row in reader:
-            start, end = end + 1, reader.line_num
-            try:
-                x, y = float(row[0]), float(row[1])
-            except (ValueError, IndexError):
-                # float() fails on every blank or all-whitespace row
-                if not row or not "".join(row).strip() or start == 1:
-                    continue  # blank row or header row
-                raise ValueError(f"bad point at {path}:{start}: {row!r}")
-            add_x(x)
-            add_y(y)
+        try:
+            for row in reader:
+                start, end = end + 1, reader.line_num
+                try:
+                    x, y = float(row[0]), float(row[1])
+                except (ValueError, IndexError):
+                    # float() fails on every blank or all-whitespace row
+                    if not row or not "".join(row).strip() or start == 1:
+                        continue  # blank row or header row
+                    raise ValueError(f"bad point at {path}:{start}: {row!r}")
+                add_x(x)
+                add_y(y)
+        except csv.Error as exc:  # a field past csv's size limit
+            raise ValueError(f"bad point at {path}:{end + 1}: {exc}") from None
     if not xs:
         raise ValueError(f"no points found in {path}")
     return np.column_stack((xs, ys))
@@ -348,10 +435,9 @@ def _map_rows(pts: np.ndarray, f: dict, as_json: bool) -> Iterator[str]:
         flags = [flag[s] for s in fb["on_skeleton"].tolist()]
         if as_json:
             level = map(str, fb["level"].tolist())
-            rows = zip(kk, dn, fx, fy, jac, level, flags, x, y)
-            yield ",\n".join(map(_MAP_JSON_ROW.__mod__, rows))
+            yield _fill_rows(_MAP_JSON_ROW, ",\n", [kk, dn, fx, fy, jac, level, flags, x, y])
         else:
-            yield "".join(map(_MAP_CSV_ROW.__mod__, zip(x, y, fx, fy, dn, jac, kk, flags)))
+            yield _fill_rows(_MAP_CSV_ROW, "", [x, y, fx, fy, dn, jac, kk, flags])
 
 
 def cmd_map(args: argparse.Namespace) -> int:

@@ -47,6 +47,26 @@ def test_jacobian_integral_equals_image_frame_area():
         np.testing.assert_allclose(frame_jacobian_integral(k, P), area_img, rtol=1e-12)
 
 
+@settings(max_examples=300)
+@given(
+    sigma=st.floats(0.01, 0.5, exclude_max=True),
+    beta=st.floats(-2.0, 3.0).map(lambda e: 10.0**e),
+    k=st.integers(3, 20),
+)
+# 4 a^2 (R^2 - r^2) + 8 a (R r' - R' r) cancels about 7 : -6 here
+@example(sigma=0.49, beta=2.0, k=5)
+@example(sigma=0.49, beta=2.0, k=6)
+def test_jacobian_integral_is_the_exact_image_frame_area(sigma, beta, k):
+    """The closed form lies within 2 ulp of the image frame area
+    4 (R'^2 - r'^2), taken exactly from the same double radii; an ulp
+    is 2^-52 of the area, and 2^-1074 where the area is subnormal."""
+    params = ConstructionParams(sigma, beta)
+    rad = radii(k, params)
+    exact = 4 * (Fraction(rad.R_img) ** 2 - Fraction(rad.r_img) ** 2)
+    ulp = max(exact / 2**52, Fraction(1, 2**1074))
+    assert abs(Fraction(frame_jacobian_integral(k, params)) - exact) <= 2 * ulp
+
+
 def test_jacobian_integral_vs_monte_carlo():
     mc = frame_integral_mc(4, P, "jacobian", n_samples=10**6)
     np.testing.assert_allclose(mc, frame_jacobian_integral(4, P), rtol=5e-3)

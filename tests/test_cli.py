@@ -7,11 +7,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from mass_oracle import brute_mass_bound
 
 from cantormap.analysis import p_threshold
 from cantormap.cli import (
+    _CONSTRUCT_CSV_ROW,
+    _CONSTRUCT_JSON_CELL,
+    _MAP_CSV_ROW,
+    _MAP_JSON_ROW,
     _ROW_BLOCK,
+    _fill_rows,
     _float_column,
     _read_points,
     build_parser,
@@ -353,9 +360,16 @@ def test_map_fields_epilogue_does_not_warn(fmt, tmp_path, capsys):
         )
 
 
+# a field past csv's 131,072-character limit: 200,000 digits on line 2,
+# and a quote on line 3 that runs on to the end of the file
+OVERSIZED_FIELD = "x,y\n0.25," + "1234567890" * 20_000 + "\n"
+UNTERMINATED_QUOTE = 'x,y\n0.25,0.5\n"0.125,0.75\n' + "0.5,0.5\n" * 20_000
+
 FAILING_COMMANDS = {
     "nan_on_last_row": ("x,y\n0.25,0.25\n0.5,0.75\n0.5,nan\n", ["--depth", "6"]),
     "bad_row_2": ("x,y\n0.5\n0.25,0.25\n", ["--depth", "6"]),
+    "oversized_field": (OVERSIZED_FIELD, ["--depth", "6"]),
+    "unterminated_quote": (UNTERMINATED_QUOTE, ["--depth", "6"]),
     "underflowing_depth": (None, ["--sigma", "1e-6", "--samples", "3", "--depth", "54"]),
     "construct_cap": (None, ["--depth", "5", "--cap", "256"]),
 }
@@ -379,19 +393,23 @@ def test_failed_command_leaves_output_untouched(case, fmt, tmp_path, capsys):
 
 def reference_read_points(path: str) -> np.ndarray:
     """The points reader as it was when each row became a two-float list,
-    naming a bad record by the physical line it starts on."""
+    naming a bad record, or one with a field past csv's size limit, by
+    the physical line it starts on."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         lineno = 1
-        for row in reader:
-            if row and "".join(row).strip():
-                try:
-                    rows.append([float(row[0]), float(row[1])])
-                except (ValueError, IndexError):
-                    if lineno != 1:  # else a header row
-                        raise ValueError(f"bad point at {path}:{lineno}: {row!r}")
-            lineno = reader.line_num + 1
+        try:
+            for row in reader:
+                if row and "".join(row).strip():
+                    try:
+                        rows.append([float(row[0]), float(row[1])])
+                    except (ValueError, IndexError):
+                        if lineno != 1:  # else a header row
+                            raise ValueError(f"bad point at {path}:{lineno}: {row!r}")
+                lineno = reader.line_num + 1
+        except csv.Error as exc:
+            raise ValueError(f"bad point at {path}:{lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"no points found in {path}")
     return np.array(rows)
@@ -419,23 +437,99 @@ READ_POINTS_CASES = {
     "empty": "",
     "header_only": "x,y\n",
     "blank_only": "\n \n,\n",
+    # files numpy's reader, if it took them, would read unlike the csv loop
+    "quoted_numeric_row_1": '"0.25","0.5"\n0.125,0.75\n',
+    "quote_across_lines_in_column_3": '0.25,0.5,"note\n0.75,0.125,"\n0.5,0.5\n',
+    "ascii_separator": "x,y\n0.25\x1f,0.5\n",
+    "hash_in_row_2": "x,y\n#0.25,0.5\n",
+    "oversized_field": OVERSIZED_FIELD,
+    "unterminated_quote": UNTERMINATED_QUOTE,
 }
+
+
+def assert_reads_as_reference(path):
+    """_read_points(path) gives reference_read_points's array, to the
+    bytes, dtype, shape and C order, or raises its error message; it
+    issues no warning."""
+    try:
+        want = reference_read_points(str(path))
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _read_points(str(path))
+        assert str(got.value) == str(exc)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _read_points(str(path))
+    assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(READ_POINTS_CASES))
 def test_read_points_matches_reference(case, tmp_path):
     path = tmp_path / "pts.csv"
     path.write_bytes(READ_POINTS_CASES[case].encode())
-    try:
-        want = reference_read_points(str(path))
-    except ValueError as exc:
-        with pytest.raises(ValueError) as got:
-            _read_points(str(path))
-        assert str(got.value) == str(exc)
-        return
-    got = _read_points(str(path))
-    assert (got.dtype, got.shape, got.flags.c_contiguous) == (want.dtype, want.shape, True)
-    assert got.tobytes() == want.tobytes()
+    assert_reads_as_reference(path)
+
+
+@pytest.mark.parametrize("case, line", [("oversized_field", 2), ("unterminated_quote", 3)])
+def test_read_points_names_the_line_of_an_oversized_field(case, line, tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(READ_POINTS_CASES[case].encode())
+    with pytest.raises(ValueError) as got:
+        _read_points(str(path))
+    assert str(got.value) == f"bad point at {path}:{line}: field larger than field limit (131072)"
+
+
+_FLOAT_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.floats().map(lambda v: "%g" % v),
+    st.sampled_from(["nan", "-inf", "1e400", "-1e400", "5e-324", "1e-310", "+.5", "-0.", " 1 "]),
+)
+# fields the csv loop and numpy's reader may read apart, or not at all
+_ODD_FIELD = st.sampled_from([
+    "", " ", "\t", "x", "y", '"0.25"', '"x"', '"', '"1\n2"', '"\n0.75,0.125,"', '"a,b"',
+    "#", "#0.5", "0.5#",
+    "1_0", "\u0663", "\u0663.\u0665", "1\x1f", "\x1c0.5", "\xa00.5", "0x10", "1e", "\x00",
+])
+_DATA_LINE = st.lists(_FLOAT_TEXT, min_size=2, max_size=3).map(",".join)
+_ODD_LINES = st.one_of(
+    st.lists(st.one_of(_FLOAT_TEXT, _ODD_FIELD), max_size=4).map(",".join),
+    st.tuples(_FLOAT_TEXT, _ODD_FIELD, st.booleans()).map(
+        lambda t: f"{t[0]},{t[1]}" if t[2] else f"{t[1]},{t[0]}"
+    ),
+)
+_LINE_1 = st.sampled_from(["x,y", '"x","y"', '"0.25","0.5"', "x", "", " ", ",", "0.25,0.5"])
+
+
+@st.composite
+def _points_texts(draw):
+    """CSV text of two-float rows, which numpy's reader takes, with up to
+    two odd rows put in (headers, blank, quoted, short, long rows, odd
+    fields), maybe a first line from _LINE_1, and LF, CR or CRLF ends."""
+    lines = draw(st.lists(_DATA_LINE, max_size=8))
+    for line in draw(st.lists(_ODD_LINES, max_size=2)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    if draw(st.booleans()):
+        lines.insert(0, draw(_LINE_1))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r", "\r\n"]), min_size=len(lines),
+                         max_size=len(lines)))
+    text = "".join(map("".join, zip(lines, ends)))
+    return text[: -len(ends[-1])] if lines and draw(st.booleans()) else text
+
+
+@settings(max_examples=600, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_points_texts())
+@example(text="x,y\n0.25,0.5\n0.125,0.75\n")
+@example(text='"0.25","0.5"\n0.125,0.75\n')
+@example(text='0.25,0.5,"\n0.125,0.75,"\n')
+@example(text="x,y\n0.25,0.5\n#\n")
+@example(text="0.25,0.5\r\n\r\n1\x1f,2\r\n")
+def test_read_points_matches_reference_on_generated_text(text, tmp_path):
+    path = tmp_path / "pts.csv"
+    path.write_bytes(text.encode())
+    assert_reads_as_reference(path)
 
 
 def test_read_points_names_the_line_a_bad_record_starts_on(tmp_path):
@@ -444,6 +538,20 @@ def test_read_points_names_the_line_a_bad_record_starts_on(tmp_path):
     path.write_bytes(READ_POINTS_CASES["quoted_newline"].encode())
     with pytest.raises(ValueError, match=r"pts\.csv:3: \['1\\n2', '0\.5'\]$"):
         _read_points(str(path))
+
+
+@pytest.mark.parametrize("n", [0, 1, B + 1])
+@pytest.mark.parametrize(
+    "template, sep",
+    [(_MAP_CSV_ROW, ""), (_MAP_JSON_ROW, ",\n"), (_CONSTRUCT_CSV_ROW, ""),
+     (_CONSTRUCT_JSON_CELL, ",\n")],
+)
+def test_fill_rows_is_the_template_filled_per_row(template, sep, n):
+    values = ["%", ",", "", "%s", "%%", "0.5", "-1e-05", "null", '"', "\n"]
+    width = template.count("%s")
+    cols = [[values[(7 * i + 3 * j) % len(values)] for i in range(n)] for j in range(width)]
+    want = sep.join(template % row for row in zip(*cols))
+    assert _fill_rows(template, sep, [iter(col) for col in cols]) == want
 
 
 def test_float_column_spells_values_as_json_and_csv_do():

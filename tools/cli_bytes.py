@@ -20,8 +20,10 @@ with no mesh and with a mesh of many evaluation blocks, ``map`` in CSV
 and JSON at depths 6 and 32 on a points file, on samples and on no
 samples, sample counts on either side of the row-block size of
 ``map``'s writer, skeleton rows and the largest finite Jacobian after a
-block edge, and failing commands that must leave an existing output
-file as it was.  Its last entries are usage and domain errors (exit 2):
+block edge, a points file that only the csv loop of ``map``'s reader
+reads (quoted cells and an underscore), and failing commands that must
+leave an existing output file as it was: among them a ``#`` in a data
+row and fields past csv's size limit.  Its last entries are usage and domain errors (exit 2):
 a flag each command does not read, a ``verify`` parameter other than
 the one its suite pins, non-finite numeric inputs, a depth past the
 library's limit of 60, parameters whose series terms, distortion sups,
@@ -81,6 +83,12 @@ def _inputs(block: int) -> dict[str, str]:
         "after_edge.csv": _points_file(_points(rng, block + 1) + special + _points(rng, 5)),
         "nan_last.csv": "x,y\n0.25,0.25\n0.5,0.75\n0.5,nan\n",
         "bad_row_2.csv": "x,y\n0.5\n0.25,0.25\n",
+        # numpy's reader refuses the quotes and the underscore: csv reads it
+        "csv_only.csv": _points_file(['"0.25","0.5"', "0.2_5,0.75", '0.125,"0.375"', "0.5,0.5"]),
+        "hash_row.csv": "x,y\n0.25,0.5\n#0.5,0.5\n",
+        # fields past csv's 131,072-character limit
+        "oversized_field.csv": "x,y\n0.25," + "1234567890" * 20_000 + "\n",
+        "unterminated_quote.csv": 'x,y\n0.25,0.5\n"0.125,0.75\n' + "0.5,0.5\n" * 20_000,
     }
 
 
@@ -124,6 +132,10 @@ def _plan(block: int) -> list[tuple[str, list[str]]]:
                      ["map", "nan_last.csv", "--format", fmt, "--out", "out"]))
         plan.append((f"map_bad_row_2_{fmt}",
                      ["map", "bad_row_2.csv", "--format", fmt, "--out", "out"]))
+        plan.append((f"map_csv_only_{fmt}", ["map", "csv_only.csv", "--format", fmt]))
+        for name in ("hash_row", "oversized_field", "unterminated_quote"):
+            plan.append((f"map_{name}_{fmt}",
+                         ["map", f"{name}.csv", "--format", fmt, "--out", "out"]))
         plan.append((f"map_underflow_{fmt}", ["map", "--sigma", "1e-6", "--samples", "3",
                                               "--depth", "54", "--format", fmt, "--out", "out"]))
         plan.append((f"construct_cap_{fmt}", ["construct", "--depth", "5", "--cap", "256",
