@@ -27,7 +27,7 @@ from .construction import (
     log_log_ratio,
     radii,
 )
-from .logspace import LOG_DOUBLE_MAX, log_add
+from .logspace import LOG_DOUBLE_MAX
 from .mapping import coeffs, sup_distortion
 from .quadrature import integrate
 
@@ -56,12 +56,13 @@ def _linear_radii(k: int, params: ConstructionParams):
 def _cross_term(k: int, params: ConstructionParams) -> tuple[float, float]:
     """8 (R r' - R' r) = s x of a level-k frame as (log s, x), free of the
     products' cancellation: past level 3, with u = (log(k-1)/log k)^(beta/2),
-    s = sigma^(k-1) l_{k-1} and x = u/2 - sigma.  Level 3 reads its radii."""
+    s = sigma^(k-1) l_{k-1} and x = u/2 - sigma, taken as ((1 - 2 sigma) -
+    (1 - u)) / 2 lest u's rounding near 1 cost x its digits.  Level 3 reads its radii."""
     if k == MIN_LEVEL:
         rad = radii(k, params)
         return 0.0, 8.0 * (rad.R * rad.r_img - rad.R_img * rad.r)
-    u = math.exp(-0.5 * params.beta * log_log_ratio(k))
-    return (k - 1) * math.log(params.sigma) + log_image_side(k - 1, params), u / 2.0 - params.sigma
+    x = ((1.0 - 2.0 * params.sigma) + math.expm1(-0.5 * params.beta * log_log_ratio(k))) / 2.0
+    return (k - 1) * math.log(params.sigma) + log_image_side(k - 1, params), x
 
 
 def frame_jacobian_integral(k: int, params: ConstructionParams) -> float:
@@ -170,41 +171,25 @@ def image_area_partition_defect(depth: int, params: ConstructionParams) -> float
     return abs(1.0 - total)
 
 
-def log_pre_gap(k: int, params: ConstructionParams) -> float:
-    """log(R - r) = log(sigma^(k-1) (1 - 2 sigma) / 4), the width of a
-    level-k pre-image frame, k >= 4."""
-    return (k - 1) * math.log(params.sigma) + math.log((1.0 - 2.0 * params.sigma) / 4.0)
-
-
-def _log_pre_span(k: int, params: ConstructionParams) -> float:
-    # log(R + r), k >= 4
-    return (k - 1) * math.log(params.sigma) + math.log((1.0 + 2.0 * params.sigma) / 4.0)
-
-
 def _log_pre_area(k: int, params: ConstructionParams) -> float:
-    # log of the frame area 4 (R^2 - r^2)
+    # log of the frame area 4 (R - r)(R + r), R -+ r = sigma^(k-1) (1 -+ 2 sigma) / 4 past level 3
     if k == MIN_LEVEL:
         rad = radii(k, params)
         return math.log(4.0 * (rad.R**2 - rad.r**2))
-    return math.log(4.0) + log_pre_gap(k, params) + _log_pre_span(k, params)
+    log_s, sigma = (k - 1) * math.log(params.sigma), params.sigma
+    return math.log(4.0) + (log_s + math.log((1.0 - 2.0 * sigma) / 4.0)) + (
+        log_s + math.log((1.0 + 2.0 * sigma) / 4.0))
 
 
 def _tv_log_per_frame(k: int, params: ConstructionParams) -> float:
-    """log of frame_tv_integral, k >= 3, at levels far past double range.
-
-    Past level 3, with u = (log(k-1)/log k)^(beta/2), R' - r' = l_{k-1} (1 - u) / 4,
-    so 4 a (R^2 - r^2) = 4 (R' - r') (R + r) and, where positive,
-    8 (R r' - R' r) (_cross_term) factor into logs.
-    """
+    """log of frame_tv_integral, k >= 3, at levels far past double range:
+    past level 3, 4 a (R^2 - r^2) = 4 (R' - r') (R + r) with R' - r' = l_{k-1} (1 - u) / 4,
+    so it is s h, h = (1 - u)(1 + 2 sigma)/4 + max(x, 0) (_cross_term)."""
     if k == MIN_LEVEL:
         return math.log(frame_tv_integral(k, params))
-    half_beta_llr = 0.5 * params.beta * log_log_ratio(k)
-    log_lk1 = log_image_side(k - 1, params)
-    first = log_lk1 + math.log(-math.expm1(-half_beta_llr)) + _log_pre_span(k, params)
     log_s, x = _cross_term(k, params)
-    if x > 0.0:
-        return log_add(first, log_s + math.log(x))
-    return first
+    one_minus_u = -math.expm1(-0.5 * params.beta * log_log_ratio(k))
+    return log_s + math.log(one_minus_u * (1.0 + 2.0 * params.sigma) / 4.0 + max(x, 0.0))
 
 
 @dataclass(frozen=True)
@@ -228,34 +213,44 @@ class SeriesDiagnostics:
     ratios: tuple[float, ...]
 
 
-def _series_log_per_frame(kind: str, k: int, p: Optional[float], params) -> tuple[float, float]:
-    """The level-k log per frame and the magnitude M of the logs summed
-    into it.  A subexp term is the frame area times the gauge at the
-    frame sup of the distortion; its area and gain logs have opposite
-    signs, so M is |log area| + gain.  The tv logs share one sign."""
+def _series_log_per_frame(kind: str, k: int, p: Optional[float], params) -> float:
+    """The level-k log per frame; subexp's is the frame area times the gauge at the sup."""
     if kind == "tv":
-        pf = _tv_log_per_frame(k, params)
-        return pf, abs(pf)
-    log_area = _log_pre_area(k, params)
-    gain = subexp_gain(sup_distortion(k, params), p)
-    return log_area + gain, abs(log_area) + gain
+        return _tv_log_per_frame(k, params)
+    return _log_pre_area(k, params) + subexp_gain(sup_distortion(k, params), p)
 
 
-# Largest relative rounding error a printed series ratio may carry.
-SERIES_RATIO_RTOL = 1e-6
-
-# A term ratio is exp(2 log 2 + pf(k+1) - pf(k)), and each log per frame
-# pf sums logs whose magnitudes add up to M (_series_log_per_frame).  To
-# first order, with each rounding within u = 2^-53 of its result and each
-# log, log1p and expm1 within one ulp = 2u, the error of a subexp pf is
-# at most 3.5 u |log area| (one product, four sums) plus 15 u gain (8 u
-# from T_k's log, two log1p and expm1, seven roundings on the way to K
-# and the gain; alpha's rounding is the same at both levels) plus u M for
-# their sum, so at most 16 u M; a tv pf, whose logs share one sign, is
-# within 6 u M (4 u in each log_add argument, 2 u in log_add).  Forming
-# log_ratio adds u M, and exp's own rounding, u relative, is absorbed as
-# M > 1: the ratio is within 17 u (M(k) + M(k+1)) relative.
-_RATIO_ROUNDINGS = 17
+def _term_ratio(kind: str, k: int, p: Optional[float], params, pf: float) -> float:
+    """The level-k term ratio, 4 times the level-(k+1) integral per frame
+    over the level-k one (whose log is pf).  Past level 3 it is formed
+    from factors of size one in decimal and rounded once: tv's is
+    2 sigma u_k h(k+1) / h(k) (_tv_log_per_frame), and subexp's, wherever
+    T_k < alpha, (2 sigma)^2 gain_ratio, as consecutive frame areas are
+    in the ratio sigma^2.  Level 3 and the pre-asymptotic subexp levels
+    (small k unless sigma nears 1/2 or beta is large) take
+    exp(2 log 2 + pf(k+1) - pf(k))."""
+    if k > MIN_LEVEL and kind == "tv":
+        with localcontext() as ctx:
+            ctx.prec = _kernel_digits(k, params.beta)
+            sigma = Decimal(params.sigma)
+            u = [_decimal_u(n, params.beta) for n in (k, k + 1)]
+            h = [(1 - v) * (1 + 2 * sigma) / 4 + max(v / 2 - sigma, Decimal(0)) for v in u]
+            return float(2 * sigma * u[0] * h[1] / h[0])
+    if k > MIN_LEVEL and _asymptotic(k, params):
+        if k > GAIN_RATIO_MAX_LEVEL:
+            raise ValueError(f"level-{k} term ratio is past 1e100, the deepest gain_ratio level")
+        with localcontext() as ctx:
+            ctx.prec = _kernel_digits(k, params.beta)
+            log_ratio = 2 * (2 * Decimal(params.sigma)).ln() + _log_gain_ratio(k, p, params)
+            if log_ratio < LOG_DOUBLE_MAX:
+                return float(log_ratio.exp())
+    else:
+        # the two per-level logs are of size ~k, so log_ratio carries an absolute
+        # error near k * 2^-53: past range here says nothing of whether the exact ratio is
+        log_ratio = 2.0 * LOG2 + _series_log_per_frame(kind, k + 1, p, params) - pf
+        if log_ratio < LOG_DOUBLE_MAX:
+            return math.exp(log_ratio)
+    raise ValueError(f"level-{k} term ratio exp({float(log_ratio)!r}) is past double range")
 
 
 def series_terms(
@@ -285,9 +280,8 @@ def series_terms(
     frames of level k grouped under their level-(k-1) parents) and the
     per-frame log integral; log_term is their log-space product.
 
-    Raises ValueError at the first level whose ratio is past double
-    range, or whose rounding bound exceeds SERIES_RATIO_RTOL: the logs
-    it is formed from grow like k, and so does their rounding.
+    Raises ValueError at the first level whose log term or ratio
+    (_term_ratio) is past double range, and where the limit is.
     """
     if kind not in ("tv", "subexp"):
         raise ValueError(f"kind must be 'tv' or 'subexp', got {kind!r}")
@@ -307,29 +301,12 @@ def series_terms(
     terms = []
     ratios = []
     for k in lvls:
-        pf, mag = _series_log_per_frame(kind, k, p, params)
+        pf = _series_log_per_frame(kind, k, p, params)
         if not math.isfinite(pf):
             raise ValueError(f"level-{k} log term is past double range (log per frame {pf!r})")
         count_log2 = 2 * (k - 1)
         terms.append(SeriesTerm(k, count_log2, pf, count_log2 * LOG2 + pf))
-        pf_next, mag_next = _series_log_per_frame(kind, k + 1, p, params)
-        log_ratio = 2.0 * LOG2 + pf_next - pf
-        # the two per-level logs are of size ~k, so log_ratio carries an
-        # absolute error near k * 2^-53: past range here says nothing of
-        # whether the exact ratio is
-        if not log_ratio < LOG_DOUBLE_MAX:
-            raise ValueError(
-                f"level-{k} term ratio exp({log_ratio!r}), formed from the difference of"
-                " two per-level logs, is past double range"
-            )
-        bound = _RATIO_ROUNDINGS * 2.0**-53 * (mag + mag_next)
-        if bound > SERIES_RATIO_RTOL:
-            raise ValueError(
-                f"level-{k} term ratio is formed from logs of size {mag + mag_next:.3g}, so"
-                f" its rounding bound {bound:.3g} exceeds the relative {SERIES_RATIO_RTOL:g}"
-                " a printed ratio must meet; use smaller levels"
-            )
-        ratios.append(math.exp(log_ratio))
+        ratios.append(_term_ratio(kind, k, p, params, pf))
 
     two_sigma = 2.0 * params.sigma
     if kind == "tv":
@@ -363,38 +340,57 @@ def gain_ratio(k: int, p: float, params: ConstructionParams) -> float:
     still 0.27 at k = 10^9 for p alpha / beta = 1.
 
     Both gauge exponents are of size k and their difference is of size
-    one, so they are formed in decimal arithmetic with about twice the
-    digits of k to spare; the result is accurate to double precision
-    for 4 <= k <= GAIN_RATIO_MAX_LEVEL and raises ValueError outside.
+    one, so they are formed in decimal; the result is accurate to double
+    precision for 4 <= k <= GAIN_RATIO_MAX_LEVEL where T_k < alpha.
     """
+    gap = _log_gain_ratio(k, p, params)
+    if not gap < LOG_DOUBLE_MAX:
+        raise ValueError(f"gain ratio overflows double precision at p={p}")
+    with localcontext() as ctx:
+        ctx.prec = _kernel_digits(k, params.beta)
+        return float(gap.exp())
+
+
+def _asymptotic(k: int, params: ConstructionParams) -> bool:
+    """T_k < alpha at level k >= 4, as log(1 + T_k) < log(1 + alpha) = -log(2 sigma),
+    which cannot overflow: the one test gain_ratio and series_terms branch on."""
+    return 0.5 * params.beta * log_log_ratio(k) < -math.log(2.0 * params.sigma)
+
+
+def _log_gain_ratio(k: int, p: float, params: ConstructionParams) -> Decimal:
+    """G(k+1) - G(k), the log of gain_ratio, with G = p K / (1 + log K)."""
     _check_finite_positive("p", p)
     k = int(k)
     if not MIN_LEVEL + 1 <= k <= GAIN_RATIO_MAX_LEVEL:
         raise ValueError(
             f"gain_ratio needs {MIN_LEVEL + 1} <= k <= 1e100, got {Decimal(k):.3g}"
         )
+    if not _asymptotic(k, params):
+        raise ValueError(
+            f"distortion bound alpha / T_k below 1 at level {k}; "
+            "the asymptotic form starts deeper"
+        )
     with localcontext() as ctx:
-        # T_k ~ 1 / (k log k) comes out of log k - log(k-1), and the two
-        # exponents cancel to one: each costs about the digits of k
-        ctx.prec = 2 * len(str(k)) + 40
-        gap = _bound_gain(k + 1, p, params) - _bound_gain(k, p, params)
-        ratio = float(gap.exp())
-    if math.isinf(ratio):
-        raise ValueError(f"gain ratio overflows double precision at p={p}")
-    return ratio
+        ctx.prec = _kernel_digits(k, params.beta)
+        return _bound_gain(k + 1, p, params) - _bound_gain(k, p, params)
+
+
+def _kernel_digits(k: int, beta: float) -> int:
+    # 1 - u_k ~ beta / (2 k log k) comes out of log k - log(k-1) and a
+    # power, and two gauge exponents of size k cancel to one: each costs
+    # the digits of k, and the power those of 1 / beta too
+    return 2 * len(str(k)) + 40 + max(0, -Decimal(beta).adjusted())
+
+
+def _decimal_u(k: int, beta: float) -> Decimal:
+    """u_k = (log(k-1) / log k)^(beta/2) = 2 l_k / l_{k-1} = 1 / (1 + T_k), k >= 4."""
+    return (Decimal(k - 1).ln() / Decimal(k).ln()) ** (Decimal(beta) / 2)
 
 
 def _bound_gain(k: int, p: float, params: ConstructionParams) -> Decimal:
     """p K / (1 + log K) at K = alpha / T_k, in the current decimal context."""
-    two_sigma = 2 * Decimal(params.sigma)
-    alpha = (1 - two_sigma) / two_sigma
-    T = (Decimal(k).ln() / Decimal(k - 1).ln()) ** (Decimal(params.beta) / 2) - 1
-    K = alpha / T
-    if K < 1:
-        raise ValueError(
-            f"distortion bound {float(K):.3g} below 1 at level {k}; "
-            "the asymptotic form starts deeper"
-        )
+    two_sigma, u = 2 * Decimal(params.sigma), _decimal_u(k, params.beta)
+    K = (1 - two_sigma) / two_sigma * u / (1 - u)
     return Decimal(p) * K / (1 + K.ln())
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .analysis import (
     frame_integral_mc,
@@ -139,7 +140,8 @@ def check_jacobian(seed: int = DEFAULT_SEED) -> list[CheckResult]:
             params = ConstructionParams(sigma, beta)
             for k in range(3, 13):
                 rad = radii(k, params)
-                area = 4.0 * (rad.R_img**2 - rad.r_img**2)
+                # exact and rounded once: in doubles R'^2 - r'^2 cancels
+                area = float(4 * (Fraction(rad.R_img) ** 2 - Fraction(rad.r_img) ** 2))
                 worst = max(worst, abs(frame_jacobian_integral(k, params) / area - 1.0))
     closed = _check(
         3,

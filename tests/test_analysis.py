@@ -7,14 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gain_oracle import exact_gain_ratio, exact_tv_ratio
+from gain_oracle import exact_gain_ratio, exact_tv_integral, exact_tv_ratio
 from log_oracle import log_sum
 
 from cantormap.analysis import (
-    _RATIO_ROUNDINGS,
     GAIN_RATIO_MAX_LEVEL,
-    SERIES_RATIO_RTOL,
-    _series_log_per_frame,
     frame_integral_mc,
     frame_jacobian_integral,
     frame_subexp_integral,
@@ -348,41 +345,98 @@ def test_series_terms_are_finite_or_a_domain_error(sigma, beta, p, levels, kind)
     assert all(math.isfinite(r) for r in diag.ratios)
 
 
+# sigma in [1e-3, 1/2), with 0.4999 and values within 1e-3 to 1e-15 of 1/2
+_SIGMA_TO_HALF = st.one_of(
+    _log_uniform(1e-3, 0.49999999999999994),
+    st.just(0.4999),
+    st.floats(-15.0, -3.0).map(lambda e: 0.5 - 10.0**e),
+)
+
+
+def _ulps(ratio: float, exact: Decimal) -> Decimal:
+    return abs(Decimal(ratio) - exact) / Decimal(math.ulp(float(exact)))
+
+
 @settings(max_examples=150)
 @given(
-    sigma=_log_uniform(1e-3, 0.49),
+    sigma=_SIGMA_TO_HALF,
     beta=_log_uniform(0.1, 10.0),
     p=_log_uniform(0.01, 100.0),
-    k=_log_uniform(1e3, 1e11).map(int),
+    k=st.one_of(st.integers(4, 100), _log_uniform(4.0, 1e100).map(int)),
     kind=st.sampled_from(["tv", "subexp"]),
 )
+@example(sigma=0.4999, beta=2.0, p=0.5, k=1000, kind="tv")
+@example(sigma=0.49999999, beta=3.3887528437611323, p=0.5, k=49, kind="tv")
+@example(sigma=0.45, beta=2.0, p=0.5, k=10**15, kind="tv")
 @example(sigma=0.45, beta=2.0, p=0.5, k=10**6, kind="subexp")
-@example(sigma=0.25, beta=2.0, p=0.5, k=10**8, kind="subexp")
-@example(sigma=0.45, beta=1.0, p=0.5, k=10**9, kind="subexp")
-@example(sigma=0.45, beta=2.0, p=0.5, k=10**9, kind="tv")
-def test_series_ratios_are_within_their_rounding_bound(sigma, beta, p, k, kind):
-    """Against the decimal oracles, a term ratio is within its rounding
-    bound 17 u (M(k) + M(k+1)) at every level, and series_terms prints
-    it exactly where that bound meets SERIES_RATIO_RTOL.  A subexp ratio
-    is 4 sigma^2 gain_ratio wherever T_k < alpha, as the frame sup is
-    then alpha / T_k and the area ratio sigma^2."""
+@example(sigma=0.45, beta=2.0, p=0.5, k=177827941, kind="subexp")
+@example(sigma=0.25, beta=2.0, p=0.5, k=10**20, kind="subexp")
+@example(sigma=0.001, beta=6.5765759402787705, p=0.9216945476761734, k=10**100, kind="subexp")
+def test_series_ratios_match_their_oracles(sigma, beta, p, k, kind):
+    """A printed term ratio lies within 4 ulp of the decimal oracle: the
+    tv ratio for k in [4, 1e15], and the subexp ratio, which is
+    (2 sigma)^2 exact_gain_ratio wherever T_k < alpha (the frame sup is
+    then alpha / T_k and the area ratio sigma^2), for k in [5, 1e100]."""
     params = ConstructionParams(sigma, beta)
     if kind == "tv":
+        assume(k <= 10**15)
         exact = exact_tv_ratio(k, sigma, beta)
     else:
         alpha = (1.0 - 2.0 * sigma) / (2.0 * sigma)
         # the sup is alpha / T_k, and the limit the verdict reads is finite
-        assume(distortion_bound_T(k, beta) < alpha and 2.0 * p * alpha / beta < 700.0)
+        assume(k >= 5 and distortion_bound_T(k, beta) < alpha and 2.0 * p * alpha / beta < 700.0)
         exact = 4 * Decimal(sigma) ** 2 * exact_gain_ratio(k, sigma, beta, p)
-    pf, mag = _series_log_per_frame(kind, k, p, params)
-    pf_next, mag_next = _series_log_per_frame(kind, k + 1, p, params)
-    log_ratio = 2.0 * LOG2 + pf_next - pf
-    assume(log_ratio < 700.0)
-    ratio = math.exp(log_ratio)
-    bound = _RATIO_ROUNDINGS * 2.0**-53 * (mag + mag_next)
-    assert abs(Decimal(ratio) / exact - 1) <= bound
-    if bound <= SERIES_RATIO_RTOL:
-        assert series_terms(kind, [k], params, p=p).ratios == (ratio,)
-    else:
-        with pytest.raises(ValueError, match=f"level-{k} term ratio .* rounding bound"):
-            series_terms(kind, [k], params, p=p)
+    assert _ulps(series_terms(kind, [k], params, p=p).ratios[0], exact) <= 4
+
+
+@settings(max_examples=150)
+@given(
+    sigma=_SIGMA_TO_HALF,
+    beta=_log_uniform(0.1, 10.0),
+    k=st.one_of(st.integers(4, 100), _log_uniform(4.0, 1e15).map(int)),
+)
+# u/2 - sigma nears 0 here, and u rounded near 1 would cost it its digits
+@example(sigma=0.49999999, beta=0.3, k=10**6)
+def test_tv_log_terms_match_their_oracle(sigma, beta, k):
+    """A printed tv log per frame lies within 4 ulp of the log of the
+    decimal oracle's frame integral."""
+    pf = series_terms("tv", [k], ConstructionParams(sigma, beta)).terms[0].log_per_frame
+    exact = exact_tv_integral(k, sigma, beta).ln()
+    assert abs(Decimal(pf) - exact) <= 4 * Decimal(math.ulp(pf))
+
+
+@settings(max_examples=100)
+@given(
+    sigma=_SIGMA_TO_HALF,
+    beta=_log_uniform(0.1, 10.0),
+    margin=_log_uniform(1e-6, 0.1),
+)
+def test_subexp_verdict_flips_at_p0(sigma, beta, margin):
+    """At p0 (1 -+ eps) the limiting ratio is exp(-+ 2 margin), outside the
+    margin band on either side; at p0 it is 1, inside it."""
+    params = ConstructionParams(sigma, beta)
+    p0 = p_threshold(params)
+    # the log limit 2 log(2 sigma) + 2 p alpha / beta is 2 log(1 / (2 sigma)) eps at p0 (1 + eps)
+    eps = margin / math.log(1.0 / (2.0 * sigma))
+    assume(eps < 1.0)
+
+    def verdict(p):
+        return series_terms("subexp", [1000], params, p=p, margin=margin).verdict
+
+    assert verdict(p0 * (1.0 - eps)) == "convergent"
+    assert verdict(p0 * (1.0 + eps)) == "divergent"
+    assert verdict(p0) == "inconclusive"
+
+
+def test_gain_ratio_resolves_small_beta():
+    # 1 - u_k ~ beta / (2 k log k): the power costs the digits of 1 / beta too
+    for beta in (1e-30, 1e-40):
+        p = 1e-3 * beta
+        exact = exact_gain_ratio(10**6, 0.25, beta, p)
+        assert _ulps(gain_ratio(10**6, p, ConstructionParams(0.25, beta)), exact) <= 1
+
+
+def test_gain_ratio_past_decimal_range_is_a_domain_error():
+    # the gap of the gauge exponents is near 2 p alpha / beta = 1e12
+    with pytest.raises(ValueError, match="overflows"):
+        gain_ratio(1000, 1e6, ConstructionParams(0.001, 1e-3))

@@ -4,11 +4,13 @@ import json
 import math
 import time
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from gain_oracle import exact_gain_ratio
 from mass_oracle import brute_mass_bound
 
 from cantormap.analysis import p_threshold
@@ -583,11 +585,22 @@ def test_map_negative_samples_is_a_domain_error(capsys):
 
 
 def test_series_overflowing_limit_is_a_domain_error(capsys):
-    # past level 1e5 the ratios at these parameters fail the rounding gate first
+    # every level's ratio here is a finite double, and the limit is not
     argv = ["series", "subexp", "--sigma", "0.001", "--beta", "1", "--p", "1", "--k-max", "100000"]
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error:") and "exp(998.0)" in err
+
+
+def test_series_ratios_to_level_1e12_match_their_oracle(capsys):
+    code, out, err = run_cli(["series", "subexp", "--k-max", "1000000000000", "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    terms = json.loads(out)["results"]["terms"]
+    assert terms[-1]["k"] == 10**12
+    for term in terms:
+        # every level is past T_k = alpha at sigma = 0.45, beta = 2
+        exact = 4 * Decimal(0.45) ** 2 * exact_gain_ratio(term["k"], 0.45, 2.0, 0.5)
+        assert abs(Decimal(term["ratio"]) - exact) <= 4 * Decimal(math.ulp(float(exact)))
 
 
 def test_series_csv_and_verdict_flip(capsys):
@@ -848,10 +861,9 @@ PAST_DOUBLE_RANGE = [
     # the level-3 image side underflows, so r' = 0
     (["series", "subexp", "--sigma", "0.1", "--beta", "1e6", "--k-min", "3", "--k-max", "5",
       "--p", "1e-300"], "level-3 image square has zero side"),
-    # the per-level logs grow like k, and past about 1.8e8 their rounding
-    # exceeds the 1e-6 a printed ratio must meet
-    (["series", "subexp", "--k-max", "1000000000000"],
-     "level-177827941 term ratio is formed from logs of size"),
+    # gain_ratio is resolved up to level 1e100
+    (["series", "subexp", "--k-max", str(10**101)],
+     f"level-{10**101} term ratio is past 1e100, the deepest gain_ratio level"),
     (["series", "tv", "--sigma", "1e-300", "--k-min", "3"], "level 3 sides underflow"),
     # l_3 rounds to 1/8, so R' - r' = 1/16 - l_3/2 rounds to 0
     (["map", "--sigma", "0.1", "--beta", "1e-300", "--samples", "3"],

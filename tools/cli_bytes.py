@@ -15,8 +15,9 @@ first line that differs on each side and, when both sides parse as JSON
 objects, which of their top-level keys (``params``, ``results``,
 ``checks``) differ; it exits 1 when anything differs.
 
-The plan covers every subcommand, ``verify`` at two seeds, ``render``
-with no mesh and with a mesh of many evaluation blocks, ``map`` in CSV
+The plan covers every subcommand, ``verify`` at two seeds, ``series``
+ratios out to level 1e12 (subexp) and 1e15 (tv) and at sigma near 1/2,
+``render`` with no mesh and with a mesh of many evaluation blocks, ``map`` in CSV
 and JSON at depths 6 and 32 on a points file, on samples and on no
 samples, sample counts on either side of the row-block size of
 ``map``'s writer, skeleton rows and the largest finite Jacobian after a
@@ -28,7 +29,7 @@ a flag each command does not read, a ``verify`` parameter other than
 the one its suite pins, non-finite numeric inputs, a depth past the
 library's limit of 60, parameters whose series terms, distortion sups,
 level tables, square sides or depth-level Jacobians leave double
-precision, and series levels whose ratios round past the accepted 1e-6.
+precision, and a series level past the 1e100 the gain ratio resolves.
 Three ``map`` runs among them sit on either side of the level table's
 limits: two pre-asymptotic levels, where the frame scale a + b/rho
 would cancel and (r' + a (rho - r)) / rho does not, map (exit 0), and a
@@ -113,6 +114,10 @@ def _plan(block: int) -> list[tuple[str, list[str]]]:
         ("series_subexp_json", ["series", "subexp", "--format", "json"]),
         ("series_tv", ["series", "tv"]),
         ("series_subexp_k_max_1e8", ["series", "subexp", "--k-max", "100000000"]),
+        ("series_subexp_k_max_1e9", ["series", "subexp", "--k-max", "1000000000"]),
+        ("series_subexp_k_max_1e12", ["series", "subexp", "--k-max", "1000000000000"]),
+        ("series_tv_k_max_1e15", ["series", "tv", "--k-max", "1000000000000000"]),
+        ("series_tv_sigma_0_4999", ["series", "tv", "--sigma", "0.4999"]),
         ("map_edge_file_json", ["map", "edge.csv", "--format", "json"]),
     ]
     for depth in ("6", "32"):
@@ -156,8 +161,7 @@ def _plan(block: int) -> list[tuple[str, list[str]]]:
         ["series", "subexp", "--sigma", "0.1", "--beta", "1e6", "--k-min", "4", "--k-max", "100"],
         ["series", "subexp", "--sigma", "0.1", "--beta", "1e6", "--k-min", "3", "--k-max", "5",
          "--p", "1e-300"],
-        ["series", "subexp", "--k-max", "1000000000"],
-        ["series", "subexp", "--k-max", "1000000000000"],
+        ["series", "subexp", "--k-max", str(10**101)],
         ["series", "tv", "--sigma", "1e-300", "--k-min", "3"],
         ["map", "--sigma", "0.1", "--beta", "1e-300", "--samples", "3"],
         ["map", "--sigma", "0.1", "--beta", "1e6", "--samples", "3"],
