@@ -15,7 +15,6 @@ from .analysis import (
     frame_jacobian_integral,
     frame_subexp_integral,
     frame_tv_integral,
-    image_area_partition_defect,
     gain_ratio_limit,
     gain_ratio,
     p_threshold,
@@ -61,7 +60,6 @@ from .measure import (
     natural_cover_sum,
     threshold_scan,
 )
-from .quadrature import QuadratureError, integrate
 from .render import render_svg
 from .verify import CheckResult, VerificationReport, run_verification
 

@@ -12,6 +12,7 @@ explicit threshold exponent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Iterable, Optional
@@ -28,8 +29,7 @@ from .construction import (
     radii,
 )
 from .logspace import LOG_DOUBLE_MAX
-from .mapping import coeffs, sup_distortion
-from .quadrature import integrate
+from .mapping import coeffs, distortion_bound_T, sup_distortion
 
 
 def _check_finite_positive(name: str, value: float) -> None:
@@ -53,16 +53,14 @@ def _linear_radii(k: int, params: ConstructionParams):
     return rad
 
 
-def _cross_term(k: int, params: ConstructionParams) -> tuple[float, float]:
-    """8 (R r' - R' r) = s x of a level-k frame as (log s, x), free of the
-    products' cancellation: past level 3, with u = (log(k-1)/log k)^(beta/2),
-    s = sigma^(k-1) l_{k-1} and x = u/2 - sigma, taken as ((1 - 2 sigma) -
-    (1 - u)) / 2 lest u's rounding near 1 cost x its digits.  Level 3 reads its radii."""
-    if k == MIN_LEVEL:
-        rad = radii(k, params)
-        return 0.0, 8.0 * (rad.R * rad.r_img - rad.R_img * rad.r)
-    x = ((1.0 - 2.0 * params.sigma) + math.expm1(-0.5 * params.beta * log_log_ratio(k))) / 2.0
-    return (k - 1) * math.log(params.sigma) + log_image_side(k - 1, params), x
+def _tv_h(k: int, params: ConstructionParams) -> float:
+    """h of the level-k tv integral s h, k > 3, s = sigma^(k-1) l_{k-1}:
+    4 a (R^2 - r^2) = s (1 - u)(1 + 2 sigma)/4 and 8 (R r' - R' r) = s x, with
+    u = (log(k-1)/log k)^(beta/2) and x = u/2 - sigma, taken as
+    ((1 - 2 sigma) - (1 - u)) / 2 lest u's rounding near 1 cost x its digits."""
+    one_minus_u = -math.expm1(-0.5 * params.beta * log_log_ratio(k))
+    x = ((1.0 - 2.0 * params.sigma) - one_minus_u) / 2.0
+    return one_minus_u * (1.0 + 2.0 * params.sigma) / 4.0 + max(x, 0.0)
 
 
 def frame_jacobian_integral(k: int, params: ConstructionParams) -> float:
@@ -80,41 +78,93 @@ def frame_tv_integral(k: int, params: ConstructionParams) -> float:
     """Closed form of the derivative-norm integral over one level-k frame.
 
     |Df| = max(a, t) with t rho = a rho + (R r' - R' r) / (R - r), so the
-    integral is 4 a (R^2 - r^2) + 8 max(R r' - R' r, 0).
+    integral is 4 a (R^2 - r^2) + 8 max(R r' - R' r, 0).  Past level 3
+    that is s h (_tv_h), formed from factors of size one.  Level 3 reads
+    its radii, and its R - r cancels as sigma nears 1/2: there
+    R = 1/16 = r / (2 sigma)^3, which the radii carry with their rounding.
     """
     rad = _linear_radii(k, params)
-    log_s, x = _cross_term(k, params)
-    return 4.0 * coeffs(k, params) * (rad.R**2 - rad.r**2) + max(math.exp(log_s) * x, 0.0)
-
-
-def frame_distortion_profile(k: int, params: ConstructionParams):
-    """rho -> pointwise distortion on a level-k frame."""
-    rad, a = radii(k, params), coeffs(k, params)
-
-    def K(rho: float) -> float:
-        t = (rad.r_img + a * (rho - rad.r)) / rho
-        return max(t / a, a / t)
-
-    return K
+    if k == MIN_LEVEL:
+        return 4.0 * coeffs(k, params) * (rad.R**2 - rad.r**2) + max(
+            8.0 * (rad.R * rad.r_img - rad.R_img * rad.r), 0.0)
+    return params.sigma ** (k - 1) * image_side(k - 1, params) * _tv_h(k, params)
 
 
 def frame_subexp_integral(k: int, p: float, params: ConstructionParams) -> float:
-    """Adaptive quadrature of exp(p K / (1 + log K)) over one frame.
+    """Integral of exp(p K / (1 + log K)) over one level-k frame, K the
+    pointwise distortion: exp of _log_subexp_integral.  Raises ValueError
+    where the value is past double range."""
+    log_value = _log_subexp_integral(k, p, params)
+    value = math.exp(log_value) if log_value < LOG_DOUBLE_MAX else math.inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"level-{k} frame integral exp({log_value!r}) is past double range")
+    return value
 
-    K is the pointwise distortion; the integrand is radial, so coarea
-    reduces to 1-D quadrature against 8 rho.  Raises if the integrand
-    exceeds double range; series_terms covers those levels in log space.
+
+def _log_subexp_integral(k: int, p: float, params: ConstructionParams) -> float:
+    """log of the integral of exp(G(K)), G(K) = p K / (1 + log K), over a
+    level-k frame, usable far past double range.
+
+    With w = rho / r - 1 in [0, W], W = R / r - 1 (alpha past level 3),
+    K = max(q, 1 / q) with q = (w + kappa) / (1 + w), kappa = t(r) / a
+    (alpha / T_k past level 3, as in sup_distortion), and coarea gives
+    8 r^2 times the integral of exp(G(K)) (1 + w) dw.  K falls from K0 at
+    w = 0, so panels halve toward 0 down to the decay scale 1 / |G'(0)|,
+    or to the nearest pole of K (at -kappa where kappa < 1, else -1)
+    where that is closer.  16 Gauss-Legendre nodes per panel, summed in
+    log space, give the value; where the 32-node rule differs by more
+    than 1e-9 relative, ValueError.  The nodes read G(K) - G(K0), which
+    rounds to its own size however large G(K0) is: with
+    l = log(K / K0) = +-log1p(e), e = (w / (1 + w)) (1 - kappa) / kappa
+    (+ where kappa >= 1), it is G(K0) (expm1(l) (1 + L0) - l) / (1 + L0 + l),
+    L0 = log K0; kappa is never summed with 1 before a division.
     """
     _check_finite_positive("p", p)
-    rad = _linear_radii(k, params)
-    Kf = frame_distortion_profile(k, params)
-    if subexp_gain(sup_distortion(k, params), p) > 700.0:
-        raise ValueError(
-            f"integrand overflows double range at level {k}; use series_terms"
-        )
-    return integrate(
-        lambda rho: math.exp(subexp_gain(Kf(rho), p)) * 8.0 * rho, rad.r, rad.R
-    )
+    K0 = sup_distortion(k, params)
+    if k == MIN_LEVEL:
+        rad = _linear_radii(k, params)
+        kappa = rad.r_img / (coeffs(k, params) * rad.r)
+        W, log_r = rad.R / rad.r - 1.0, math.log(rad.r)
+    else:
+        W = (1.0 - 2.0 * params.sigma) / (2.0 * params.sigma)
+        kappa = W / distortion_bound_T(k, params.beta)
+        log_r = k * math.log(params.sigma) - LOG2
+    G0 = subexp_gain(K0, p)
+    if not G0 < math.inf:
+        raise ValueError(f"level-{k} gauge exponent at the sup is past double range")
+    # |G'(0)| = p L0 / (1 + L0)^2 |K'(0)|, |K'(0)| = K0 - 1, times K0 where kappa < 1
+    L0, log_floor = math.log(K0), math.log(min(kappa, 1.0))
+    if K0 > 1.0:
+        log_slope = math.log(p) + math.log(L0) - 2.0 * math.log1p(L0) + math.log(K0 - 1.0)
+        log_floor = min(log_floor, -log_slope - (L0 if kappa < 1.0 else 0.0))
+    if log_floor < math.log(sys.float_info.min):
+        raise ValueError(f"level-{k} frame integral: decay scale exp({log_floor:.6g}) underflows")
+    panels = max(1, math.ceil((math.log(W) - log_floor) / LOG2))
+    edges = np.append(np.ldexp(W, -np.arange(panels)), 0.0)
+    log_sum, log_check = (_log_panel_sum(edges, n, kappa, L0, G0) for n in (16, 32))
+    gap = abs(math.expm1(log_sum - log_check))
+    if not gap <= 1e-9:
+        raise ValueError(f"level-{k} frame integral: 16- and 32-node rules differ by {gap:.3e}")
+    return math.log(8.0) + 2.0 * log_r + G0 + log_sum
+
+
+def _log_panel_sum(edges: np.ndarray, n: int, kappa: float, L0: float, G0: float) -> float:
+    """log of the n-node Gauss-Legendre sum of exp(G(K) - G(K0)) (1 + w)
+    over the panels between consecutive edges (_log_subexp_integral)."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, weights = leggauss(n)
+    half = 0.5 * (edges[:-1] - edges[1:])
+    w = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half[:, None] * x
+    e = w / (1.0 + w) * ((1.0 - kappa) / kappa)
+    if kappa < 1.0:
+        l = -np.log1p(e)
+    else:  # where e nears -1, log((1 + w / kappa) / (1 + w)) = log1p(e) keeps its digits
+        l = np.where(e > -0.5, np.log1p(np.maximum(e, -0.5)), np.log((1.0 + w / kappa) / (1.0 + w)))
+    terms = G0 * (np.expm1(l) * (1.0 + L0) - l) / (1.0 + L0 + l)
+    terms += np.log1p(w) + np.log(half)[:, None] + np.log(weights)
+    top = terms.max()
+    return float(top + math.log(np.exp(terms - top).sum()))
 
 
 def frame_integral_mc(
@@ -159,18 +209,6 @@ def frame_integral_mc(
     return float(vals.mean() * area)
 
 
-def image_area_partition_defect(depth: int, params: ConstructionParams) -> float:
-    """|1 - total image area| over frames of levels 3..depth plus the
-    depth-level squares.  Zero up to rounding: the image frames and
-    squares tile the unit square."""
-    total = 0.0
-    for k in range(MIN_LEVEL, depth + 1):
-        rad = radii(k, params)
-        total += 4.0 ** k * 4.0 * (rad.R_img**2 - rad.r_img**2)
-    total += 4.0 ** depth * image_side(depth, params) ** 2
-    return abs(1.0 - total)
-
-
 def _log_pre_area(k: int, params: ConstructionParams) -> float:
     # log of the frame area 4 (R - r)(R + r), R -+ r = sigma^(k-1) (1 -+ 2 sigma) / 4 past level 3
     if k == MIN_LEVEL:
@@ -183,13 +221,11 @@ def _log_pre_area(k: int, params: ConstructionParams) -> float:
 
 def _tv_log_per_frame(k: int, params: ConstructionParams) -> float:
     """log of frame_tv_integral, k >= 3, at levels far past double range:
-    past level 3, 4 a (R^2 - r^2) = 4 (R' - r') (R + r) with R' - r' = l_{k-1} (1 - u) / 4,
-    so it is s h, h = (1 - u)(1 + 2 sigma)/4 + max(x, 0) (_cross_term)."""
+    past level 3, log s + log h (_tv_h)."""
     if k == MIN_LEVEL:
         return math.log(frame_tv_integral(k, params))
-    log_s, x = _cross_term(k, params)
-    one_minus_u = -math.expm1(-0.5 * params.beta * log_log_ratio(k))
-    return log_s + math.log(one_minus_u * (1.0 + 2.0 * params.sigma) / 4.0 + max(x, 0.0))
+    log_s = (k - 1) * math.log(params.sigma) + log_image_side(k - 1, params)
+    return log_s + math.log(_tv_h(k, params))
 
 
 @dataclass(frozen=True)
@@ -224,7 +260,7 @@ def _term_ratio(kind: str, k: int, p: Optional[float], params, pf: float) -> flo
     """The level-k term ratio, 4 times the level-(k+1) integral per frame
     over the level-k one (whose log is pf).  Past level 3 it is formed
     from factors of size one in decimal and rounded once: tv's is
-    2 sigma u_k h(k+1) / h(k) (_tv_log_per_frame), and subexp's, wherever
+    2 sigma u_k h(k+1) / h(k) (_tv_h), and subexp's, wherever
     T_k < alpha, (2 sigma)^2 gain_ratio, as consecutive frame areas are
     in the ratio sigma^2.  Level 3 and the pre-asymptotic subexp levels
     (small k unless sigma nears 1/2 or beta is large) take
@@ -302,9 +338,10 @@ def series_terms(
     ratios = []
     for k in lvls:
         pf = _series_log_per_frame(kind, k, p, params)
-        if not math.isfinite(pf):
-            raise ValueError(f"level-{k} log term is past double range (log per frame {pf!r})")
         count_log2 = 2 * (k - 1)
+        # the count's exponent leaves double range (k past 9e307) before the log term does
+        if not (math.isfinite(pf) and count_log2 <= sys.float_info.max):
+            raise ValueError(f"level-{k} log term is past double range (log per frame {pf!r})")
         terms.append(SeriesTerm(k, count_log2, pf, count_log2 * LOG2 + pf))
         ratios.append(_term_ratio(kind, k, p, params, pf))
 

@@ -200,16 +200,19 @@ def _check_level_range(k_min: int, k_max: int) -> None:
         raise ValueError(f"--k-min must be at least {MIN_LEVEL}, got {k_min}")
     if k_max < k_min:
         raise ValueError(f"--k-max must be >= --k-min, got {k_max} < {k_min}")
+    if k_max > sys.float_info.max:
+        raise ValueError(f"--k-max must be <= {sys.float_info.max:.6g}, got {len(str(k_max))} digits")
 
 
 def _geometric_levels(k_min: int, k_max: int, num: int) -> list[int]:
+    """k_min, k_max and the num - 2 levels spaced evenly in log between them:
+    exp(log k) need not round back to k, so neither end comes from exp."""
     _check_level_range(k_min, k_max)
     if k_min == k_max or num < 2:
         return [k_min]
     lo, hi = math.log(k_min), math.log(k_max)
-    levels = {round(math.exp(lo + j * (hi - lo) / (num - 1))) for j in range(num)}
-    levels.update((k_min, k_max))
-    return sorted(levels)
+    inner = (round(math.exp(lo + j * (hi - lo) / (num - 1))) for j in range(1, num - 1))
+    return sorted({k_min, k_max} | {k for k in inner if k_min < k < k_max})
 
 
 def _at(col: list[str], index: list[int]) -> Iterator[str]:

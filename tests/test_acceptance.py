@@ -150,7 +150,8 @@ RETIRED_NAMES = (
     "SubexpFunctional", "subexp_A", "gauge_eval", "monotone_threshold",
     "log_preimage_side", "LogQuantity", "log_sum", "_diam_factor", "SQRT2",
     "Frame", "frame", "frame_map", "log_coeffs", "compare_distortion_bound",
-    "DistortionComparison", "FrameMapCoeffs",
+    "DistortionComparison", "FrameMapCoeffs", "integrate", "QuadratureError",
+    "frame_distortion_profile", "image_area_partition_defect",
 )
 RETIRED_OPTIONS = {
     ("analysis", "frame_tv_integral"): ("include_square",),
@@ -160,7 +161,6 @@ RETIRED_OPTIONS = {
     ("measure", "box_dimension_pre"): ("k",),
     ("measure", "threshold_scan"): ("diam_convention",),
     ("measure", "mass_distribution_bound"): ("gauge", "diam_convention"),
-    ("quadrature", "integrate"): ("rel_tol", "abs_floor"),
 }
 
 
@@ -175,7 +175,7 @@ def test_readme_library_block_runs():
         importlib.import_module(f"cantormap.{m.name}")
         for m in pkgutil.iter_modules(cantormap.__path__)
     ]
-    assert len(modules) == 10  # the package and its nine modules
+    assert len(modules) == 9  # the package and its eight modules
     assert [
         (m.__name__, name) for m in modules for name in RETIRED_NAMES if hasattr(m, name)
     ] == []

@@ -1,13 +1,18 @@
 import math
-from decimal import Decimal
+import os
+import subprocess
+import sys
+import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gain_oracle import exact_gain_ratio, exact_tv_integral, exact_tv_ratio
+from gain_oracle import _context, _radii, exact_gain_ratio, exact_tv_integral, exact_tv_ratio
 from log_oracle import log_sum
 
 from cantormap.analysis import (
@@ -16,16 +21,16 @@ from cantormap.analysis import (
     frame_jacobian_integral,
     frame_subexp_integral,
     frame_tv_integral,
-    image_area_partition_defect,
     gain_ratio_limit,
     gain_ratio,
     p_threshold,
     series_terms,
     subexp_gain,
+    _log_subexp_integral,
+    _series_log_per_frame,
 )
-from cantormap.construction import LOG2, ConstructionParams, radii
+from cantormap.construction import LOG2, ConstructionParams, image_side, radii
 from cantormap.mapping import coeffs, distortion_bound_T, sup_distortion
-from cantormap.quadrature import integrate
 
 P = ConstructionParams(0.45, 2.0)
 
@@ -70,28 +75,130 @@ def test_jacobian_integral_vs_monte_carlo():
 
 
 def test_tv_integral_vs_quadrature():
+    """The closed form matches a 16-node Gauss-Legendre rule over [r, R]
+    for the coarea integrand 8 max(a rho, r' + a (rho - r)), which is
+    linear in rho, so the rule is exact up to rounding."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
     for k in (3, 4, 7):
         a = coeffs(k, P)
         rad = radii(k, P)
-        oracle = integrate(
-            lambda rho: max(a * rho, rad.r_img + a * (rho - rad.r)) * 8.0, rad.r, rad.R
-        )
-        np.testing.assert_allclose(frame_tv_integral(k, P), oracle, rtol=1e-9)
+        half = 0.5 * (rad.R - rad.r)
+        rho = rad.r + half * (nodes + 1.0)
+        integrand = 8.0 * np.maximum(a * rho, rad.r_img + a * (rho - rad.r))
+        np.testing.assert_allclose(frame_tv_integral(k, P), half * (weights @ integrand), rtol=1e-9)
 
 
 def test_tv_integral_drops_negative_b_term():
     # R r' < R' r at level 4 for these parameters, so t <= a and |Df| = a
-    # on the frame
+    # on the frame: the integral is 4 a (R^2 - r^2), to 8 ulp as in
+    # test_tv_integral_matches_its_oracle, while the b term would move it
+    # by about 2.6e15 ulp
     rad = radii(4, P)
     assert Fraction(rad.R) * Fraction(rad.r_img) < Fraction(rad.R_img) * Fraction(rad.r)
-    expected = 4.0 * coeffs(4, P) * (rad.R**2 - rad.r**2)
-    assert frame_tv_integral(4, P) == expected
+    with localcontext() as ctx:
+        _context(ctx)
+        r, R, r_img, R_img = _radii(4, P.sigma, P.beta)
+        a = (R_img - r_img) / (R - r)
+        b = (R * r_img - R_img * r) / (R - r)
+        expected = 4 * a * (R**2 - r**2)
+        ulp = Decimal(math.ulp(float(expected)))
+        assert b < 0 and abs(8 * b * (R - r)) > 10**15 * ulp
+        assert abs(Decimal(frame_tv_integral(4, P)) - expected) <= 8 * ulp
 
 
 def test_subexp_integral_vs_monte_carlo():
     quad = frame_subexp_integral(4, 0.5, P)
     mc = frame_integral_mc(4, P, "subexp", p=0.5, n_samples=10**6)
     np.testing.assert_allclose(mc, quad, rtol=5e-3)
+
+
+def scipy_subexp_integral(k, p, params):
+    """The frame integral by scipy's adaptive quad over rho in [r, R], with
+    the distortion formed from t as frame_integral_mc forms it and
+    breakpoints halving toward the inner radius, where the integrand
+    peaks.  quad is asked for 1e-12 and must certify 1e-10: its own
+    estimate undershoots near gain 700 (asked for 1e-10 at level 5 of
+    (0.49, 100, 0.1), it certified 1.1e-11 and was 1.4e-9 away from a
+    50-digit mpmath evaluation), and where it warns that 1e-12 is out of
+    reach, what it does certify is checked instead."""
+    from scipy.integrate import quad
+
+    rad, a = radii(k, params), coeffs(k, params)
+
+    def integrand(rho):
+        t = (rad.r_img + a * (rho - rad.r)) / rho
+        K = max(t / a, a / t)
+        return math.exp(p * K / (1.0 + math.log(K))) * 8.0 * rho
+
+    points = [rad.r + (rad.R - rad.r) * 2.0**-j for j in range(1, 60)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        value, abserr = quad(
+            integrand, rad.r, rad.R, epsabs=0.0, epsrel=1e-12, limit=400, points=points
+        )
+    assert abserr <= 1e-10 * value
+    return value
+
+
+# (sigma, beta, p); the last three have pre-asymptotic frames (T_k >= alpha,
+# kappa < 1) at their first levels, kappa far below 1 at (0.3, 200) and (0.25, 1e3)
+SUBEXP_ORACLE_CASES = [
+    (0.45, 2.0, 0.5), (0.25, 2.0, 2.0), (0.1, 0.5, 1.0), (0.45, 2.0, 20.0),
+    (0.49, 100.0, 0.1), (0.3, 200.0, 0.5), (0.25, 1e3, 1e-3),
+]
+
+
+@pytest.mark.parametrize("sigma, beta, p", SUBEXP_ORACLE_CASES)
+def test_subexp_integral_vs_scipy_quad(sigma, beta, p):
+    """Within 1e-9 of scipy's adaptive quadrature wherever the integrand
+    stays in double range: the gain at the sup is below 700, and the image
+    side, which the oracle's t reads, has not underflowed."""
+    params = ConstructionParams(sigma, beta)
+    compared = 0
+    for k in (3, 4, 5, 6, 8, 10, 15, 20, 30, 50, 80, 120, 200):
+        if subexp_gain(sup_distortion(k, params), p) > 700.0 or image_side(k, params) == 0.0:
+            continue
+        oracle = scipy_subexp_integral(k, p, params)
+        np.testing.assert_allclose(frame_subexp_integral(k, p, params), oracle, rtol=1e-9)
+        compared += 1
+    assert compared >= 4
+
+
+def test_subexp_integral_rules_that_disagree_are_an_error(monkeypatch):
+    """A 32-node rule that drifts from the 16-node one by more than 1e-9
+    raises ValueError instead of returning either value."""
+    import numpy.polynomial.legendre as legendre
+
+    exact = legendre.leggauss
+
+    def drifting(n):
+        x, w = exact(n)
+        return x, w * (1.0 + 1e-6 * (n == 32))
+
+    monkeypatch.setattr(legendre, "leggauss", drifting)
+    with pytest.raises(ValueError, match="16- and 32-node rules differ by 1.000e-06"):
+        frame_subexp_integral(5, 0.5, P)
+
+
+def test_cli_loads_neither_scipy_nor_the_quadrature_nodes():
+    """import cantormap.cli loads neither scipy nor numpy.polynomial (the
+    Gauss-Legendre nodes load on the first frame_subexp_integral call),
+    and that call loads no scipy."""
+    probe = (
+        "import sys\n"
+        "def loaded(name):\n"
+        "    return [m for m in sys.modules if m == name or m.startswith(name + '.')]\n"
+        "import cantormap.cli\n"
+        "assert not loaded('scipy') and not loaded('numpy.polynomial'), sys.modules.keys()\n"
+        "import cantormap\n"
+        "assert cantormap.frame_subexp_integral(5, 0.5, cantormap.ConstructionParams(0.45, 2.0)) > 0\n"
+        "assert not loaded('scipy'), loaded('scipy')\n"
+        "assert loaded('numpy.polynomial')\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def reference_frame_integral_mc(k, params, kind, p=None, n_samples=10**6, seed=0x5EED):
@@ -135,8 +242,11 @@ def test_frame_integral_mc_matches_position_draws(kind, n_samples):
 def test_frame_integral_guards():
     with pytest.raises(ValueError, match="underflow"):
         frame_jacobian_integral(2000, P)
-    with pytest.raises(ValueError, match="overflow"):
-        frame_subexp_integral(800, 20.0, P)
+    # exp(14789.2) overflows and exp(-3097.7) underflows
+    with pytest.raises(ValueError, match=r"exp\(14789\.\d+\) is past double range"):
+        frame_subexp_integral(800, 200.0, P)
+    with pytest.raises(ValueError, match=r"exp\(-3097\.\d+\) is past double range"):
+        frame_subexp_integral(2000, 0.5, P)
     with pytest.raises(ValueError):
         frame_subexp_integral(4, -1.0, P)
     with pytest.raises(ValueError):
@@ -145,9 +255,27 @@ def test_frame_integral_guards():
         frame_integral_mc(4, P, "subexp")
 
 
-def test_partition_of_image_area():
-    for depth in (6, 12, 40):
-        assert image_area_partition_defect(depth, P) <= 1e-12
+@settings(max_examples=200)
+@given(
+    sigma=st.one_of(
+        st.sampled_from([0.125, 0.25, 0.375]),
+        st.floats(0.01, 0.5, exclude_max=True),
+        st.floats(-15.0, -2.0).map(lambda e: 0.5 - 10.0**e),
+    ),
+    beta=st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+    depth=st.integers(3, 60),
+)
+@example(sigma=0.45, beta=2.0, depth=40)
+def test_jacobian_integrals_telescope_to_image_area(sigma, beta, depth):
+    """The 4^k frame Jacobian integrals of levels 3..depth and the 4^depth
+    depth-level squares, summed exactly in Fraction, lie within 2 ulp of
+    the unit square's area 1: each closed form lies within 2 ulp of its
+    image frame's area, and those areas telescope exactly over the double
+    image sides."""
+    params = ConstructionParams(sigma, beta)
+    total = sum(4**k * Fraction(frame_jacobian_integral(k, params)) for k in range(3, depth + 1))
+    total += 4**depth * Fraction(image_side(depth, params)) ** 2
+    assert abs(total - 1) <= 2 * Fraction(1, 2**52)
 
 
 def test_series_log_terms_match_linear_integrals():
@@ -345,6 +473,36 @@ def test_series_terms_are_finite_or_a_domain_error(sigma, beta, p, levels, kind)
     assert all(math.isfinite(r) for r in diag.ratios)
 
 
+@settings(max_examples=200)
+@given(
+    sigma=st.one_of(
+        st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+        _log_uniform(1e-300, 0.49999999999999994),
+    ),
+    beta=_log_uniform(1e-300, 1e6),
+    p=_log_uniform(1e-300, 1e3),
+    k=st.one_of(st.integers(3, 100), _log_uniform(3.0, 1e100).map(int)),
+)
+# W = alpha = 1.2e166 halves 1489 times, past 2^-1074: the edges must not underflow
+@example(sigma=4.262496138187736e-167, beta=1.1746001594959545e-81, p=3.622808313630462e-14,
+         k=28594991938297197950230671717150535257028483350528)
+# kappa = 8e26 and w up to alpha = 1.5e57: e = (w / (1 + w)) (1 - kappa) / kappa rounds to -1
+@example(sigma=3.3e-58, beta=1e-20, p=1e-3, k=10**6)
+# the decay scale 1 / |G'(0)| is near exp(-892), below the least normal double
+@example(sigma=0.04008347841217813, beta=207695.10872815413, p=0.02586246718324028, k=57)
+def test_frame_subexp_integral_is_finite_or_a_domain_error(sigma, beta, p, k):
+    """The frame integral and its log are finite doubles, or the call
+    raises ValueError; no other exception or numpy warning escapes."""
+    params = ConstructionParams(sigma, beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for integral in (frame_subexp_integral, _log_subexp_integral):
+            try:
+                assert math.isfinite(integral(k, p, params))
+            except ValueError:
+                pass
+
+
 # sigma in [1e-3, 1/2), with 0.4999 and values within 1e-3 to 1e-15 of 1/2
 _SIGMA_TO_HALF = st.one_of(
     _log_uniform(1e-3, 0.49999999999999994),
@@ -403,6 +561,60 @@ def test_tv_log_terms_match_their_oracle(sigma, beta, k):
     pf = series_terms("tv", [k], ConstructionParams(sigma, beta)).terms[0].log_per_frame
     exact = exact_tv_integral(k, sigma, beta).ln()
     assert abs(Decimal(pf) - exact) <= 4 * Decimal(math.ulp(pf))
+
+
+@settings(max_examples=300)
+@given(
+    sigma=_SIGMA_TO_HALF,
+    beta=_log_uniform(0.1, 10.0),
+    k=st.integers(4, 60),
+)
+@example(sigma=0.499999999, beta=2.0, k=4)
+@example(sigma=0.45, beta=2.0, k=4)
+def test_tv_integral_matches_its_oracle(sigma, beta, k):
+    """Past level 3 the tv frame integral lies within 8 ulp of the decimal
+    oracle: s h is formed from factors of size one, so nothing cancels as
+    sigma nears 1/2 (the largest measured is 6.9 ulp, from the powers in
+    s at beta near 10), and the 8 max(R r' - R' r, 0) term drops out
+    where it is negative, as at level 4 of (0.45, 2)."""
+    got = frame_tv_integral(k, ConstructionParams(sigma, beta))
+    exact = exact_tv_integral(k, sigma, beta)
+    assert abs(Decimal(got) - exact) <= 8 * Decimal(math.ulp(float(exact)))
+
+
+# The largest k |gap(k+1) - gap(k)| found over this domain, 12.44, sits at
+# its corner k = 10, beta = 100, p = 5, sigma = 0.181.
+SUBEXP_GAP_STEP = 16.0
+
+
+@settings(max_examples=150)
+@given(
+    sigma=st.floats(0.05, 0.49),
+    beta=_log_uniform(0.1, 100.0),
+    p=_log_uniform(0.1, 5.0),
+    k=_log_uniform(10.0, 1e6).map(int),
+)
+@example(sigma=0.1808, beta=100.0, p=5.0, k=10)
+# kappa = alpha / T_k is 1 + 9e-16 here: K is near 1 across the frame, and the true
+# integral reads 1.4e-14 above the sup term, within rounding
+@example(sigma=0.4420595573539897, beta=50.0, p=1.0, k=52)
+def test_subexp_integral_ratios_follow_the_sup_terms(sigma, beta, p, k):
+    """The series' subexp terms are the frame area times the gauge at the
+    sup; the true frame integrals (_log_subexp_integral) never exceed them
+    beyond rounding (4 ulp), and the gap, log true - log sup term, moves by
+    at most SUBEXP_GAP_STEP / k from level k to k + 1.  So consecutive true
+    terms keep the sup terms' ratio up to a factor exp(+-16 / k), whose
+    limit is 1, and the divergent verdict read off the sup terms holds for
+    the true series.  Both logs share G(K0) and the area, so the gap is
+    their difference normalised by G(K0)."""
+    params = ConstructionParams(sigma, beta)
+    gaps = []
+    for n in (k, k + 1):
+        sup = _series_log_per_frame("subexp", n, p, params)
+        true = _log_subexp_integral(n, p, params)
+        assert true <= sup + 4 * math.ulp(abs(sup))
+        gaps.append(true - sup)
+    assert abs(gaps[1] - gaps[0]) <= SUBEXP_GAP_STEP / k
 
 
 @settings(max_examples=100)

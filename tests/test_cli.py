@@ -603,6 +603,35 @@ def test_series_ratios_to_level_1e12_match_their_oracle(capsys):
         assert abs(Decimal(term["ratio"]) - exact) <= 4 * Decimal(math.ulp(float(exact)))
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["series", "subexp", "--k-max", str(10**400)], "--k-max must be <= 1.79769e+308, got "),
+        (["measure", "--k-max", str(10**400)], "--k-max must be <= 1.79769e+308, got "),
+        (["series", "tv", "--k-max", str(10**320)], "--k-max must be <= 1.79769e+308, got "),
+        # 2 (k - 1), the count's exponent, is past the largest double
+        (["series", "tv", "--k-max", str(10**308)], f"level-{10**308} log term is past double range"),
+    ],
+    ids=["subexp_1e400", "measure_1e400", "tv_1e320", "tv_1e308"],
+)
+def test_levels_past_double_range_are_domain_errors(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("k_max", [10**15, 10**200, 10**8])
+def test_series_grid_ends_at_k_min_and_k_max(k_max, capsys):
+    """The level grid runs from --k-min to --k-max exactly, each level
+    once: exp(log k_max) rounds to 999999999999999 at 1e15, and past
+    1e200 at 1e200."""
+    code, out, _ = run_cli(["series", "tv", "--k-max", str(k_max)], capsys)
+    assert code == 0
+    levels = [int(line.split(",")[0]) for line in out.strip().split("\n")[1:]]
+    assert levels[0] == 1000 and levels[-1] == k_max
+    assert levels == sorted(set(levels)) and len(levels) == 25
+
+
 def test_series_csv_and_verdict_flip(capsys):
     p0 = p_threshold(ConstructionParams(0.45, 2.0))
     code, out, _ = run_cli(["series", "subexp", "--p", str(0.9 * p0)], capsys)

@@ -16,7 +16,7 @@ objects, which of their top-level keys (``params``, ``results``,
 ``checks``) differ; it exits 1 when anything differs.
 
 The plan covers every subcommand, ``verify`` at two seeds, ``series``
-ratios out to level 1e12 (subexp) and 1e15 (tv) and at sigma near 1/2,
+ratios out to level 1e12 (subexp) and 1e15 and 1e200 (tv) and at sigma near 1/2,
 ``render`` with no mesh and with a mesh of many evaluation blocks, ``map`` in CSV
 and JSON at depths 6 and 32 on a points file, on samples and on no
 samples, sample counts on either side of the row-block size of
@@ -29,7 +29,9 @@ a flag each command does not read, a ``verify`` parameter other than
 the one its suite pins, non-finite numeric inputs, a depth past the
 library's limit of 60, parameters whose series terms, distortion sups,
 level tables, square sides or depth-level Jacobians leave double
-precision, and a series level past the 1e100 the gain ratio resolves.
+precision, a series level past the 1e100 the gain ratio resolves, and
+``--k-max`` levels of 309 to 401 digits, past the largest double or
+with a term count 4^(k-1) whose exponent is.
 Three ``map`` runs among them sit on either side of the level table's
 limits: two pre-asymptotic levels, where the frame scale a + b/rho
 would cancel and (r' + a (rho - r)) / rho does not, map (exit 0), and a
@@ -117,6 +119,7 @@ def _plan(block: int) -> list[tuple[str, list[str]]]:
         ("series_subexp_k_max_1e9", ["series", "subexp", "--k-max", "1000000000"]),
         ("series_subexp_k_max_1e12", ["series", "subexp", "--k-max", "1000000000000"]),
         ("series_tv_k_max_1e15", ["series", "tv", "--k-max", "1000000000000000"]),
+        ("series_tv_k_max_1e200", ["series", "tv", "--k-max", str(10**200)]),
         ("series_tv_sigma_0_4999", ["series", "tv", "--sigma", "0.4999"]),
         ("map_edge_file_json", ["map", "edge.csv", "--format", "json"]),
     ]
@@ -174,6 +177,12 @@ def _plan(block: int) -> list[tuple[str, list[str]]]:
         ["construct", "--sigma", "1e-30", "--depth", "11"],
     ]
     plan += [("past_range_" + "_".join(a.lstrip("-") for a in cmd), cmd) for cmd in past_range]
+    # levels past the largest double, named by their digit counts
+    huge = [("series_subexp_k_max_1e400", ["series", "subexp", "--k-max", str(10**400)]),
+            ("measure_k_max_1e400", ["measure", "--k-max", str(10**400)]),
+            ("series_tv_k_max_1e320", ["series", "tv", "--k-max", str(10**320)]),
+            ("series_tv_k_max_1e308", ["series", "tv", "--k-max", str(10**308)])]
+    plan += [("past_range_" + name, cmd) for name, cmd in huge]
     return plan
 
 
