@@ -35,7 +35,6 @@ from .construction import (
     radii,
     validate_geometry,
 )
-from .logspace import log_add
 from .mapping import (
     FieldSample,
     FrameAt,

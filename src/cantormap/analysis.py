@@ -23,13 +23,14 @@ from .construction import (
     LOG2,
     MIN_LEVEL,
     ConstructionParams,
-    image_side,
-    log_image_side,
-    log_log_ratio,
+    FrameShape,
+    frame_shape,
     radii,
 )
-from .logspace import LOG_DOUBLE_MAX
-from .mapping import coeffs, distortion_bound_T, sup_distortion
+from .mapping import coeffs, sup_distortion
+
+# exp(x) is a finite double for every x below this, the log of the largest
+LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 def _check_finite_positive(name: str, value: float) -> None:
@@ -53,14 +54,14 @@ def _linear_radii(k: int, params: ConstructionParams):
     return rad
 
 
-def _tv_h(k: int, params: ConstructionParams) -> float:
-    """h of the level-k tv integral s h, k > 3, s = sigma^(k-1) l_{k-1}:
-    4 a (R^2 - r^2) = s (1 - u)(1 + 2 sigma)/4 and 8 (R r' - R' r) = s x, with
-    u = (log(k-1)/log k)^(beta/2) and x = u/2 - sigma, taken as
-    ((1 - 2 sigma) - (1 - u)) / 2 lest u's rounding near 1 cost x its digits."""
-    one_minus_u = -math.expm1(-0.5 * params.beta * log_log_ratio(k))
-    x = ((1.0 - 2.0 * params.sigma) - one_minus_u) / 2.0
-    return one_minus_u * (1.0 + 2.0 * params.sigma) / 4.0 + max(x, 0.0)
+def _tv_h(shape: FrameShape) -> float:
+    """h of the tv frame integral P P' h (frame_shape): with R = P / 4,
+    r = rho R, R' = P' / 4 and r' = u R', 4 a (R^2 - r^2) = P P' (1 - u)(1 + rho)/4
+    and 8 (R r' - R' r) = P P' x, x = u/2 - rho/2, taken as
+    ((1 - rho) - (1 - u)) / 2 lest u's rounding near 1 cost x its digits."""
+    one_minus_u = -math.expm1(-shape.h)
+    x = (shape.one_minus_rho - one_minus_u) / 2.0
+    return one_minus_u * (1.0 + shape.rho) / 4.0 + max(x, 0.0)
 
 
 def frame_jacobian_integral(k: int, params: ConstructionParams) -> float:
@@ -78,16 +79,12 @@ def frame_tv_integral(k: int, params: ConstructionParams) -> float:
     """Closed form of the derivative-norm integral over one level-k frame.
 
     |Df| = max(a, t) with t rho = a rho + (R r' - R' r) / (R - r), so the
-    integral is 4 a (R^2 - r^2) + 8 max(R r' - R' r, 0).  Past level 3
-    that is s h (_tv_h), formed from factors of size one.  Level 3 reads
-    its radii, and its R - r cancels as sigma nears 1/2: there
-    R = 1/16 = r / (2 sigma)^3, which the radii carry with their rounding.
+    integral is 4 a (R^2 - r^2) + 8 max(R r' - R' r, 0), which is
+    P P' h = 16 R R' h (_tv_h), formed from factors of size one at every
+    level.
     """
     rad = _linear_radii(k, params)
-    if k == MIN_LEVEL:
-        return 4.0 * coeffs(k, params) * (rad.R**2 - rad.r**2) + max(
-            8.0 * (rad.R * rad.r_img - rad.R_img * rad.r), 0.0)
-    return params.sigma ** (k - 1) * image_side(k - 1, params) * _tv_h(k, params)
+    return 16.0 * rad.R * rad.R_img * _tv_h(frame_shape(k, params))
 
 
 def frame_subexp_integral(k: int, p: float, params: ConstructionParams) -> float:
@@ -105,9 +102,9 @@ def _log_subexp_integral(k: int, p: float, params: ConstructionParams) -> float:
     """log of the integral of exp(G(K)), G(K) = p K / (1 + log K), over a
     level-k frame, usable far past double range.
 
-    With w = rho / r - 1 in [0, W], W = R / r - 1 (alpha past level 3),
+    With w = rho / r - 1 in [0, W], W = R / r - 1 = alpha,
     K = max(q, 1 / q) with q = (w + kappa) / (1 + w), kappa = t(r) / a
-    (alpha / T_k past level 3, as in sup_distortion), and coarea gives
+    = alpha / T (as in sup_distortion), and coarea gives
     8 r^2 times the integral of exp(G(K)) (1 + w) dw.  K falls from K0 at
     w = 0, so panels halve toward 0 down to the decay scale 1 / |G'(0)|,
     or to the nearest pole of K (at -kappa where kappa < 1, else -1)
@@ -120,15 +117,9 @@ def _log_subexp_integral(k: int, p: float, params: ConstructionParams) -> float:
     L0 = log K0; kappa is never summed with 1 before a division.
     """
     _check_finite_positive("p", p)
-    K0 = sup_distortion(k, params)
-    if k == MIN_LEVEL:
-        rad = _linear_radii(k, params)
-        kappa = rad.r_img / (coeffs(k, params) * rad.r)
-        W, log_r = rad.R / rad.r - 1.0, math.log(rad.r)
-    else:
-        W = (1.0 - 2.0 * params.sigma) / (2.0 * params.sigma)
-        kappa = W / distortion_bound_T(k, params.beta)
-        log_r = k * math.log(params.sigma) - LOG2
+    K0, shape = sup_distortion(k, params), frame_shape(k, params)
+    W = shape.alpha
+    kappa, log_r = W / shape.T, shape.log_P + math.log(shape.rho / 4.0)
     G0 = subexp_gain(K0, p)
     if not G0 < math.inf:
         raise ValueError(f"level-{k} gauge exponent at the sup is past double range")
@@ -210,22 +201,17 @@ def frame_integral_mc(
 
 
 def _log_pre_area(k: int, params: ConstructionParams) -> float:
-    # log of the frame area 4 (R - r)(R + r), R -+ r = sigma^(k-1) (1 -+ 2 sigma) / 4 past level 3
-    if k == MIN_LEVEL:
-        rad = radii(k, params)
-        return math.log(4.0 * (rad.R**2 - rad.r**2))
-    log_s, sigma = (k - 1) * math.log(params.sigma), params.sigma
-    return math.log(4.0) + (log_s + math.log((1.0 - 2.0 * sigma) / 4.0)) + (
-        log_s + math.log((1.0 + 2.0 * sigma) / 4.0))
+    # log of the frame area 4 (R - r)(R + r), R -+ r = P (1 -+ rho) / 4
+    shape = frame_shape(k, params)
+    return math.log(4.0) + (shape.log_P + math.log(shape.one_minus_rho / 4.0)) + (
+        shape.log_P + math.log((1.0 + shape.rho) / 4.0))
 
 
 def _tv_log_per_frame(k: int, params: ConstructionParams) -> float:
-    """log of frame_tv_integral, k >= 3, at levels far past double range:
-    past level 3, log s + log h (_tv_h)."""
-    if k == MIN_LEVEL:
-        return math.log(frame_tv_integral(k, params))
-    log_s = (k - 1) * math.log(params.sigma) + log_image_side(k - 1, params)
-    return log_s + math.log(_tv_h(k, params))
+    """log of frame_tv_integral, log P + log P' + log h (_tv_h), at levels
+    far past double range."""
+    shape = frame_shape(k, params)
+    return shape.log_P + shape.log_P_img + math.log(_tv_h(shape))
 
 
 @dataclass(frozen=True)
@@ -256,36 +242,24 @@ def _series_log_per_frame(kind: str, k: int, p: Optional[float], params) -> floa
     return _log_pre_area(k, params) + subexp_gain(sup_distortion(k, params), p)
 
 
-def _term_ratio(kind: str, k: int, p: Optional[float], params, pf: float) -> float:
+def _term_ratio(kind: str, k: int, p: Optional[float], params) -> float:
     """The level-k term ratio, 4 times the level-(k+1) integral per frame
-    over the level-k one (whose log is pf).  Past level 3 it is formed
-    from factors of size one in decimal and rounded once: tv's is
-    2 sigma u_k h(k+1) / h(k) (_tv_h), and subexp's, wherever
-    T_k < alpha, (2 sigma)^2 gain_ratio, as consecutive frame areas are
-    in the ratio sigma^2.  Level 3 and the pre-asymptotic subexp levels
-    (small k unless sigma nears 1/2 or beta is large) take
-    exp(2 log 2 + pf(k+1) - pf(k))."""
-    if k > MIN_LEVEL and kind == "tv":
-        with localcontext() as ctx:
-            ctx.prec = _kernel_digits(k, params.beta)
-            sigma = Decimal(params.sigma)
-            u = [_decimal_u(n, params.beta) for n in (k, k + 1)]
-            h = [(1 - v) * (1 + 2 * sigma) / 4 + max(v / 2 - sigma, Decimal(0)) for v in u]
-            return float(2 * sigma * u[0] * h[1] / h[0])
-    if k > MIN_LEVEL and _asymptotic(k, params):
-        if k > GAIN_RATIO_MAX_LEVEL:
-            raise ValueError(f"level-{k} term ratio is past 1e100, the deepest gain_ratio level")
-        with localcontext() as ctx:
-            ctx.prec = _kernel_digits(k, params.beta)
-            log_ratio = 2 * (2 * Decimal(params.sigma)).ln() + _log_gain_ratio(k, p, params)
-            if log_ratio < LOG_DOUBLE_MAX:
-                return float(log_ratio.exp())
-    else:
-        # the two per-level logs are of size ~k, so log_ratio carries an absolute
-        # error near k * 2^-53: past range here says nothing of whether the exact ratio is
-        log_ratio = 2.0 * LOG2 + _series_log_per_frame(kind, k + 1, p, params) - pf
+    over the level-k one, formed from factors of size one in decimal and
+    rounded once.  As R_{k+1} = r_k / 2 and R'_{k+1} = r'_k / 2
+    (frame_shape), tv's is rho u h(k+1) / h(k) (_tv_h), and subexp's is
+    rho^2 (1 - rho_{k+1}^2) / (1 - rho^2) exp(G(K_{k+1}) - G(K_k)), the area
+    ratio times the gain ratio at the sups."""
+    if kind == "subexp" and k > GAIN_RATIO_MAX_LEVEL:
+        raise ValueError(f"level-{k} term ratio is past 1e100, the deepest gain_ratio level")
+    with localcontext() as ctx:
+        ctx.prec = _kernel_digits(k, params.beta)
+        (rho, u), (rho_next, u_next) = (_decimal_shape(n, params) for n in (k, k + 1))
+        if kind == "tv":
+            return float(rho * u * _decimal_tv_h(rho_next, u_next) / _decimal_tv_h(rho, u))
+        log_ratio = (rho**2 * (1 - rho_next**2) / (1 - rho**2)).ln() + (
+            _bound_gain(p, rho_next, u_next) - _bound_gain(p, rho, u))
         if log_ratio < LOG_DOUBLE_MAX:
-            return math.exp(log_ratio)
+            return float(log_ratio.exp())
     raise ValueError(f"level-{k} term ratio exp({float(log_ratio)!r}) is past double range")
 
 
@@ -338,12 +312,12 @@ def series_terms(
     ratios = []
     for k in lvls:
         pf = _series_log_per_frame(kind, k, p, params)
-        count_log2 = 2 * (k - 1)
-        # the count's exponent leaves double range (k past 9e307) before the log term does
-        if not (math.isfinite(pf) and count_log2 <= sys.float_info.max):
+        # doubling LOG2 is exact, so this is 2 (k - 1) LOG2 + pf wherever 2 (k - 1) is a double
+        log_term = (k - 1) * (2.0 * LOG2) + pf
+        if not math.isfinite(log_term):
             raise ValueError(f"level-{k} log term is past double range (log per frame {pf!r})")
-        terms.append(SeriesTerm(k, count_log2, pf, count_log2 * LOG2 + pf))
-        ratios.append(_term_ratio(kind, k, p, params, pf))
+        terms.append(SeriesTerm(k, 2 * (k - 1), pf, log_term))
+        ratios.append(_term_ratio(kind, k, p, params))
 
     two_sigma = 2.0 * params.sigma
     if kind == "tv":
@@ -380,36 +354,26 @@ def gain_ratio(k: int, p: float, params: ConstructionParams) -> float:
     one, so they are formed in decimal; the result is accurate to double
     precision for 4 <= k <= GAIN_RATIO_MAX_LEVEL where T_k < alpha.
     """
-    gap = _log_gain_ratio(k, p, params)
-    if not gap < LOG_DOUBLE_MAX:
-        raise ValueError(f"gain ratio overflows double precision at p={p}")
-    with localcontext() as ctx:
-        ctx.prec = _kernel_digits(k, params.beta)
-        return float(gap.exp())
-
-
-def _asymptotic(k: int, params: ConstructionParams) -> bool:
-    """T_k < alpha at level k >= 4, as log(1 + T_k) < log(1 + alpha) = -log(2 sigma),
-    which cannot overflow: the one test gain_ratio and series_terms branch on."""
-    return 0.5 * params.beta * log_log_ratio(k) < -math.log(2.0 * params.sigma)
-
-
-def _log_gain_ratio(k: int, p: float, params: ConstructionParams) -> Decimal:
-    """G(k+1) - G(k), the log of gain_ratio, with G = p K / (1 + log K)."""
     _check_finite_positive("p", p)
     k = int(k)
     if not MIN_LEVEL + 1 <= k <= GAIN_RATIO_MAX_LEVEL:
         raise ValueError(
             f"gain_ratio needs {MIN_LEVEL + 1} <= k <= 1e100, got {Decimal(k):.3g}"
         )
-    if not _asymptotic(k, params):
+    shape = frame_shape(k, params)
+    # T_k < alpha, as h = log(1 + T_k) < log(1 + alpha) = -log(rho), which cannot overflow
+    if not shape.h < -math.log(shape.rho):
         raise ValueError(
             f"distortion bound alpha / T_k below 1 at level {k}; "
             "the asymptotic form starts deeper"
         )
     with localcontext() as ctx:
         ctx.prec = _kernel_digits(k, params.beta)
-        return _bound_gain(k + 1, p, params) - _bound_gain(k, p, params)
+        gap = _bound_gain(p, *_decimal_shape(k + 1, params)) - _bound_gain(
+            p, *_decimal_shape(k, params))
+        if not gap < LOG_DOUBLE_MAX:
+            raise ValueError(f"gain ratio overflows double precision at p={p}")
+        return float(gap.exp())
 
 
 def _kernel_digits(k: int, beta: float) -> int:
@@ -419,15 +383,27 @@ def _kernel_digits(k: int, beta: float) -> int:
     return 2 * len(str(k)) + 40 + max(0, -Decimal(beta).adjusted())
 
 
-def _decimal_u(k: int, beta: float) -> Decimal:
-    """u_k = (log(k-1) / log k)^(beta/2) = 2 l_k / l_{k-1} = 1 / (1 + T_k), k >= 4."""
-    return (Decimal(k - 1).ln() / Decimal(k).ln()) ** (Decimal(beta) / 2)
+def _decimal_shape(k: int, params: ConstructionParams) -> tuple[Decimal, Decimal]:
+    """(rho, u) of frame_shape(k, params) in the current decimal context:
+    u = exp(-h) = 1 / (1 + T_k) is (log(k-1) / log k)^(beta/2) = 2 l_k / l_{k-1},
+    and (log 3)^(-beta/2) = 8 l_3 at level 3."""
+    sigma, half_beta = Decimal(params.sigma), Decimal(params.beta) / 2
+    if k == MIN_LEVEL:
+        return 8 * sigma**3, Decimal(3).ln() ** -half_beta
+    return 2 * sigma, (Decimal(k - 1).ln() / Decimal(k).ln()) ** half_beta
 
 
-def _bound_gain(k: int, p: float, params: ConstructionParams) -> Decimal:
-    """p K / (1 + log K) at K = alpha / T_k, in the current decimal context."""
-    two_sigma, u = 2 * Decimal(params.sigma), _decimal_u(k, params.beta)
-    K = (1 - two_sigma) / two_sigma * u / (1 - u)
+def _decimal_tv_h(rho: Decimal, u: Decimal) -> Decimal:
+    """_tv_h in the current decimal context."""
+    return (1 - u) * (1 + rho) / 4 + max(u / 2 - rho / 2, Decimal(0))
+
+
+def _bound_gain(p: float, rho: Decimal, u: Decimal) -> Decimal:
+    """p K / (1 + log K) at the sup K = max(kappa, 1 / kappa) of the frame
+    of decimal shape (rho, u), kappa = alpha / T_k = alpha u / (1 - u)
+    (sup_distortion), in the current decimal context."""
+    kappa = (1 - rho) / rho * u / (1 - u)
+    K = max(kappa, 1 / kappa)
     return Decimal(p) * K / (1 + K.ln())
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -149,6 +149,51 @@ def radii(k: int, params: ConstructionParams, literal: bool = False) -> LevelRad
         r_img = image_side(k, params) / 2.0
         R_img = LEVEL3_OUTER_RADIUS if k == MIN_LEVEL else image_side(k - 1, params) / 4.0
     return LevelRadii(k, r, R, r_img, R_img)
+
+
+# log log 3 correctly rounded; math.log(math.log(3.0)) is 6 ulp above it
+LOG_LOG3 = 0.09404782761669901
+
+
+class FrameShape(NamedTuple):
+    """A level-k frame in units of its outer radii (frame_shape)."""
+
+    log_P: float  # the pre-image outer radius is R = P / 4
+    log_P_img: float  # the image outer radius is R' = P' / 4
+    rho: float  # r = rho R
+    one_minus_rho: float
+    h: float  # r' = u R' with u = exp(-h)
+
+    @property
+    def alpha(self) -> float:
+        return self.one_minus_rho / self.rho
+
+    @property
+    def T(self) -> float:
+        """1 / u - 1."""
+        return math.expm1(self.h)
+
+
+def frame_shape(k: int, params: ConstructionParams) -> FrameShape:
+    """The level-k frame as the closed forms read it, at any level k >= 3.
+
+    Past level 3, P = sigma^(k-1), P' = l_{k-1}, rho = 2 sigma and
+    h = (beta/2) log(log k / log(k-1)).  At level 3, where both outer
+    radii are the grid's 1/16, P = P' = 1/4, rho = 8 sigma^3, with
+    1 - rho = (1 - 2 sigma)(1 + 2 sigma + 4 sigma^2) free of cancellation,
+    and h = (beta/2) log log 3.  At every level R_{k+1} = r_k / 2 and
+    R'_{k+1} = r'_k / 2, alpha = (1 - rho) / rho and T = expm1(h).  The
+    shape holds log P and log P', finite far past the levels where the
+    radii underflow.  The map itself glues with the double radii of radii().
+    """
+    _check_level(k)
+    sigma, half_beta = params.sigma, 0.5 * params.beta
+    if k == MIN_LEVEL:
+        return FrameShape(-2.0 * LOG2, -2.0 * LOG2, 8.0 * sigma**3,
+                          (1.0 - 2.0 * sigma) * (1.0 + 2.0 * sigma + 4.0 * sigma * sigma),
+                          half_beta * LOG_LOG3)
+    return FrameShape((k - 1) * math.log(sigma), log_image_side(k - 1, params),
+                      2.0 * sigma, 1.0 - 2.0 * sigma, half_beta * log_log_ratio(k))
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ from .construction import (
     MIN_LEVEL,
     CellAddress,
     ConstructionParams,
+    frame_shape,
     image_side,
-    log_log_ratio,
     nonzero_side,
     preimage_side,
     radii,
@@ -342,37 +342,24 @@ def fields_batch(points, depth: int, params: ConstructionParams) -> dict:
     return _map_batch(points, depth, params, True)
 
 
-def distortion_bound_T(k: int, beta: float) -> float:
-    """T = (log k / log(k-1))^(beta/2) - 1 for k >= 4, cancellation-free."""
-    return math.expm1(0.5 * beta * log_log_ratio(k))
-
-
 def sup_distortion(k: int, params: ConstructionParams) -> float:
     """Supremum of the pointwise distortion over a level-k frame.
 
     The scale t = (r' + a (rho - r)) / rho = a + (R r' - R' r) / ((R - r) rho)
     is monotone in rho, and so is the distortion max(t/a, a/t); the sup
-    sits at the inner radius, where t = r'/r.  Past level 3, with
-    u = (log(k-1)/log k)^(beta/2), the radii give t = l_{k-1} u / (2 sigma^k)
-    and a = l_{k-1} (1 - u) / (sigma^(k-1) (1 - 2 sigma)), so t/a is exactly
-    alpha u / (1 - u) = alpha / T_k with alpha = (1 - 2 sigma) / (2 sigma)
-    and T_k = distortion_bound_T(k, beta).  R r' - R' r has the sign of
-    u/2 - sigma, so the pre-asymptotic levels (R r' <= R' r, where t <= a
-    and the sup is T_k / alpha) are exactly those with T_k >= alpha.
-    Level 3, where R = R' = 1/16, keeps the linear form.  Raises
+    sits at the inner radius, where t = r'/r.  In the frame's shape
+    (construction.frame_shape), r = rho R and r' = u R' with u = 1 / (1 + T),
+    so t/a = r' (R - r) / (r (R' - r')) is exactly alpha u / (1 - u) = alpha / T
+    with alpha = (1 - rho) / rho, at every level.  R r' - R' r has the sign
+    of u - rho, so the pre-asymptotic levels (R r' <= R' r, where t <= a and
+    the sup is T / alpha) are exactly those with T >= alpha.  Raises
     ValueError where the sup is past double range.
     """
+    shape = frame_shape(k, params)
     try:
-        if k == MIN_LEVEL:
-            a = coeffs(k, params)
-            rad = radii(k, params)
-            t = rad.r_img / rad.r
-            K = max(t / a, a / t)
-        else:
-            alpha = (1.0 - 2.0 * params.sigma) / (2.0 * params.sigma)
-            T = distortion_bound_T(k, params.beta)
-            K = max(alpha / T, T / alpha)
-    except (ZeroDivisionError, OverflowError):  # r, r' or T_k underflows, or T_k overflows
+        alpha, T = shape.alpha, shape.T
+        K = max(alpha / T, T / alpha)
+    except (ZeroDivisionError, OverflowError):  # rho or T underflows, or T overflows
         K = math.inf
     if K == math.inf:
         raise ValueError(

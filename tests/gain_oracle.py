@@ -66,14 +66,56 @@ def exact_sup_distortion(k, sigma, beta):
         return max(t / a, a / t)
 
 
+def _tv(r, R, r_img, R_img):
+    a = (R_img - r_img) / (R - r)
+    b = (R * r_img - R_img * r) / (R - r)
+    return 4 * a * (R**2 - r**2) + 8 * max(b, 0) * (R - r)
+
+
 def exact_tv_integral(k, sigma, beta):
     """4 a (R^2 - r^2) + 8 max(b, 0) (R - r), the frame's derivative-norm integral."""
     with localcontext() as ctx:
         _context(ctx)
-        r, R, r_img, R_img = _radii(k, sigma, beta)
-        a = (R_img - r_img) / (R - r)
-        b = (R * r_img - R_img * r) / (R - r)
-        return 4 * a * (R**2 - r**2) + 8 * max(b, 0) * (R - r)
+        return _tv(*_radii(k, sigma, beta))
+
+
+def exact_tv_log_term(k, sigma, beta):
+    """log(4^(k-1) tv(k)) for k >= 4, at levels whose radii leave every
+    decimal exponent range (sigma^k at k = 1e308).  The integral scales by
+    P P' when the pre-image radii scale by P = sigma^(k-1) and the image
+    radii by P' = l_{k-1}, so it is formed from radii divided by those,
+    (sigma / 2, 1 / 4, l_k / (2 l_{k-1}), 1 / 4), and the logs of P and P'.
+    300 digits resolve l_k / l_{k-1} only to 1e-300, which moves the log
+    term by far less than its ulp at such levels."""
+    with localcontext() as ctx:
+        _context(ctx)
+        s, half_beta = Decimal(sigma), Decimal(beta) / 2
+
+        def log_side(n):
+            return -n * Decimal(2).ln() - half_beta * Decimal(n).ln().ln()
+
+        u = (log_side(k) - log_side(k - 1)).exp() * 2
+        quarter = Decimal(1) / 4
+        scaled = _tv(s / 2, quarter, u / 4, quarter)
+        return (k - 1) * Decimal(4).ln() + (k - 1) * s.ln() + log_side(k - 1) + scaled.ln()
+
+
+def exact_subexp_ratio(k, sigma, beta, p):
+    """The subexp series' level-k term ratio: 4 times the ratio of the
+    level-(k+1) and level-k frame areas 4 (R^2 - r^2), times the ratio of
+    the gauges exp(p K / (1 + log K)) at the exact frame sups K."""
+    with localcontext() as ctx:
+        _context(ctx)
+
+        def area(n):
+            r, R, _, _ = _radii(n, sigma, beta)
+            return 4 * (R**2 - r**2)
+
+        def gain(n):
+            K = exact_sup_distortion(n, sigma, beta)
+            return Decimal(p) * K / (1 + K.ln())
+
+        return 4 * area(k + 1) / area(k) * (gain(k + 1) - gain(k)).exp()
 
 
 def exact_tv_ratio(k, sigma, beta):

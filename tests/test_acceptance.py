@@ -151,7 +151,7 @@ RETIRED_NAMES = (
     "log_preimage_side", "LogQuantity", "log_sum", "_diam_factor", "SQRT2",
     "Frame", "frame", "frame_map", "log_coeffs", "compare_distortion_bound",
     "DistortionComparison", "FrameMapCoeffs", "integrate", "QuadratureError",
-    "frame_distortion_profile", "image_area_partition_defect",
+    "frame_distortion_profile", "image_area_partition_defect", "log_add", "distortion_bound_T",
 )
 RETIRED_OPTIONS = {
     ("analysis", "frame_tv_integral"): ("include_square",),
@@ -175,7 +175,7 @@ def test_readme_library_block_runs():
         importlib.import_module(f"cantormap.{m.name}")
         for m in pkgutil.iter_modules(cantormap.__path__)
     ]
-    assert len(modules) == 9  # the package and its eight modules
+    assert len(modules) == 8  # the package and its seven modules
     assert [
         (m.__name__, name) for m in modules for name in RETIRED_NAMES if hasattr(m, name)
     ] == []

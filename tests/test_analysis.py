@@ -12,7 +12,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gain_oracle import _context, _radii, exact_gain_ratio, exact_tv_integral, exact_tv_ratio
+from gain_oracle import (
+    _context, _radii, exact_gain_ratio, exact_subexp_ratio, exact_tv_integral, exact_tv_ratio,
+)
 from log_oracle import log_sum
 
 from cantormap.analysis import (
@@ -30,7 +32,7 @@ from cantormap.analysis import (
     _series_log_per_frame,
 )
 from cantormap.construction import LOG2, ConstructionParams, image_side, radii
-from cantormap.mapping import coeffs, distortion_bound_T, sup_distortion
+from cantormap.mapping import coeffs, sup_distortion
 
 P = ConstructionParams(0.45, 2.0)
 
@@ -39,6 +41,18 @@ def test_subexp_gauge_anchors():
     assert subexp_gain(1.0, 2.0) == 2.0
     with pytest.raises(ValueError):
         subexp_gain(0.99, 1.0)
+
+
+def test_log_sum():
+    vals = [-2.0, -1.0, -3.0, -0.5]
+    np.testing.assert_allclose(
+        log_sum(vals), math.log(sum(math.exp(v) for v in vals)), rtol=1e-14
+    )
+    # far below double range: shifting by the max keeps the sum finite
+    shifted = [v - 1e8 for v in vals]
+    np.testing.assert_allclose(log_sum(shifted), log_sum(vals) - 1e8, rtol=1e-12)
+    with pytest.raises(ValueError):
+        log_sum([])
 
 
 def test_jacobian_integral_equals_image_frame_area():
@@ -352,6 +366,9 @@ def test_series_validation():
         series_terms("tv", [2], P)
     with pytest.raises(ValueError):
         series_terms("tv", [4], P, margin=0.0)
+    # T_k >= alpha at 1e101 here: the refusal does not depend on the side of alpha
+    with pytest.raises(ValueError, match="past 1e100, the deepest gain_ratio level"):
+        series_terms("subexp", [10**101], ConstructionParams(0.45, 1e104), p=0.5)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -520,10 +537,16 @@ def _ulps(ratio: float, exact: Decimal) -> Decimal:
     sigma=_SIGMA_TO_HALF,
     beta=_log_uniform(0.1, 10.0),
     p=_log_uniform(0.01, 100.0),
-    k=st.one_of(st.integers(4, 100), _log_uniform(4.0, 1e100).map(int)),
+    k=st.one_of(st.integers(3, 100), _log_uniform(3.0, 1e100).map(int)),
     kind=st.sampled_from(["tv", "subexp"]),
 )
 @example(sigma=0.4999, beta=2.0, p=0.5, k=1000, kind="tv")
+@example(sigma=0.5 - 1e-12, beta=2.0, p=0.5, k=3, kind="tv")
+@example(sigma=0.5 - 1e-12, beta=2.0, p=1e-3, k=3, kind="subexp")
+@example(sigma=0.45, beta=2.0, p=0.5, k=3, kind="subexp")
+# pre-asymptotic levels (T_k >= alpha): (0.49, 2) has them from 3 to 15
+@example(sigma=0.49, beta=2.0, p=0.5, k=7, kind="subexp")
+@example(sigma=0.4999999, beta=3.0, p=0.1, k=40, kind="subexp")
 @example(sigma=0.49999999, beta=3.3887528437611323, p=0.5, k=49, kind="tv")
 @example(sigma=0.45, beta=2.0, p=0.5, k=10**15, kind="tv")
 @example(sigma=0.45, beta=2.0, p=0.5, k=10**6, kind="subexp")
@@ -531,19 +554,28 @@ def _ulps(ratio: float, exact: Decimal) -> Decimal:
 @example(sigma=0.25, beta=2.0, p=0.5, k=10**20, kind="subexp")
 @example(sigma=0.001, beta=6.5765759402787705, p=0.9216945476761734, k=10**100, kind="subexp")
 def test_series_ratios_match_their_oracles(sigma, beta, p, k, kind):
-    """A printed term ratio lies within 4 ulp of the decimal oracle: the
-    tv ratio for k in [4, 1e15], and the subexp ratio, which is
-    (2 sigma)^2 exact_gain_ratio wherever T_k < alpha (the frame sup is
-    then alpha / T_k and the area ratio sigma^2), for k in [5, 1e100]."""
+    """A printed term ratio lies within 4 ulp of the decimal oracle formed
+    from the exact radii, for k in [3, 1e15], the pre-asymptotic subexp
+    levels (T_k >= alpha) included, and a ratio past double range is a
+    ValueError.  Past 1e15, where the radii leave decimal's exponent range,
+    the subexp ratio is (2 sigma)^2 exact_gain_ratio (the frame sup is
+    alpha / T_k, as T_k < alpha at every such level of this domain, and
+    the area ratio sigma^2), up to 1e100."""
     params = ConstructionParams(sigma, beta)
+    alpha = (1.0 - 2.0 * sigma) / (2.0 * sigma)
     if kind == "tv":
         assume(k <= 10**15)
         exact = exact_tv_ratio(k, sigma, beta)
     else:
-        alpha = (1.0 - 2.0 * sigma) / (2.0 * sigma)
-        # the sup is alpha / T_k, and the limit the verdict reads is finite
-        assume(k >= 5 and distortion_bound_T(k, beta) < alpha and 2.0 * p * alpha / beta < 700.0)
-        exact = 4 * Decimal(sigma) ** 2 * exact_gain_ratio(k, sigma, beta, p)
+        assume(2.0 * p * alpha / beta < 700.0)  # the limit the verdict reads is finite
+        if k <= 10**15:
+            exact = exact_subexp_ratio(k, sigma, beta, p)
+        else:
+            exact = 4 * Decimal(sigma) ** 2 * exact_gain_ratio(k, sigma, beta, p)
+    if exact > Decimal(sys.float_info.max):
+        with pytest.raises(ValueError, match="term ratio exp"):
+            series_terms(kind, [k], params, p=p)
+        return
     assert _ulps(series_terms(kind, [k], params, p=p).ratios[0], exact) <= 4
 
 
@@ -565,17 +597,18 @@ def test_tv_log_terms_match_their_oracle(sigma, beta, k):
 
 @settings(max_examples=300)
 @given(
-    sigma=_SIGMA_TO_HALF,
+    sigma=st.one_of(_SIGMA_TO_HALF, st.floats(-15.0, -12.0).map(lambda e: 0.5 - 10.0**e)),
     beta=_log_uniform(0.1, 10.0),
-    k=st.integers(4, 60),
+    k=st.integers(3, 60),
 )
 @example(sigma=0.499999999, beta=2.0, k=4)
 @example(sigma=0.45, beta=2.0, k=4)
+@example(sigma=0.5 - 1e-12, beta=2.0, k=3)
 def test_tv_integral_matches_its_oracle(sigma, beta, k):
-    """Past level 3 the tv frame integral lies within 8 ulp of the decimal
-    oracle: s h is formed from factors of size one, so nothing cancels as
-    sigma nears 1/2 (the largest measured is 6.9 ulp, from the powers in
-    s at beta near 10), and the 8 max(R r' - R' r, 0) term drops out
+    """The tv frame integral lies within 8 ulp of the decimal oracle: P P' h
+    is formed from factors of size one, so nothing cancels as sigma nears
+    1/2, level 3 included (the largest measured is 6.9 ulp, from the powers
+    in P P' at beta near 10), and the 8 max(R r' - R' r, 0) term drops out
     where it is negative, as at level 4 of (0.45, 2)."""
     got = frame_tv_integral(k, ConstructionParams(sigma, beta))
     exact = exact_tv_integral(k, sigma, beta)

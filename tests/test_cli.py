@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from gain_oracle import exact_gain_ratio
+from gain_oracle import exact_gain_ratio, exact_tv_integral, exact_tv_log_term, exact_tv_ratio
 from mass_oracle import brute_mass_bound
 
 from cantormap.analysis import p_threshold
@@ -609,15 +609,41 @@ def test_series_ratios_to_level_1e12_match_their_oracle(capsys):
         (["series", "subexp", "--k-max", str(10**400)], "--k-max must be <= 1.79769e+308, got "),
         (["measure", "--k-max", str(10**400)], "--k-max must be <= 1.79769e+308, got "),
         (["series", "tv", "--k-max", str(10**320)], "--k-max must be <= 1.79769e+308, got "),
-        # 2 (k - 1), the count's exponent, is past the largest double
-        (["series", "tv", "--k-max", str(10**308)], f"level-{10**308} log term is past double range"),
     ],
-    ids=["subexp_1e400", "measure_1e400", "tv_1e320", "tv_1e308"],
+    ids=["subexp_1e400", "measure_1e400", "tv_1e320"],
 )
 def test_levels_past_double_range_are_domain_errors(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: " + message) and err.count("\n") == 1
+
+
+def test_series_tv_past_9e307_matches_its_oracle(capsys):
+    """At k = 1e308, where the count's exponent 2 (k - 1) is past the
+    largest double, the log term (k - 1) (2 log 2) + pf is a finite double
+    that matches the decimal oracle.  Its parts, the largest
+    2 (k - 1) log 2 = 1.4e308, cancel to -1.05e307, so it carries their
+    rounding: within 4 ulp of 1.4e308 (it is 0.5 of that, 8.5 ulp of its own)."""
+    code, out, err = run_cli(["series", "tv", "--k-max", str(10**308), "--format", "json"], capsys)
+    assert code == 0 and err == ""
+    last = json.loads(out)["results"]["terms"][-1]
+    assert last["k"] == 10**308
+    exact = exact_tv_log_term(10**308, 0.45, 2.0)
+    assert abs(Decimal(last["log_term"]) - exact) <= 4 * Decimal(math.ulp(1.4e308))
+
+
+def test_series_tv_level3_at_tiny_sigma_matches_its_oracle(capsys):
+    """At sigma = 1e-300 the level-3 frame is a grid cell less a square of
+    side 1e-900: its log term is finite and within 4 ulp of the decimal
+    oracle, and its ratio, exactly about 1e-899, underflows to 0.0."""
+    argv = ["series", "tv", "--sigma", "1e-300", "--k-min", "3", "--format", "json"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    first = json.loads(out)["results"]["terms"][0]
+    assert first["k"] == 3
+    exact = 4 * Decimal(2).ln() + exact_tv_integral(3, 1e-300, 2.0).ln()
+    assert abs(Decimal(first["log_term"]) - exact) <= 4 * Decimal(math.ulp(float(exact)))
+    assert first["ratio"] == 0.0 and exact_tv_ratio(3, 1e-300, 2.0) < Decimal("1e-898")
 
 
 @pytest.mark.parametrize("k_max", [10**15, 10**200, 10**8])
@@ -887,13 +913,12 @@ PAST_DOUBLE_RANGE = [
      "level-4 term ratio exp("),
     (["series", "subexp", "--sigma", "0.1", "--beta", "1e6", "--k-min", "4", "--k-max", "100"],
      "level-4 sup distortion overflows double precision"),
-    # the level-3 image side underflows, so r' = 0
+    # T_3 = expm1((beta/2) log log 3) overflows
     (["series", "subexp", "--sigma", "0.1", "--beta", "1e6", "--k-min", "3", "--k-max", "5",
-      "--p", "1e-300"], "level-3 image square has zero side"),
+      "--p", "1e-300"], "level-3 sup distortion overflows double precision"),
     # gain_ratio is resolved up to level 1e100
     (["series", "subexp", "--k-max", str(10**101)],
      f"level-{10**101} term ratio is past 1e100, the deepest gain_ratio level"),
-    (["series", "tv", "--sigma", "1e-300", "--k-min", "3"], "level 3 sides underflow"),
     # l_3 rounds to 1/8, so R' - r' = 1/16 - l_3/2 rounds to 0
     (["map", "--sigma", "0.1", "--beta", "1e-300", "--samples", "3"],
      "level-3 image frame has zero width"),

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from cantormap.construction import (
     DEFAULT_CELL_CAP,
+    LOG_LOG3,
     MIN_LEVEL,
     CellAddress,
     ConstructionParams,
@@ -17,6 +20,7 @@ from cantormap.construction import (
     axis_centers,
     cell_axis_indices,
     enumerate_cells,
+    frame_shape,
     image_side,
     image_square,
     log_image_side,
@@ -108,6 +112,46 @@ def test_radii_values():
     assert lit.R_img == 4.0 * rad4.R_img
     with pytest.raises(ValueError):
         radii(2, P)
+
+
+def test_log_log3_is_correctly_rounded():
+    """LOG_LOG3 is log log 3 rounded to nearest; math.log(math.log(3.0))
+    lies 6 ulp above it, from the rounding of log 3."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = Decimal(3).ln().ln()
+    assert abs(Decimal(LOG_LOG3) - exact) <= Decimal(math.ulp(LOG_LOG3)) / 2
+    assert math.log(math.log(3.0)) - LOG_LOG3 == 6 * math.ulp(LOG_LOG3)
+
+
+@settings(max_examples=200)
+@given(
+    sigma=st.one_of(
+        st.floats(1e-3, 0.5, exclude_max=True), st.floats(-15.0, -3.0).map(lambda e: 0.5 - 10.0**e)
+    ),
+    beta=st.floats(0.1, 10.0),
+    k=st.integers(3, 60),
+)
+@example(sigma=0.5 - 1e-12, beta=2.0, k=3)
+def test_frame_shape_describes_the_radii(sigma, beta, k):
+    """log P and log P' are the logs of 4 R and 4 R' from the double radii,
+    rho and 1 - rho lie within 2 ulp of the exact
+    r / R and 1 - r / R of the exact parameters, and h within 1 ulp of
+    -log(r' / R') at level 3 and 4 ulp past it, where log_log_ratio rounds
+    (the largest measured is 2.9 ulp)."""
+    params = ConstructionParams(sigma, beta)
+    shape, rad = frame_shape(k, params), radii(k, params)
+    np.testing.assert_allclose(shape.log_P, math.log(4.0 * rad.R), rtol=4e-16)
+    np.testing.assert_allclose(shape.log_P_img, math.log(4.0 * rad.R_img), rtol=4e-16)
+    s = Fraction(sigma)
+    rho = 8 * s**3 if k == MIN_LEVEL else 2 * s
+    assert abs(Fraction(shape.rho) - rho) <= 2 * Fraction(math.ulp(shape.rho))
+    assert abs(Fraction(shape.one_minus_rho) - (1 - rho)) <= 2 * Fraction(math.ulp(shape.one_minus_rho))
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ratio = Decimal(k).ln().ln() - (0 if k == MIN_LEVEL else Decimal(k - 1).ln().ln())
+        h = Decimal(beta) / 2 * ratio
+    assert abs(Decimal(shape.h) - h) <= (1 if k == MIN_LEVEL else 4) * Decimal(math.ulp(shape.h))
 
 
 def test_level3_squares():

@@ -16,7 +16,8 @@ objects, which of their top-level keys (``params``, ``results``,
 ``checks``) differ; it exits 1 when anything differs.
 
 The plan covers every subcommand, ``verify`` at two seeds, ``series``
-ratios out to level 1e12 (subexp) and 1e15 and 1e200 (tv) and at sigma near 1/2,
+ratios out to level 1e12 (subexp) and 1e15 and 1e200 (tv), at sigma near 1/2,
+from level 3 and on pre-asymptotic subexp levels (T_k >= alpha),
 ``render`` with no mesh and with a mesh of many evaluation blocks, ``map`` in CSV
 and JSON at depths 6 and 32 on a points file, on samples and on no
 samples, sample counts on either side of the row-block size of
@@ -121,6 +122,12 @@ def _plan(block: int) -> list[tuple[str, list[str]]]:
         ("series_tv_k_max_1e15", ["series", "tv", "--k-max", "1000000000000000"]),
         ("series_tv_k_max_1e200", ["series", "tv", "--k-max", str(10**200)]),
         ("series_tv_sigma_0_4999", ["series", "tv", "--sigma", "0.4999"]),
+        ("series_tv_k_3_to_10", ["series", "tv", "--k-min", "3", "--k-max", "10"]),
+        # levels 3 to 15 are pre-asymptotic at sigma = 0.49
+        ("series_subexp_sigma_0_49_k_3_to_100",
+         ["series", "subexp", "--sigma", "0.49", "--k-min", "3", "--k-max", "100"]),
+        ("series_subexp_beta50_k_3_to_1000",
+         ["series", "subexp", "--beta", "50", "--k-min", "3", "--k-max", "1000"]),
         ("map_edge_file_json", ["map", "edge.csv", "--format", "json"]),
     ]
     for depth in ("6", "32"):
