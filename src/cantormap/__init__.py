@@ -33,6 +33,7 @@ from .construction import (
     preimage_side,
     preimage_square,
     radii,
+    resolvable_depth,
     validate_geometry,
 )
 from .mapping import (

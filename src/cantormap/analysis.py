@@ -45,15 +45,6 @@ def subexp_gain(t: float, p: float) -> float:
     return p * t / (1.0 + math.log(t))
 
 
-def _linear_radii(k: int, params: ConstructionParams):
-    rad = radii(k, params)
-    if rad.r == 0.0 or rad.r_img == 0.0:
-        raise ValueError(
-            f"level {k} sides underflow double precision"
-        )
-    return rad
-
-
 def _tv_h(shape: FrameShape) -> float:
     """h of the tv frame integral P P' h (frame_shape): with R = P / 4,
     r = rho R, R' = P' / 4 and r' = u R', 4 a (R^2 - r^2) = P P' (1 - u)(1 + rho)/4
@@ -71,7 +62,7 @@ def frame_jacobian_integral(k: int, params: ConstructionParams) -> float:
     which is 4 a (R - r) (R' + r'), every factor positive, and telescopes
     to the image frame area 4 (R'^2 - r'^2) exactly.
     """
-    rad, a = _linear_radii(k, params), coeffs(k, params)
+    rad, a = radii(k, params), coeffs(k, params)
     return 4.0 * a * (rad.R - rad.r) * (rad.R_img + rad.r_img)
 
 
@@ -83,7 +74,8 @@ def frame_tv_integral(k: int, params: ConstructionParams) -> float:
     P P' h = 16 R R' h (_tv_h), formed from factors of size one at every
     level.
     """
-    rad = _linear_radii(k, params)
+    coeffs(k, params)  # refuses a frame that is degenerate in doubles
+    rad = radii(k, params)
     return 16.0 * rad.R * rad.R_img * _tv_h(frame_shape(k, params))
 
 
@@ -184,8 +176,7 @@ def frame_integral_mc(
         if p is None:
             raise ValueError("subexp integrals need p > 0")
         _check_finite_positive("p", p)
-    rad = _linear_radii(k, params)
-    a = coeffs(k, params)
+    rad, a = radii(k, params), coeffs(k, params)
     rng = np.random.default_rng(seed)
     rho = np.sqrt(rad.r**2 + rng.random(n_samples) * (rad.R**2 - rad.r**2))
     t = (rad.r_img + a * (rho - rad.r)) / rho

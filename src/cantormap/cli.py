@@ -43,7 +43,7 @@ from .verify import run_verification
 _FLAGS = {
     "--sigma": dict(type=float, default=0.45, help="pre-image contraction, in (0, 1/2)"),
     "--beta": dict(type=float, default=2.0, help="image-side log haircut exponent, finite, > 0"),
-    "--depth": dict(type=int, default=6, help="working level / truncation depth, in [3, 60]"),
+    "--depth": dict(type=int, default=6, help="truncation depth, in [3, the resolvable depth]"),
     "--p": dict(type=float, default=0.5, help="sub-exponential gauge exponent, finite, > 0"),
     "--gauge-beta": dict(type=float, nargs="+", default=[1.0, 2.0, 4.0], help="scan exponents beta'"),
     "--k-min": dict(type=int, default=1000, help="smallest level of level sweeps"),

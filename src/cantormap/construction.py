@@ -16,7 +16,9 @@ positive along the image family.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
@@ -40,7 +42,7 @@ class ConstructionParams:
 
     sigma: per-level contraction of the pre-image side, in (0, 1/2).
     beta: exponent of the logarithmic haircut on the image side, finite, > 0.
-    depth_max: deepest level any operation may address.
+    depth_max: deepest level any operation may address; resolvable_depth binds first.
     """
 
     sigma: float
@@ -57,10 +59,41 @@ class ConstructionParams:
 
 
 def _check_level(k: int, params: ConstructionParams | None = None) -> None:
+    """The one depth gate: refuses a level below 3 or past the largest double,
+    and given params one past resolvable_depth(params) or depth_max."""
     if k < MIN_LEVEL:
         raise ValueError(f"levels start at {MIN_LEVEL}, got {k}")
-    if params is not None and k > params.depth_max:
+    if k > sys.float_info.max:
+        raise ValueError(f"levels end at the largest double, {sys.float_info.max:.6g}; "
+                         f"got one of {len(str(k))} digits")
+    if params is None:
+        return
+    depth = resolvable_depth(params)
+    if k > depth:
+        where = (f"the resolvable depth is {depth}, the deepest d whose levels k <= d all have"
+                 " center steps sigma^k/4 and l_k/4 above k 2^-53" if depth >= MIN_LEVEL else
+                 "no depth is resolvable: a level-3 center step sigma^3/4 or l_3/4 is not above 3 2^-53")
+        raise ValueError(f"level-{k} is past what doubles resolve at sigma={params.sigma},"
+                         f" beta={params.beta}: {where}")
+    if k > params.depth_max:
         raise ValueError(f"level {k} exceeds depth_max {params.depth_max}")
+
+
+@functools.lru_cache(maxsize=256)
+def resolvable_depth(params: ConstructionParams) -> int:
+    """The deepest depth d whose levels k in 3..d all have both center steps,
+    sigma^k / 4 and l_k / 4, above k u, u = 2^-53; 2 where level 3 fails.
+
+    A level-k center is a chain of k rounded additions, about k u off
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 4), which
+    a smaller step no longer moves.  No sigma < 1/2 passes level 46, as
+    2^(51 - k) > k fails there.  Down to d every side exceeds 4 k u, so none
+    rounds to 0 and the similarity scale l_d / sigma^d has a square below 1e31.
+    """
+    k = MIN_LEVEL
+    while min(preimage_side(k, params), image_side(k, params)) / 4.0 > k * 2.0**-53:
+        k += 1
+    return k - 1
 
 
 def preimage_side(k: int, params: ConstructionParams) -> float:
@@ -73,27 +106,6 @@ def image_side(k: int, params: ConstructionParams) -> float:
     """Side length 2^-k * (log k)^(-beta/2) of a level-k image square."""
     _check_level(k)
     return 2.0**-k * math.log(k) ** (-params.beta / 2.0)
-
-
-def nonzero_side(k: int, params: ConstructionParams, image: bool) -> float:
-    """The level-k side of one family; raises ValueError where it rounds
-    to 0 in double precision.  Sides decrease in k, so a check at the
-    deepest level a caller uses covers every shallower one."""
-    if not image:
-        side = preimage_side(k, params)
-        if side == 0.0:
-            raise ValueError(
-                f"level-{k} square has zero side in double precision at sigma={params.sigma}"
-                " (sigma^k underflows); use a smaller depth"
-            )
-    else:
-        side = image_side(k, params)
-        if side == 0.0:
-            raise ValueError(
-                f"level-{k} image square has zero side in double precision at beta={params.beta}"
-                " (2^-k (log k)^(-beta/2) underflows); use a smaller depth or beta"
-            )
-    return side
 
 
 def log_image_side(k: int, params: ConstructionParams) -> float:
@@ -359,12 +371,11 @@ def _axis_levels(
     digit and refinement bits of paths[j]; its children at level k + 1
     are entries 2j (bit 0) and 2j + 1 (bit 1).  Each level adds -step or
     +step to its parent, the same float additions _axis_center makes,
-    so the table equals it bit for bit.  Raises nonzero_side's
-    ValueError before the first level where the family's level-k_max
-    side underflows: its centers would collapse onto their parents'.
+    so the table equals it bit for bit.  Raises _check_level's
+    ValueError for a k_max doubles do not resolve, where centers would
+    stop moving off their parents.
     """
     _check_level(k_max, params)
-    nonzero_side(k_max, params, image)
     side_fn = image_side if image else preimage_side
     centers = (np.arange(8) + 0.5) / 8.0
     paths = [str(octant) for octant in range(8)]
@@ -426,8 +437,8 @@ def validate_geometry(
     double with itself.
 
     Violations are reported as (level, locator, invariant) triples.  A
-    family whose level-k_max side underflows raises nonzero_side's
-    ValueError instead: its centers collapse and no check means anything.
+    k_max doubles do not resolve raises _check_level's ValueError
+    instead: its centers stop moving and no check means anything.
     """
     _check_level(k_max, params)
     report = ValidationReport(k_max)

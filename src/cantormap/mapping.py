@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -25,9 +26,9 @@ from .construction import (
     MIN_LEVEL,
     CellAddress,
     ConstructionParams,
+    _check_level,
     frame_shape,
     image_side,
-    nonzero_side,
     preimage_side,
     radii,
 )
@@ -39,31 +40,24 @@ _SKELETON_RTOL = 1e-12
 
 def coeffs(k: int, params: ConstructionParams, literal: bool = False) -> float:
     """The slope a = (R' - r') / (R - r) of the level-k frame map; raises
-    ValueError where R - r, r' or R' - r' rounds to 0 and a frame map would
-    collapse a frame or its inner boundary to a point."""
+    ValueError unless r, r', R - r and R' - r' are positive and the least
+    frame Jacobian a min(r'/r, R'/R) is a normal double, at least 2^-1022."""
     rad = radii(k, params, literal=literal)
-    if not rad.R - rad.r > 0.0:
-        raise ValueError(
-            f"level-{k} frame has zero width in double precision at sigma={params.sigma}"
-            " (sigma^k underflows); use a smaller depth"
-        )
-    if not rad.r_img > 0.0:
-        raise ValueError(
-            f"level-{k} image square has zero side in double precision at beta={params.beta}"
-            " (2^-k (log k)^(-beta/2) underflows); use a smaller depth or beta"
-        )
-    if not rad.R_img - rad.r_img > 0.0:
-        raise ValueError(
-            f"level-{k} image frame has zero width in double precision at beta={params.beta}"
-            " (R' - r' rounds to 0); use a smaller depth or a less extreme beta"
-        )
-    return (rad.R_img - rad.r_img) / (rad.R - rad.r)
+    r, R, r_img, R_img = rad.r, rad.R, rad.r_img, rad.R_img
+    if r > 0.0 and r_img > 0.0 and R - r > 0.0 and R_img - r_img > 0.0:
+        a = (R_img - r_img) / (R - r)
+        if a * min(r_img / r, R_img / R) >= sys.float_info.min:
+            return a
+    raise ValueError(
+        f"level-{k} frame is degenerate in double precision at sigma={params.sigma},"
+        f" beta={params.beta}: r, r', R - r or R' - r' rounds to 0, or the least"
+        " frame Jacobian a min(r'/r, R'/R) underflows below 2^-1022"
+    )
 
 
 def similarity_ratio(k: int, params: ConstructionParams) -> float:
     """Scale of the similarity onto a level-k image square."""
-    side = nonzero_side(k, params, image=False)
-    return nonzero_side(k, params, image=True) / side
+    return image_side(k, params) / preimage_side(k, params)
 
 
 @dataclass(frozen=True)
@@ -100,19 +94,13 @@ class _LevelTable(NamedTuple):
 
 @functools.lru_cache(maxsize=64)
 def _level_table(params: ConstructionParams, depth: int) -> _LevelTable:
-    """The level table behind every evaluation; it raises coeffs' or similarity_ratio's
-    ValueError when any level up to depth underflows, and its own when the depth-level
-    Jacobian s_sim^2 overflows, so all entry points fail alike."""
-    if not MIN_LEVEL <= depth <= params.depth_max:
-        raise ValueError(f"depth must lie in [{MIN_LEVEL}, depth_max={params.depth_max}], got {depth}")
+    """The level table behind every evaluation; it raises _check_level's
+    ValueError for a depth doubles do not resolve and coeffs' for a
+    degenerate frame, so all entry points fail alike."""
+    _check_level(depth, params)
     levels = range(MIN_LEVEL, depth + 1)
     slopes, rads = [coeffs(k, params) for k in levels], [radii(k, params) for k in levels]
     s_sim = similarity_ratio(depth, params)
-    if math.isinf(s_sim * s_sim):
-        raise ValueError(
-            f"level-{depth} similarity Jacobian s^2 overflows double precision (s = {s_sim!r})"
-            f" at sigma={params.sigma}, beta={params.beta}; use a smaller depth"
-        )
     pad = (0.0,) * MIN_LEVEL
     r = pad + tuple(rad.r for rad in rads)
     step = pad + tuple(preimage_side(k, params) / 4.0 for k in levels)

@@ -14,6 +14,7 @@ from .construction import (
     DEFAULT_CELL_CAP,
     MIN_LEVEL,
     ConstructionParams,
+    _check_level,
     axis_centers,
     cell_axis_indices,
     image_side,
@@ -55,10 +56,7 @@ def render_svg(
     samples_per_cell times per mesh cell so the sup-norm kinks show.
     Square enumeration honors cap like enumerate_cells.
     """
-    if not MIN_LEVEL <= depth <= params.depth_max:
-        raise ValueError(
-            f"depth must lie in [{MIN_LEVEL}, depth_max={params.depth_max}], got {depth}"
-        )
+    _check_level(depth, params)
     if grid < 0 or samples_per_cell < 1:
         raise ValueError("grid must be >= 0 and samples_per_cell >= 1")
     parts = [

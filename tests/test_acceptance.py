@@ -152,6 +152,7 @@ RETIRED_NAMES = (
     "Frame", "frame", "frame_map", "log_coeffs", "compare_distortion_bound",
     "DistortionComparison", "FrameMapCoeffs", "integrate", "QuadratureError",
     "frame_distortion_profile", "image_area_partition_defect", "log_add", "distortion_bound_T",
+    "nonzero_side", "_linear_radii",
 )
 RETIRED_OPTIONS = {
     ("analysis", "frame_tv_integral"): ("include_square",),

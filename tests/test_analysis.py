@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gain_oracle import (
     _context, _radii, exact_gain_ratio, exact_subexp_ratio, exact_tv_integral, exact_tv_ratio,
 )
+from frame_oracle import exact_least_frame_jacobian
 from log_oracle import log_sum
 
 from cantormap.analysis import (
@@ -31,7 +32,7 @@ from cantormap.analysis import (
     _log_subexp_integral,
     _series_log_per_frame,
 )
-from cantormap.construction import LOG2, ConstructionParams, image_side, radii
+from cantormap.construction import LOG2, ConstructionParams, frame_shape, image_side, radii
 from cantormap.mapping import coeffs, sup_distortion
 
 P = ConstructionParams(0.45, 2.0)
@@ -75,8 +76,19 @@ def test_jacobian_integral_equals_image_frame_area():
 def test_jacobian_integral_is_the_exact_image_frame_area(sigma, beta, k):
     """The closed form lies within 2 ulp of the image frame area
     4 (R'^2 - r'^2), taken exactly from the same double radii; an ulp
-    is 2^-52 of the area, and 2^-1074 where the area is subnormal."""
+    is 2^-52 of the area, and 2^-1074 where the area is subnormal.  It
+    is refused only where coeffs refuses the frame: where its least
+    Jacobian, exact from the double radii, is below 2^-1022 (up to the
+    rounding of coeffs' own test)."""
     params = ConstructionParams(sigma, beta)
+    least = exact_least_frame_jacobian(k, params)
+    if least < Fraction(2**-1022) * (1 + Fraction(1, 2**48)):
+        try:
+            frame_jacobian_integral(k, params)
+        except ValueError as err:
+            assert str(err).startswith(f"level-{k} frame is degenerate")
+            return
+        assert least > Fraction(2**-1022) * (1 - Fraction(1, 2**48))
     rad = radii(k, params)
     exact = 4 * (Fraction(rad.R_img) ** 2 - Fraction(rad.r_img) ** 2)
     ulp = max(exact / 2**52, Fraction(1, 2**1074))
@@ -137,7 +149,8 @@ def scipy_subexp_integral(k, p, params):
     reach, what it does certify is checked instead."""
     from scipy.integrate import quad
 
-    rad, a = radii(k, params), coeffs(k, params)
+    rad = radii(k, params)
+    a = (rad.R_img - rad.r_img) / (rad.R - rad.r)
 
     def integrand(rho):
         t = (rad.r_img + a * (rho - rad.r)) / rho
@@ -251,6 +264,16 @@ def test_frame_integral_mc_matches_position_draws(kind, n_samples):
         params = ConstructionParams(sigma, beta)
         got = frame_integral_mc(k, params, kind, p=p, n_samples=n_samples, seed=seed)
         assert got == reference_frame_integral_mc(k, params, kind, p, n_samples, seed)
+
+
+@pytest.mark.parametrize("kind", ["tv", "subexp"])
+def test_levels_past_the_largest_double_are_value_errors(kind):
+    # 10**400 cannot be converted to a double; the CLI refuses such a
+    # --k-max before any level is formed, and the library names it too
+    with pytest.raises(ValueError, match="levels end at the largest double, 1.79769e[+]308; got one of 401 digits"):
+        series_terms(kind, [10**400], P, p=0.5)
+    with pytest.raises(ValueError, match="levels end at the largest double"):
+        frame_shape(10**400, P)
 
 
 def test_frame_integral_guards():

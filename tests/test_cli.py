@@ -281,24 +281,26 @@ def test_map_bytes_match_reference(fmt, source, tmp_path, capsys):
         assert {row["skeleton"] for row in json.loads(out)["results"]["rows"]} == {on_skel}
 
 
+# the level-14 center 1/16 + sigma^3/4 + ... + sigma^13/4 at sigma = 0.1, formed
+# by the walk's own float steps: at depth 14, the resolvable depth at this
+# sigma, the point lies in a depth-14 square, whose similarity Jacobian is 5.3e18
+DEEP_POINT = "0.06277777777777499,0.06277777777777499"
+DEEP = ["--sigma", "0.1", "--depth", "14"]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_map_bytes_match_reference_on_infinite_jacobian(fmt, tmp_path, capsys):
-    # at sigma = 1e-6 the float descent keeps the octant center 0.0625
-    # inside every square down to the depth.  At depth 27 the similarity
-    # scale is 2.3e153 and its square, the Jacobian, the largest finite
-    # one; at depth 28 the scale is 1.1e159 and the Jacobian would
-    # overflow to inf, which is a domain error
+def test_map_bytes_match_reference_at_the_resolvable_depth(fmt, tmp_path, capsys):
     pts = tmp_path / "pts.csv"
-    pts.write_text("0.0625,0.0625\n")
-    argv = ["map", str(pts), "--sigma", "1e-6", "--depth", "27", "--format", fmt]
+    pts.write_text(DEEP_POINT + "\n")
+    argv = ["map", str(pts), *DEEP, "--format", fmt]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == reference_map_output(argv)
-    assert (",5.110328516468033e+306," if fmt == "csv" else '"jac": 5.110328516468033e+306') in out
-    argv[5] = "28"
+    assert (",5.348875285015836e+18," if fmt == "csv" else '"jac": 5.348875285015836e+18') in out
+    argv[5] = "15"
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error: level-28 similarity Jacobian s^2 overflows double precision")
+    assert err.startswith("error: level-15 is past what doubles resolve at sigma=0.1, beta=2.0")
 
 
 def test_map_json_no_rows(capsys):
@@ -323,33 +325,34 @@ def test_map_bytes_match_reference_across_row_blocks(n, fmt, capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_map_special_rows_after_a_block_edge(fmt, tmp_path, capsys):
-    # skeleton rows and the largest finite Jacobian, 5.1e306 at
-    # 0.0625,0.0625 for sigma = 1e-6, depth 27, all sit in the second row block
+    # skeleton rows and the depth-14 square row of DEEP_POINT, Jacobian
+    # 5.3e18 at sigma = 0.1, all sit in the second row block
     uniform = np.random.default_rng(3).random((B + 1, 2)).tolist()
-    special = [(0.5, 0.5), (0.0625, 0.0625), (0.0, 0.0), (0.0625, 0.0625)]
+    deep = tuple(map(float, DEEP_POINT.split(",")))
+    special = [(0.5, 0.5), deep, (0.0, 0.0), deep]
     lines = ["x,y"] + [f"{x!r},{y!r}" for x, y in uniform + special + uniform[:5]]
     pts = tmp_path / "pts.csv"
     pts.write_text("\n".join(lines) + "\n")
-    argv = ["map", str(pts), "--sigma", "1e-6", "--depth", "27", "--format", fmt]
+    argv = ["map", str(pts), *DEEP, "--format", fmt]
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out.encode() == reference_map_output(argv).encode()
     if fmt == "csv":
         rows = out.splitlines()[1:]
-        assert rows[B + 1].endswith(",,,,1") and ",5.110328516468033e+306," in rows[B + 2]
+        assert rows[B + 1].endswith(",,,,1") and ",5.348875285015836e+18," in rows[B + 2]
     else:
         rows = json.loads(out)["results"]["rows"]
-        assert rows[B + 1]["K"] is None and rows[B + 2]["jac"] == 5.110328516468033e+306
+        assert rows[B + 1]["K"] is None and rows[B + 2]["jac"] == 5.348875285015836e+18
         assert '"K": null' in out
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_map_fields_epilogue_does_not_warn(fmt, tmp_path, capsys):
     # the point is not in a frame, so the frame-map lanes are never
-    # computed; its Jacobian is the largest finite one at this sigma
+    # computed; its Jacobian is the similarity's at the resolvable depth
     pts = tmp_path / "pts.csv"
-    pts.write_text("0.0625,0.0625\n")
-    argv = ["map", str(pts), "--sigma", "1e-6", "--depth", "27", "--format", fmt]
+    pts.write_text(DEEP_POINT + "\n")
+    argv = ["map", str(pts), *DEEP, "--format", fmt]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(argv, capsys)
@@ -357,8 +360,8 @@ def test_map_fields_epilogue_does_not_warn(fmt, tmp_path, capsys):
     assert out == reference_map_output(argv)
     if fmt == "csv":
         assert out.splitlines()[1] == (
-            "0.0625,0.0625,0.1111505833483535,0.1111505833483535,"
-            "2.2606035734882915e+153,5.110328516468033e+306,1.0,0"
+            "0.06277777777777499,0.06277777777777499,0.11113928749639004,0.11113928749639004,"
+            "2312763560.1193295,5.348875285015836e+18,1.0,0"
         )
 
 
@@ -885,19 +888,46 @@ def test_non_finite_inputs_are_domain_errors(argv, capsys):
     assert err.startswith("error:") and "must be finite and" in err
 
 
+PAST_39 = (
+    "is past what doubles resolve at sigma=0.45, beta=2.0: the resolvable depth is 39,"
+    " the deepest d whose levels k <= d all have center steps sigma^k/4 and l_k/4 above k 2^-53"
+)
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["map", "--depth", "61", "--samples", "3"], "depth must lie in [3, depth_max=60], got 61"),
-        (["construct", "--depth", "61"], "level 61 exceeds depth_max 60"),
-        (["render", "--depth", "61"], "depth must lie in [3, depth_max=60], got 61"),
+        (["map", "--depth", "61", "--samples", "3"], f"level-61 {PAST_39}"),
+        (["construct", "--depth", "61"], f"level-61 {PAST_39}"),
+        (["render", "--depth", "61"], f"level-61 {PAST_39}"),
     ],
     ids=["map", "construct", "render"],
 )
 def test_depth_past_the_library_limit_is_a_domain_error(argv, message, capsys):
+    # every depth past the resolvable depth, 39 at the default parameters
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+# (sigma, beta, resolvable depth); 2 where not even level 3 resolves
+GATE_DEPTHS = [
+    (0.45, 2.0, 39), (0.25, 2.0, 23), (0.1, 2.0, 14), (0.01, 2.0, 7), (0.49, 1.0, 44),
+    (0.45, 50.0, 13), (0.25, 900.0, 2), (1e-06, 2.0, 2),
+]
+
+
+@pytest.mark.parametrize("sigma, beta, depth", GATE_DEPTHS)
+def test_map_exits_0_at_the_resolvable_depth_and_2_past_it(sigma, beta, depth, capsys):
+    argv = ["map", "--sigma", repr(sigma), "--beta", repr(beta), "--samples", "100", "--depth"]
+    if depth >= 3:
+        code, out, err = run_cli(argv + [str(depth)], capsys)
+        assert code == 0 and err == "" and len(out.splitlines()) == 101
+    code, out, err = run_cli(argv + [str(max(depth + 1, 3))], capsys)
+    assert code == 2 and out == ""
+    resolved = f"the resolvable depth is {depth}," if depth >= 3 else "no depth is resolvable"
+    assert err.startswith(f"error: level-{max(depth + 1, 3)} is past what doubles resolve"
+                          f" at sigma={sigma}, beta={beta}: {resolved}")
 
 
 def test_map_points_file_past_depth_limit(tmp_path, capsys):
@@ -905,7 +935,7 @@ def test_map_points_file_past_depth_limit(tmp_path, capsys):
     pts.write_text("x,y\n0.25,0.25\n")
     code, out, err = run_cli(["map", str(pts), "--depth", "200"], capsys)
     assert code == 2 and out == ""
-    assert err == "error: depth must lie in [3, depth_max=60], got 200\n"
+    assert err == f"error: level-200 {PAST_39}\n"
 
 
 PAST_DOUBLE_RANGE = [
@@ -921,21 +951,22 @@ PAST_DOUBLE_RANGE = [
      f"level-{10**101} term ratio is past 1e100, the deepest gain_ratio level"),
     # l_3 rounds to 1/8, so R' - r' = 1/16 - l_3/2 rounds to 0
     (["map", "--sigma", "0.1", "--beta", "1e-300", "--samples", "3"],
-     "level-3 image frame has zero width"),
-    # the level-3 image side underflows, so r' = 0
+     "level-3 frame is degenerate in double precision at sigma=0.1, beta=1e-300"),
+    # the level-3 image side underflows, so no depth is resolvable
     (["map", "--sigma", "0.1", "--beta", "1e6", "--samples", "3"],
-     "level-3 image square has zero side"),
-    # the depth-30 similarity scale is 2.7e170, and its square overflows
+     "level-6 is past what doubles resolve at sigma=0.1, beta=1000000.0: no depth is resolvable"),
+    # sigma^3 / 4 = 2.5e-19 is below 3 u
     (["map", "--sigma", "1e-6", "--depth", "30", "--samples", "3"],
-     "level-30 similarity Jacobian s^2 overflows double precision"),
+     "level-30 is past what doubles resolve at sigma=1e-06, beta=2.0: no depth is resolvable"),
     (["render", "--sigma", "0.1", "--beta", "1e6", "--depth", "4"],
-     "level-3 image square has zero side"),
+     "level-4 is past what doubles resolve at sigma=0.1, beta=1000000.0: no depth is resolvable"),
     (["render", "--sigma", "0.1", "--beta", "1e6", "--depth", "4", "--samples", "0"],
-     "level-3 image square has zero side"),
+     "level-4 is past what doubles resolve at sigma=0.1, beta=1000000.0: no depth is resolvable"),
     (["construct", "--sigma", "0.1", "--beta", "1e6", "--depth", "4", "--format", "json"],
-     "level-4 image square has zero side"),
-    # sigma^11 = 1e-330 underflows; the CSV reads only the pre-image family
-    (["construct", "--sigma", "1e-30", "--depth", "11"], "level-11 square has zero side"),
+     "level-4 is past what doubles resolve at sigma=0.1, beta=1000000.0: no depth is resolvable"),
+    # the CSV reads only the pre-image family, and the gate reads both
+    (["construct", "--sigma", "1e-30", "--depth", "11"],
+     "level-11 is past what doubles resolve at sigma=1e-30, beta=2.0: no depth is resolvable"),
 ]
 
 

@@ -28,6 +28,7 @@ from cantormap.construction import (
     preimage_side,
     preimage_square,
     radii,
+    resolvable_depth,
     validate_geometry,
 )
 
@@ -230,6 +231,30 @@ def test_validate_geometry_clean(sigma, beta):
     assert report.checks_run == 2 * sum(8 * 2 ** (k - 3) + 2 for k in range(3, 9)) == 1032
 
 
+# (sigma, beta): resolvable depth; 2 where not even level 3 resolves, and
+# 45 at most, as 2^(51 - k) > k fails past it
+RESOLVABLE_DEPTHS = {
+    (0.45, 2.0): 39, (0.3, 2.0): 26, (0.25, 2.0): 23, (0.1, 2.0): 14, (0.01, 2.0): 7,
+    (0.49, 1.0): 44, (0.45, 50.0): 13, (1e-6, 2.0): 2, (0.25, 900.0): 2,
+    (0.49999999999999994, 2.0): 43, (0.49999999999999994, 1e-3): 45,
+}
+
+
+@pytest.mark.parametrize("sigma, beta", sorted(RESOLVABLE_DEPTHS))
+def test_resolvable_depth_is_the_deepest_depth_whose_steps_exceed_k_u(sigma, beta):
+    """Depth d is resolvable when every level k in 3..d has both center
+    steps sigma^k / 4 and l_k / 4 above k u, u = 2^-53."""
+    params = ConstructionParams(sigma, beta)
+    depth = resolvable_depth(params)
+    assert depth == RESOLVABLE_DEPTHS[sigma, beta]
+
+    def steps_exceed_k_u(k):
+        return min(preimage_side(k, params), image_side(k, params)) / 4.0 > k * 2.0**-53
+
+    assert all(steps_exceed_k_u(k) for k in range(MIN_LEVEL, depth + 1))
+    assert not steps_exceed_k_u(depth + 1)
+
+
 def test_depth_max_enforced():
     shallow = ConstructionParams(0.45, 2.0, depth_max=5)
     with pytest.raises(ValueError):
@@ -252,11 +277,15 @@ def reference_axis_paths(k):
     beta=st.floats(0.1, 8.0),
     k=st.integers(3, 12),
 )
-@example(sigma=1 / 16, beta=2.0, k=12)
+@example(sigma=1 / 16, beta=2.0, k=11)  # the resolvable depth at this sigma
 @example(sigma=3 / 8, beta=1.0, k=12)
 @example(sigma=0.49, beta=8.0, k=3)
 def test_axis_centers_equal_axis_center_bit_for_bit(sigma, beta, k):
     params = ConstructionParams(sigma, beta)
+    if k > resolvable_depth(params):
+        with pytest.raises(ValueError, match=f"level-{k} is past what doubles resolve"):
+            axis_centers(k, params, False)
+        return
     order = list(reference_axis_paths(k))
     for image in (False, True):
         centers, paths = axis_centers(k, params, image)

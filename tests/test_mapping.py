@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from frame_oracle import exact_least_frame_jacobian, exact_walk
 from gain_oracle import exact_sup_distortion
 
 from cantormap.construction import (
@@ -19,6 +20,7 @@ from cantormap.construction import (
     preimage_side,
     preimage_square,
     radii,
+    resolvable_depth,
 )
 from cantormap.mapping import (
     _BLOCK,
@@ -56,17 +58,23 @@ def test_coeffs_solve_boundary_conditions():
 
 
 def test_coeffs_underflow_is_a_domain_error():
-    # at sigma = 1e-6 the level-55 radii sigma^54 / 4 and sigma^55 / 2
-    # both round to 0.0, and the level-54 side sigma^54 does too
+    # at sigma = 0.25, beta = 900 the least frame Jacobian a min(r'/r, R'/R)
+    # is subnormal from level 10 (1.5e-311); at level 12 a frame point's
+    # Jacobian read 0.0 beside a derivative norm of 4.9e-168
+    steep = ConstructionParams(0.25, 900.0)
+    assert coeffs(9, steep) > 0.0
+    with pytest.raises(ValueError, match="level-10 frame is degenerate .* sigma=0.25, beta=900.0"):
+        coeffs(10, steep)
+    # at sigma = 1e-6 the level-54 inner radius sigma^54 / 2 rounds to 0.0
     tiny = ConstructionParams(1e-6, 2.0)
-    assert coeffs(54, tiny) > 0.0
-    with pytest.raises(ValueError, match="level-55 .* sigma=1e-06"):
-        coeffs(55, tiny)
-    assert similarity_ratio(53, tiny) > 0.0
-    with pytest.raises(ValueError, match="level-54 .* sigma=1e-06"):
-        similarity_ratio(54, tiny)
-    with pytest.raises(ValueError, match="sigma=1e-06"):
-        fields_batch([[0.3, 0.3]], 60, tiny)
+    assert coeffs(53, tiny) > 0.0
+    with pytest.raises(ValueError, match="level-54 frame is degenerate .* sigma=1e-06"):
+        coeffs(54, tiny)
+    # the map refuses every depth at both: no level-3 step sigma^3 / 4 or
+    # l_3 / 4 exceeds 3 u
+    for params in (steep, tiny):
+        with pytest.raises(ValueError, match="level-3 is past what doubles resolve"):
+            fields_batch([[0.3, 0.3]], 3, params)
 
 
 def test_literal_coeffs_are_four_times_corrected():
@@ -113,7 +121,7 @@ def test_degenerate_levels_are_domain_errors():
     # l_3 = 1/8 (log 3)^(-5e-301) rounds to 1/8, so R' - r' = 1/16 - l_3/2 is 0
     flat = ConstructionParams(0.1, 1e-300)
     assert radii(3, flat).R_img == radii(3, flat).r_img
-    with pytest.raises(ValueError, match="level-3 image frame has zero width"):
+    with pytest.raises(ValueError, match="level-3 frame is degenerate"):
         coeffs(3, flat)
     # r'/r ~ 6e-62, where a + b/r cancels, is kept: the slope matches its exact
     # value from the double radii, and the frame sup a / (r'/r) ~ 3e62 the one
@@ -127,8 +135,11 @@ def test_degenerate_levels_are_domain_errors():
     sup = exact_sup_distortion(3, steep.sigma, steep.beta)
     h = frame_shape(3, steep).h
     assert abs(Decimal(sup_distortion(3, steep)) / sup - 1) <= Decimal(6 * (1 + h) * 2.0**-53)
-    with pytest.raises(ValueError, match="level-3 image square has zero side"):
-        similarity_ratio(3, ConstructionParams(0.1, 1e6))
+    # the level-3 image side underflows, so r' = 0 and no depth is resolvable
+    with pytest.raises(ValueError, match="level-3 frame is degenerate"):
+        coeffs(3, ConstructionParams(0.1, 1e6))
+    with pytest.raises(ValueError, match="level-3 is past what doubles resolve"):
+        fields_batch([[0.3, 0.3]], 3, ConstructionParams(0.1, 1e6))
     with pytest.raises(ValueError, match="level-4 sup distortion overflows"):
         sup_distortion(4, ConstructionParams(0.1, 1e6))
     # r = sigma^3 / 2 underflows to 0
@@ -254,7 +265,7 @@ def _point_sets(draw):
     points sit on the boundary exactly."""
     sigma = st.one_of(st.floats(0.05, 0.49), st.sampled_from([0.0625, 0.125, 0.25, 0.375]))
     params = ConstructionParams(draw(sigma), 2.0)
-    depth = draw(st.integers(3, 60))
+    depth = draw(st.integers(3, resolvable_depth(params)))
     k = draw(st.integers(3, depth))
     unit = st.floats(0.0, 1.0)
     pts = np.array(draw(st.lists(st.tuples(unit, unit), max_size=48)), dtype=float).reshape(-1, 2)
@@ -276,7 +287,7 @@ _LEVEL3_EXITS = np.array([[i / 16.0, j / 16.0] for i in range(17) for j in range
 @settings(max_examples=150)
 @given(_point_sets())
 @example((P, 6, np.empty((0, 2))))
-@example((P, 40, _LEVEL3_EXITS))
+@example((P, resolvable_depth(P), _LEVEL3_EXITS))
 def test_scalar_and_batch_agree_bit_for_bit(case):
     params, depth, pts = case
     img = evaluate_batch(pts, depth, params)
@@ -295,27 +306,33 @@ def test_scalar_and_batch_agree_bit_for_bit(case):
         assert (loc.address.level, isinstance(loc, FrameAt)) == (fs.level, fs.in_frame)
 
 
-@settings(max_examples=300)
-@given(
-    sigma=st.one_of(st.floats(1e-6, 0.49), st.floats(-6.0, -1.0).map(lambda e: 10.0**e)),
-    beta=st.one_of(
+@st.composite
+def _extreme_cases(draw):
+    """(params, depth, seed): sigma in [1e-6, 0.49] and beta in
+    [1e-300, 1e6], each with a depth up to resolvable_depth(params), or 3
+    where no depth is resolvable."""
+    sigma = draw(st.one_of(st.floats(1e-6, 0.49), st.floats(-6.0, -1.0).map(lambda e: 10.0**e)))
+    beta = draw(st.one_of(
         st.sampled_from([1e-300, 1e6]),
         st.floats(-300.0, 6.0).map(lambda e: 10.0**e),
         st.floats(1.0, 2e4),  # pre-asymptotic levels, where R r' < R' r
-    ),
-    depth=st.integers(3, 60),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(sigma=0.1, beta=1e-300, depth=3, seed=0)
-@example(sigma=0.1, beta=1e-14, depth=12, seed=0)
-@example(sigma=0.1, beta=1e6, depth=3, seed=0)
-@example(sigma=0.49, beta=3000.0, depth=3, seed=0)
-@example(sigma=1e-6, beta=2.0, depth=27, seed=0)  # the largest finite s_sim^2 at this sigma
-@example(sigma=1e-6, beta=2.0, depth=28, seed=0)  # s_sim^2 overflows
-def test_fields_batch_is_finite_or_a_domain_error(sigma, beta, depth, seed):
+    ))
+    params = ConstructionParams(sigma, beta)
+    depth = draw(st.integers(MIN_LEVEL, max(MIN_LEVEL, resolvable_depth(params))))
+    return params, depth, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300)
+@given(_extreme_cases())
+@example((ConstructionParams(0.1, 1e-300), 3, 0))
+@example((ConstructionParams(0.1, 1e-14), 12, 0))
+@example((ConstructionParams(0.1, 1e6), 3, 0))
+@example((ConstructionParams(0.49, 3000.0), 3, 0))
+@example((ConstructionParams(0.1, 2.0), 14, 0))  # the resolvable depth at this sigma
+def test_fields_batch_is_finite_or_a_domain_error(case):
     """Extreme sigma, beta and depth give finite fields or ValueError,
     never inf, NaN or a numpy warning."""
-    params = ConstructionParams(sigma, beta)
+    params, depth, seed = case
     rng = np.random.default_rng(seed)
     k = int(rng.integers(MIN_LEVEL, depth + 1))
     pts = np.vstack([rng.random((64, 2)), _cell_points(rng, 64, k, params)])
@@ -329,7 +346,103 @@ def test_fields_batch_is_finite_or_a_domain_error(sigma, beta, depth, seed):
         assert np.all(np.isfinite(f[key])), key
 
 
-@pytest.mark.parametrize("depth", [6, 32, 60])
+@st.composite
+def _resolved_cases(draw):
+    """(params, depth, seed): sigma in [1e-4, 0.49], dyadic values
+    included, beta in [1e-3, 1e3], and a depth up to resolvable_depth."""
+    sigma = draw(st.one_of(
+        st.floats(0.01, 0.49), st.floats(-4.0, -2.0).map(lambda e: 10.0**e),
+        st.sampled_from([1 / 16, 1 / 8, 1 / 4, 3 / 8, 0.49]),
+    ))
+    params = ConstructionParams(sigma, draw(st.floats(-3.0, 3.0).map(lambda e: 10.0**e)))
+    assume(resolvable_depth(params) >= MIN_LEVEL)
+    depth = draw(st.integers(MIN_LEVEL, resolvable_depth(params)))
+    return params, depth, draw(st.integers(0, 2**32 - 1))
+
+
+def _exact_cells(rng, n, depth, params):
+    """n seeded triples (k, center, framed): the exact center of a level-k
+    cell, k <= depth, and that center moved along one axis by
+    r_k + f (R_k - r_k), f in [0.05, 0.95], into the cell's frame; points
+    as pairs of Fractions."""
+    s = Fraction(params.sigma)
+    cells = []
+    for _ in range(n):
+        k = int(rng.integers(MIN_LEVEL, depth + 1))
+        c = [(int(rng.integers(0, 8)) + Fraction(1, 2)) / 8 for _ in range(2)]
+        for j in range(MIN_LEVEL, k):
+            c = [ca + s**j / 4 * int(rng.choice([-1, 1])) for ca in c]
+        r, R = s**k / 2, (Fraction(1, 16) if k == MIN_LEVEL else s ** (k - 1) / 4)
+        f = Fraction(float(rng.uniform(0.05, 0.95)))
+        moved = list(c)
+        moved[int(rng.integers(0, 2))] += int(rng.choice([-1, 1])) * (r + f * (R - r))
+        cells.append((k, c, moved))
+    return cells
+
+
+@settings(max_examples=300)
+@given(_resolved_cases())
+@example((P, resolvable_depth(P), 0))
+@example((ConstructionParams(0.1, 2.0), 14, 1))
+@example((ConstructionParams(0.49, 1.0), 44, 2))
+@example((ConstructionParams(0.25, 2.0), 23, 3))
+def test_fields_batch_locates_points_as_the_exact_walk(case):
+    """Down to resolvable_depth, fields_batch gives every point the level
+    and in_frame flag of the exact walk (frame_oracle.exact_walk), unless
+    that walk passes within k u of a boundary it tests at some level k,
+    where rounding decides; and every Jacobian is a normal double.  The
+    points are uniform, exact cell centers, and exact frame points."""
+    params, depth, seed = case
+    rng = np.random.default_rng(seed)
+    exact = [p for _, c, moved in _exact_cells(rng, 16, depth, params) for p in (c, moved)]
+    pts = np.vstack([rng.random((32, 2)), np.clip(np.array(exact, dtype=float), 0.0, 1.0)])
+    f = fields_batch(pts, depth, params)
+    assert np.all(f["jacobian"] >= 2.0**-1022)
+    clear = 0
+    for p, level, in_frame in zip(pts.tolist(), f["level"].tolist(), f["in_frame"].tolist()):
+        want_level, want_in_frame, margin_clear = exact_walk(*p, depth, params.sigma)
+        if margin_clear:
+            assert (level, in_frame) == (want_level, want_in_frame), p
+            clear += 1
+    assert clear >= len(pts) // 2
+
+
+@settings(max_examples=150)
+@given(_resolved_cases())
+@example((P, resolvable_depth(P), 0))
+@example((ConstructionParams(0.1, 2.0), 14, 1))
+@example((ConstructionParams(0.49, 1.0), 44, 2))
+@example((ConstructionParams(0.45, 50.0), 13, 3))
+def test_map_is_monotone_along_axis_lines(case):
+    """The map is a homeomorphism that keeps each axis's order: fx does
+    not decrease along a horizontal line, nor fy along a vertical one, by
+    more than the 2 ulp of the output that rounding t = (r' + a (rho - r)) / rho
+    and t (x - c) can cost where rho moves with x.  Between consecutive
+    points, where the least local scale (jacobian / derivative_norm, that
+    is min(a, t) on a frame and the similarity scale in a square) at
+    either point times the input step exceeds 4 ulp of the output, the
+    image coordinate strictly increases.  Half of each line's points are
+    uniform on [0, 1], half crowd an exact level-k cell center, k <= depth."""
+    params, depth, seed = case
+    rng = np.random.default_rng(seed)
+    for axis in (0, 1):
+        for k, c, _ in _exact_cells(rng, 4, depth, params):
+            R = radii(k, params).R
+            along = np.unique(np.clip(np.concatenate([
+                rng.random(400), float(c[axis]) + R * rng.uniform(-1.5, 1.5, 400)]), 0.0, 1.0))
+            across = np.full_like(along, np.clip(float(c[1 - axis]) + R * rng.uniform(-1.0, 1.0), 0.0, 1.0))
+            pts = np.column_stack([along, across] if axis == 0 else [across, along])
+            fb = fields_batch(pts, depth, params)
+            image = fb["image"][:, axis]
+            rise = np.diff(image)
+            ulp = np.spacing(np.maximum(np.abs(image[:-1]), np.abs(image[1:])))
+            assert np.all(rise >= -2.0 * ulp)
+            scale = fb["jacobian"] / fb["derivative_norm"]
+            resolved = np.minimum(scale[:-1], scale[1:]) * np.diff(along) > 4.0 * ulp
+            assert np.all(rise[resolved] > 0.0)
+
+
+@pytest.mark.parametrize("depth", [6, 32, resolvable_depth(P)])
 def test_evaluate_batch_is_the_fields_image(depth):
     rng = np.random.default_rng(depth)
     pts = np.vstack([rng.random((3000, 2)), _cell_points(rng, 3000, depth, P)])
@@ -416,7 +529,7 @@ def _block_edge_points(kind, depth):
 _BLOCK_EDGE_SIZES = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 17)
 
 
-@pytest.mark.parametrize("depth", [6, 32, 60])
+@pytest.mark.parametrize("depth", [6, 32, resolvable_depth(P)])
 @pytest.mark.parametrize("kind", ["uniform", "cantor", "mix"])
 def test_blocked_descent_matches_the_whole_array_walk(kind, depth):
     pts = _block_edge_points(kind, depth)
@@ -454,7 +567,7 @@ def reference_fields_batch(points, depth, params):
     }
 
 
-@pytest.mark.parametrize("depth", [6, 32, 60])
+@pytest.mark.parametrize("depth", [6, 32, resolvable_depth(P)])
 @pytest.mark.parametrize("kind", ["uniform", "cantor", "mix"])
 def test_blocked_map_matches_the_whole_array_map(kind, depth):
     pts = _block_edge_points(kind, depth)
@@ -534,9 +647,9 @@ def test_scalar_walk_matches_the_reference_walk(case):
 
 @pytest.mark.parametrize("depth", [27, 53, 54, 55, 60])
 def test_every_entry_point_fails_on_the_same_underflowing_depths(depth):
-    # at sigma = 1e-6 the depth-level Jacobian s_sim^2 overflows from
-    # depth 28, the level-54 side and the level-55 frame width underflow;
-    # (0.5, 0.5) leaves the walk at level 3 all the same
+    # at sigma = 1e-6 no depth is resolvable: the level-3 step sigma^3 / 4
+    # = 2.5e-19 is below 3 u, so every entry point refuses every depth with
+    # the gate's message, though (0.5, 0.5) would leave the walk at level 3
     tiny = ConstructionParams(1e-6, 2.0)
     x = (0.5, 0.5)
     calls = [
@@ -546,18 +659,13 @@ def test_every_entry_point_fails_on_the_same_underflowing_depths(depth):
         lambda: fields_batch([x], depth, tiny),
         lambda: evaluate_batch([x], depth, tiny),
     ]
-    if depth == 27:
-        assert fields(x, depth, tiny).level == 3
-        for call in calls:
-            call()
-        return
     messages = set()
     for call in calls:
         with pytest.raises(ValueError, match="sigma=1e-06") as err:
             call()
         messages.add(str(err.value))
-    level = {53: 53, 54: 54}.get(depth, 55)
-    assert len(messages) == 1 and messages.pop().startswith(f"level-{level} ")
+    assert len(messages) == 1
+    assert messages.pop().startswith(f"level-{depth} is past what doubles resolve")
 
 
 def test_field_identities():
@@ -630,8 +738,13 @@ def test_frame_fields_match_exact_values(case, f, seed):
     for t = (r' + a (rho - r)) / rho, formed from the doubles the
     formula reads: the radii r, r', the slope a and the rho of the walk.
     The point sits at rho = r + f (R - r) from a seeded level-k center,
-    moved outward by ulps until the walk puts it in a frame."""
+    moved outward by ulps until the walk puts it in a frame.  Levels past
+    resolvable_depth, the cancelling ones among them, are refused."""
     params, k = case
+    if k > resolvable_depth(params):
+        with pytest.raises(ValueError, match=f"level-{k} is past what doubles resolve"):
+            fields((0.5, 0.5), k, params)
+        return
     rad = radii(k, params)
     rng = np.random.default_rng(seed)
     c = _cell_centers(rng, 1, k, params)[0]
@@ -660,9 +773,17 @@ def test_frame_fields_match_exact_values(case, f, seed):
 @example(_CANCELLING_LEVELS[2])
 def test_frame_maps_glue_to_their_parents(case):
     """Over the same draws every frame map meets its parent similarity
-    within 4e-15 of the outer image radius, and no level is refused."""
+    within 4e-15 of the outer image radius; a level is refused only where
+    its least frame Jacobian, exact from the double radii, is below 2^-1022
+    (up to the rounding of coeffs' own test)."""
     params, k = case
-    assert consistency_check(max(k, MIN_LEVEL + 1), 256, params) <= 4e-15
+    k = max(k, MIN_LEVEL + 1)
+    try:
+        mismatch = consistency_check(k, 256, params)
+    except ValueError:
+        assert exact_least_frame_jacobian(k, params) < Fraction(2**-1022) * (1 + Fraction(1, 2**48))
+        return
+    assert mismatch <= 4e-15
 
 
 def test_sup_distortion_matches_bound_at_depth():
@@ -780,7 +901,7 @@ def test_batch_rejects_nan_and_outside_points(bad):
         ([[0.1, 0.2], [0.3]], 6, "setting an array element with a sequence."),
         ([[0.1, 0.2], [0.3, math.nan]], 6, "some points are NaN or lie outside the unit square"),
         ([[math.nan, 0.5]], 2, "some points are NaN or lie outside the unit square"),
-        (np.empty((0, 2)), 2, "depth must lie in [3, depth_max=60], got 2"),
+        (np.empty((0, 2)), 2, "levels start at 3, got 2"),
     ],
     ids=["shape-5x3", "shape-before-depth", "1-d", "0-d", "ragged", "nan", "nan-before-depth",
          "empty-bad-depth"],

@@ -21,22 +21,22 @@ from level 3 and on pre-asymptotic subexp levels (T_k >= alpha),
 ``render`` with no mesh and with a mesh of many evaluation blocks, ``map`` in CSV
 and JSON at depths 6 and 32 on a points file, on samples and on no
 samples, sample counts on either side of the row-block size of
-``map``'s writer, skeleton rows and the largest finite Jacobian after a
-block edge, a points file that only the csv loop of ``map``'s reader
+``map``'s writer, skeleton rows and a square row at the resolvable depth
+of sigma = 0.1 after a block edge, a points file that only the csv loop of ``map``'s reader
 reads (quoted cells and an underscore), and failing commands that must
 leave an existing output file as it was: among them a ``#`` in a data
 row and fields past csv's size limit.  Its last entries are usage and domain errors (exit 2):
 a flag each command does not read, a ``verify`` parameter other than
-the one its suite pins, non-finite numeric inputs, a depth past the
-library's limit of 60, parameters whose series terms, distortion sups,
-level tables, square sides or depth-level Jacobians leave double
-precision, a series level past the 1e100 the gain ratio resolves, and
+the one its suite pins, non-finite numeric inputs, depths one past the
+resolvable depth (39 at the defaults, 14 at sigma = 0.1) or at
+parameters that resolve no depth, parameters whose series terms,
+distortion sups or frames leave double precision, a series level past
+the 1e100 the gain ratio resolves, and
 ``--k-max`` levels of 309 to 401 digits, past the largest double or
 with a term count 4^(k-1) whose exponent is.
-Three ``map`` runs among them sit on either side of the level table's
-limits: two pre-asymptotic levels, where the frame scale a + b/rho
-would cancel and (r' + a (rho - r)) / rho does not, map (exit 0), and a
-depth-level Jacobian that overflows is refused.
+Two ``map`` runs among them ask for pre-asymptotic levels at beta = 800
+and 3000, whose image steps no longer move the image centers, and are
+refused.
 """
 
 from __future__ import annotations
@@ -57,8 +57,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SENTINEL = b"output of an earlier run\n"
 SHOWN_CHARS = 200
 EDGE_POINTS = "x,y\n0.5,0.5\n0.0,0.0\n\n1.0,1.0\n5e-324,1e-05\n0.9999999999999999,0.0001\n"
-# the deepest map at this sigma whose Jacobian s_sim^2 is finite
-DEEP = ["--sigma", "1e-6", "--depth", "27"]
+# the resolvable depth at this sigma: the next depth is refused
+DEEP = ["--sigma", "0.1", "--depth", "14"]
+# the level-14 center at sigma = 0.1, formed by the walk's own float steps
+DEEP_POINT = "0.06277777777777499,0.06277777777777499"
 
 
 def _row_block() -> int:
@@ -79,11 +81,11 @@ def _points_file(rows: list[str]) -> str:
 def _inputs(block: int) -> dict[str, str]:
     """The plan's input files by name, the same bytes on every run."""
     rng = random.Random(20100603)
-    special = ["0.5,0.5", "0.0625,0.0625", "0.0,0.0", "0.0625,0.0625"]
+    special = ["0.5,0.5", DEEP_POINT, "0.0,0.0", DEEP_POINT]
     return {
         "points.csv": _points_file(_points(rng, 5000)),
         "edge.csv": EDGE_POINTS,
-        "deep.csv": "0.0625,0.0625\n",
+        "deep.csv": DEEP_POINT + "\n",
         "after_edge.csv": _points_file(_points(rng, block + 1) + special + _points(rng, 5)),
         "nan_last.csv": "x,y\n0.25,0.25\n0.5,0.75\n0.5,nan\n",
         "bad_row_2.csv": "x,y\n0.5\n0.25,0.25\n",
@@ -164,6 +166,9 @@ def _plan(block: int) -> list[tuple[str, list[str]]]:
         ["map", "--beta", "inf", "--samples", "3"], ["construct", "--beta", "inf"],
         ["measure", "--gauge-beta", "inf", "--format", "csv"], ["measure", "--gauge-beta", "nan"],
         ["map", "--depth", "61", "--samples", "3"], ["map", "points.csv", "--depth", "61"],
+        ["map", "--depth", "40", "--samples", "3"], ["map", "--sigma", "0.1", "--depth", "15"],
+        ["map", "--sigma", "0.25", "--beta", "900", "--depth", "12"],
+        ["construct", "--sigma", "0.01", "--depth", "8"],
     ]
     plan += [("rejected_" + "_".join(a.lstrip("-") for a in cmd), cmd) for cmd in rejected]
     past_range = [
