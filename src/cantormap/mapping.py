@@ -175,8 +175,7 @@ def evaluate(x: Point, depth: int, params: ConstructionParams) -> Point:
     return fields(x, depth, params).image
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(NamedTuple):
     """Pointwise map data: image, derivative norm, Jacobian, distortion.
 
     on_skeleton flags points within relative 1e-12 of a frame
@@ -224,23 +223,31 @@ def _descend_block(x0, x1, depth: int, tab: _LevelTable, level, in_frame):
     point idx[j]'s coordinates and current centers, and every point
     that left has its level, in_frame, rho and centers in the outputs.
     While no point has left, idx is None and the active arrays are the
-    inputs and outputs themselves, so nothing is copied.  A level where
-    points leave computes the leaving and staying row numbers once and
+    inputs and outputs themselves, so nothing is copied.  A level below
+    depth is tested by four reductions, as the scalar walk tests a
+    point: every point stays exactly when -r < min(d) and max(d) < r on
+    both axes, where d = x - c.  Only a level where that fails, and
+    depth, forms rho, finds the leaving and staying row numbers once and
     moves every column with them.  Centers move by c +- step as in the
-    scalar walk, so the two agree bit for bit.
+    scalar walk, the step carrying the sign bit of d, so the two agree
+    bit for bit.
     """
     c0, c1 = [(np.minimum((xa * 8.0).astype(np.int64), 7) + 0.5) / 8.0 for xa in (x0, x1)]
     centers = [c0, c1, c0.copy(), c1.copy()]
     rho_out = np.empty(len(x0))
+    # the int64 patterns of the positive steps, and the sign bit alone
+    sign = np.int64(-(2**63))
+    step_bits, istep_bits = np.array(tab.step).view(np.int64), np.array(tab.istep).view(np.int64)
     idx, ax, ac = None, [x0, x1], list(centers)
     for k in range(MIN_LEVEL, depth + 1):
+        r = tab.r[k]
         d = [ax[0] - ac[0], ax[1] - ac[1]]
-        rho = np.maximum(np.abs(d[0]), np.abs(d[1]), out=rho_out if idx is None else None)
-        hit = rho >= tab.r[k]
-        leave = hit if k < depth else np.ones_like(hit)
-        lv = np.flatnonzero(leave)
-        if len(lv):
-            st = np.flatnonzero(~leave)
+        # initial=0 keeps an empty block whole and changes no other verdict
+        if k == depth or not all(-r < da.min(initial=0.0) and da.max(initial=0.0) < r for da in d):
+            rho = np.maximum(np.abs(d[0]), np.abs(d[1]), out=rho_out if idx is None else None)
+            hit = rho >= r
+            leave = hit if k < depth else np.ones_like(hit)
+            lv, st = np.flatnonzero(leave), np.flatnonzero(~leave)
             if idx is None:
                 gone, idx = lv, st
             else:
@@ -255,9 +262,11 @@ def _descend_block(x0, x1, depth: int, tab: _LevelTable, level, in_frame):
                 break
             ax, ac = [a.take(st) for a in ax], [a.take(st) for a in ac]
             d = [ax[0] - ac[0], ax[1] - ac[1]]
-        # x >= c exactly when x - c is +0 or more: c > 0, so x - c is never -0
-        for a, da, s in zip(ac, d + d, (tab.step[k],) * 2 + (tab.istep[k],) * 2):
-            a += np.copysign(s, da)
+        # x >= c exactly when x - c is +0 or more (c > 0, so x - c is never
+        # -0), and then the sign bit of d is clear and the step is +step
+        sg = [np.bitwise_and(da.view(np.int64), sign, out=da.view(np.int64)) for da in d]
+        for a, s, bits in zip(ac, sg + sg, (step_bits[k],) * 2 + (istep_bits[k],) * 2):
+            a += (s | bits).view(np.float64)
     return rho_out, centers
 
 

@@ -283,6 +283,17 @@ def _point_sets(draw):
 # every point lies on a level-3 outer frame boundary, so all leave at level 3
 _LEVEL3_EXITS = np.array([[i / 16.0, j / 16.0] for i in range(17) for j in range(0, 17, 4)])
 
+# sigma = 1/4 puts the level-3 frame test's bounds c +- r_3 = c +- 1/128
+# on exact doubles: points on them and one ulp to either side
+_R3_EDGES = np.array(
+    [
+        [np.nextafter(1.0 / 16.0 + sign / 128.0, to), 1.0 / 16.0 + shift]
+        for sign in (1.0, -1.0)
+        for to in (0.0, 1.0 / 16.0 + sign / 128.0, 1.0)
+        for shift in (0.0, 1.0 / 128.0, -1.0 / 128.0, 0.001)
+    ]
+)
+
 
 @settings(max_examples=150)
 @given(_point_sets())
@@ -451,7 +462,7 @@ def test_evaluate_batch_is_the_fields_image(depth):
 
 def reference_descend_batch(points, depth, params):
     """The whole-array compacting walk that preceded the blocked kernel,
-    kept as the reference _descend_batch must match bit for bit."""
+    kept as the reference _descend_block must match bit for bit."""
     pts = np.asarray(points, dtype=float)
     tab = _level_table(params, depth)
     x = [pts[:, 0], pts[:, 1]]
@@ -509,14 +520,33 @@ def _block_edge_mix(rng, n, depth, params):
 
 def _block_edge_points(kind, depth):
     """2 * _BLOCK + 17 seeded points of one kind: uniform, inside
-    depth-level squares, or the period-3 mix, whose three exit levels
-    are checked to sit on both sides of each block edge."""
+    depth-level squares, the period-3 mix, whose three exit levels are
+    checked to sit on both sides of each block edge, exact float level-k
+    centers for k < depth, where d = +0 and the walk must step +, or
+    exact frame bounds at sigma = 1/4."""
     rng = np.random.default_rng([depth, len(kind)])
     n_max = 2 * _BLOCK + 17
     if kind == "uniform":
         return rng.random((n_max, 2))
     if kind == "cantor":
         return _depth_points(rng, n_max, depth, P)
+    if kind == "centers":
+        pts, ks = np.empty((n_max, 2)), rng.integers(MIN_LEVEL, depth, n_max)
+        for k in range(MIN_LEVEL, depth):
+            pts[ks == k] = _cell_centers(rng, np.count_nonzero(ks == k), k, P)
+        return pts
+    if kind == "edges":
+        # sigma = 1/4 puts c +- r_k on exact doubles.  The first _BLOCK + 1
+        # rows are level-k centers moved on one axis by r_k at odd k and by
+        # -r_k at even k, so the points a level k < depth loses sit on one
+        # bound of its test alone; the _R3_EDGES rows repeat after them.
+        ks = rng.integers(MIN_LEVEL, max(depth, MIN_LEVEL + 1), n_max)
+        pts = np.resize(_R3_EDGES, (n_max, 2))
+        for k in np.unique(ks[: _BLOCK + 1]):
+            rows = np.flatnonzero(ks[: _BLOCK + 1] == k)
+            pts[rows] = _cell_centers(rng, len(rows), k, P4)
+            pts[rows, rng.integers(0, 2, len(rows))] += (-1.0) ** (k + 1) * radii(k, P4).r
+        return pts
     pts = _block_edge_mix(rng, n_max, depth, P)
     levels = reference_descend_batch(pts, depth, P)[2]
     mid = (MIN_LEVEL + depth) // 2
@@ -527,17 +557,22 @@ def _block_edge_points(kind, depth):
 
 
 _BLOCK_EDGE_SIZES = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 17)
+_BLOCK_EDGE_DEPTHS = (6, 32, resolvable_depth(P))
+# the edges kind is at sigma = 1/4, whose depth gate is below 32
+_DESCENT_CASES = [
+    (kind, depth) for kind in ("uniform", "cantor", "mix", "centers") for depth in _BLOCK_EDGE_DEPTHS
+] + [("edges", depth) for depth in (3, 6, resolvable_depth(P4))]
 
 
-@pytest.mark.parametrize("depth", [6, 32, resolvable_depth(P)])
-@pytest.mark.parametrize("kind", ["uniform", "cantor", "mix"])
+@pytest.mark.parametrize("kind, depth", _DESCENT_CASES)
 def test_blocked_descent_matches_the_whole_array_walk(kind, depth):
+    params = P4 if kind == "edges" else P
     pts = _block_edge_points(kind, depth)
-    tab = _level_table(P, depth)
+    tab = _level_table(params, depth)
     for n in _BLOCK_EDGE_SIZES:
         level, in_frame = np.empty(n, dtype=np.int64), np.empty(n, dtype=bool)
         rho, centers = _descend_block(pts[:n, 0], pts[:n, 1], depth, tab, level, in_frame)
-        _, _, *want = reference_descend_batch(pts[:n], depth, P)
+        _, _, *want = reference_descend_batch(pts[:n], depth, params)
         for g, w in zip([level, in_frame, rho] + centers, want[:3] + want[3]):
             assert g.dtype == w.dtype and g.shape == w.shape == (n,)
             assert g.tobytes() == w.tobytes()
@@ -567,7 +602,7 @@ def reference_fields_batch(points, depth, params):
     }
 
 
-@pytest.mark.parametrize("depth", [6, 32, resolvable_depth(P)])
+@pytest.mark.parametrize("depth", _BLOCK_EDGE_DEPTHS)
 @pytest.mark.parametrize("kind", ["uniform", "cantor", "mix"])
 def test_blocked_map_matches_the_whole_array_map(kind, depth):
     pts = _block_edge_points(kind, depth)
@@ -615,18 +650,6 @@ def reference_descend(x0, x1, depth, params):
             ci1 -= istep
             p1 = 2 * p1
     return tab, in_frame, k, rho, (o0, o1), (p0, p1), (c0, c1), (ci0, ci1)
-
-
-# sigma = 1/4 puts the level-3 frame test's bounds c +- r_3 = c +- 1/128
-# on exact doubles: points on them and one ulp to either side
-_R3_EDGES = np.array(
-    [
-        [np.nextafter(1.0 / 16.0 + sign / 128.0, to), 1.0 / 16.0 + shift]
-        for sign in (1.0, -1.0)
-        for to in (0.0, 1.0 / 16.0 + sign / 128.0, 1.0)
-        for shift in (0.0, 1.0 / 128.0, -1.0 / 128.0, 0.001)
-    ]
-)
 
 
 @settings(max_examples=150)
