@@ -123,19 +123,16 @@ def _descend(x0: float, x1: float, depth: int, params: ConstructionParams):
     Closed-frame convention: rho >= r_k stays in the level-k frame, so
     the inner square boundary belongs to the frame and every point of
     the unit square is resolved.  Ties between grid cells go to the
-    higher cell.  Each axis's half choices come packed in one int,
-    p = 2*p + bit from a leading 1, so bin(p)[3:] spells them in order.
-    A level tests the displacements d = x - c directly: max(|d0|, |d1|)
-    >= r exactly when not (-r < d0 < r and -r < d1 < r), and x >= c
-    exactly when d >= 0, so rho is formed only once, at the exit level.
+    higher cell.  A level tests the displacements d = x - c directly:
+    max(|d0|, |d1|) >= r exactly when not (-r < d0 < r and -r < d1 < r),
+    and x >= c exactly when d >= 0, so rho is formed only once, at the
+    exit level.  The half choices are not kept; locate replays them.
     """
     if not (0.0 <= x0 <= 1.0 and 0.0 <= x1 <= 1.0):
         raise ValueError(f"point ({x0}, {x1}) lies outside the unit square")
     tab = _level_table(params, depth)
-    o0, o1 = min(int(x0 * 8.0), 7), min(int(x1 * 8.0), 7)
-    c0 = ci0 = (o0 + 0.5) / 8.0
-    c1 = ci1 = (o1 + 0.5) / 8.0
-    p0 = p1 = 1
+    c0 = ci0 = (min(int(x0 * 8.0), 7) + 0.5) / 8.0
+    c1 = ci1 = (min(int(x1 * 8.0), 7) + 0.5) / 8.0
     for k, r, neg_r, step, istep in tab.walk:
         d0, d1 = x0 - c0, x1 - c1
         if not (neg_r < d0 < r and neg_r < d1 < r):
@@ -143,30 +140,35 @@ def _descend(x0: float, x1: float, depth: int, params: ConstructionParams):
         if d0 >= 0.0:
             c0 += step
             ci0 += istep
-            p0 = 2 * p0 + 1
         else:
             c0 -= step
             ci0 -= istep
-            p0 = 2 * p0
         if d1 >= 0.0:
             c1 += step
             ci1 += istep
-            p1 = 2 * p1 + 1
         else:
             c1 -= step
             ci1 -= istep
-            p1 = 2 * p1
     else:
         k = depth
     rho = max(abs(x0 - c0), abs(x1 - c1))
     in_frame = rho >= tab.r[k]
-    return tab, in_frame, k, rho, (o0, o1), (p0, p1), (c0, c1), (ci0, ci1)
+    return tab, in_frame, k, rho, (c0, c1), (ci0, ci1)
 
 
 def locate(x: Point, depth: int, params: ConstructionParams) -> RegionLocation:
     """Resolve x to a frame or a depth-truncated square interior."""
-    _, in_frame, _, rho, octant, packed, _, _ = _descend(float(x[0]), float(x[1]), depth, params)
-    addr = CellAddress(octant, tuple(tuple(int(b) for b in bin(p)[3:]) for p in packed))
+    x0, x1 = float(x[0]), float(x[1])
+    tab, in_frame, k, rho, _, _ = _descend(x0, x1, depth, params)
+    # replay the walk's x >= c tests on its own float chain over the k - 3 levels it stepped
+    octant, bits = (min(int(x0 * 8.0), 7), min(int(x1 * 8.0), 7)), []
+    for xa, o in zip((x0, x1), octant):
+        c, axis_bits = (o + 0.5) / 8.0, []
+        for step in tab.step[MIN_LEVEL:k]:
+            axis_bits.append(int(xa >= c))
+            c = c + step if axis_bits[-1] else c - step
+        bits.append(tuple(axis_bits))
+    addr = CellAddress(octant, tuple(bits))
     return FrameAt(addr, rho) if in_frame else SquareInteriorAt(addr, truncated=True)
 
 
@@ -194,7 +196,7 @@ class FieldSample(NamedTuple):
 
 def fields(x: Point, depth: int, params: ConstructionParams) -> FieldSample:
     x0, x1 = float(x[0]), float(x[1])
-    tab, in_frame, k, rho, _, _, q, q_img = _descend(x0, x1, depth, params)
+    tab, in_frame, k, rho, q, q_img = _descend(x0, x1, depth, params)
     if in_frame:
         a, r, R = tab.a[k], tab.r[k], tab.R[k]
         s = (tab.r_img[k] + a * (rho - r)) / rho
@@ -207,9 +209,13 @@ def fields(x: Point, depth: int, params: ConstructionParams) -> FieldSample:
     return FieldSample((x0, x1), img, k, in_frame, dn, jac, dist, skel)
 
 
-# points per block of the batch walk: a block's ~10 live float columns
-# (256 KiB each) stay in a 2 MiB L2 cache instead of streaming from memory
-_BLOCK = 1 << 15
+# points per block of the batch walk: its 11 live float columns (x, the
+# four centers, d and the signed step on both axes, and rho) at 128 KiB
+# each take 1.375 MiB of a 2 MiB L2 cache.  On 1e6 points fields_batch
+# then holds 1.6 MB (points that all reach depth) to 2.4 MB (uniform
+# points) above its 47.7 MiB of outputs, by tracemalloc's peak; 3.3 and
+# 4.7 MB at 1 << 15.
+_BLOCK = 1 << 14
 
 
 def _descend_block(x0, x1, depth: int, tab: _LevelTable, level, in_frame):
@@ -218,33 +224,54 @@ def _descend_block(x0, x1, depth: int, tab: _LevelTable, level, in_frame):
     Writes each point's level and in_frame into the given arrays and
     returns its rho and the four centers (pre-image, then image; equal
     at level 3).  A point leaves the walk at its frame level or at
-    depth.  Invariant at the top of each level: idx lists the points
-    still walking in increasing order, row j of the active arrays holds
-    point idx[j]'s coordinates and current centers, and every point
-    that left has its level, in_frame, rho and centers in the outputs.
-    While no point has left, idx is None and the active arrays are the
-    inputs and outputs themselves, so nothing is copied.  A level below
-    depth is tested by four reductions, as the scalar walk tests a
-    point: every point stays exactly when -r < min(d) and max(d) < r on
-    both axes, where d = x - c.  Only a level where that fails, and
-    depth, forms rho, finds the leaving and staying row numbers once and
-    moves every column with them.  Centers move by c +- step as in the
-    scalar walk, the step carrying the sign bit of d, so the two agree
-    bit for bit.
+    depth.  The walk keeps three active (2, m) arrays, x, the pre-image
+    centers and the image centers, one row per axis, so x is copied once
+    into unit-stride rows and each step covers both axes in one call.
+    Invariant at the top of each level: idx lists the points still
+    walking in increasing order, column j of the active arrays belongs
+    to point idx[j], and every point that left has its level, in_frame,
+    rho and centers in the outputs.  While no point has left, idx is
+    None and the active centers are the returned centers themselves.  A
+    level below depth is tested by two reductions over d = x - c on
+    both axes, as the scalar walk tests a point: every point stays
+    exactly when -r < min(d) and max(d) < r.  Only a level where that
+    fails, and depth, forms rho, finds the leaving and staying columns
+    once and moves the active arrays with them.  d and the signed steps
+    are written in place into buffers of the block's size.  Centers move
+    by c +- step as in the scalar walk, the step carrying the sign bit
+    of d, so the two agree bit for bit.
+
+    Every array here is at most (2, m), and the level-3 centers are
+    formed in place: a (6, m) active array, or the four temporaries of
+    forming those centers out of place, left later callers a larger
+    heap, and the cli_suite benchmark's peak RSS rose by up to 0.5 MB.
     """
-    c0, c1 = [(np.minimum((xa * 8.0).astype(np.int64), 7) + 0.5) / 8.0 for xa in (x0, x1)]
-    centers = [c0, c1, c0.copy(), c1.copy()]
-    rho_out = np.empty(len(x0))
+    n = len(x0)
+    x = np.empty((2, n))
+    x[0], x[1] = x0, x1
+    # the level-3 centers (min(int(8 x), 7) + 0.5) / 8, in place: on
+    # [0, 8] floor is the int cast, so the doubles are the scalar walk's
+    c = np.multiply(x, 8.0)
+    np.floor(c, out=c)
+    np.minimum(c, 7.0, out=c)
+    np.add(c, 0.5, out=c)
+    np.divide(c, 8.0, out=c)
+    centers, rho_out = [c, c.copy()], np.empty(n)
+    act = [x, *centers]
+    # d on both axes and the signed step, rewritten in place at every level
+    d_buf, s_buf = np.empty(2 * n), np.empty(2 * n, dtype=np.int64)
     # the int64 patterns of the positive steps, and the sign bit alone
     sign = np.int64(-(2**63))
     step_bits, istep_bits = np.array(tab.step).view(np.int64), np.array(tab.istep).view(np.int64)
-    idx, ax, ac = None, [x0, x1], list(centers)
+    idx = None
     for k in range(MIN_LEVEL, depth + 1):
         r = tab.r[k]
-        d = [ax[0] - ac[0], ax[1] - ac[1]]
+        m = act[0].shape[1]
+        d = np.subtract(act[0], act[1], out=d_buf[: 2 * m].reshape(2, m))
         # initial=0 keeps an empty block whole and changes no other verdict
-        if k == depth or not all(-r < da.min(initial=0.0) and da.max(initial=0.0) < r for da in d):
-            rho = np.maximum(np.abs(d[0]), np.abs(d[1]), out=rho_out if idx is None else None)
+        if k == depth or not (-r < d.min(initial=0.0) and d.max(initial=0.0) < r):
+            np.abs(d, out=d)
+            rho = np.maximum(d[0], d[1], out=rho_out if idx is None else d[0])
             hit = rho >= r
             leave = hit if k < depth else np.ones_like(hit)
             lv, st = np.flatnonzero(leave), np.flatnonzero(~leave)
@@ -253,21 +280,64 @@ def _descend_block(x0, x1, depth: int, tab: _LevelTable, level, in_frame):
             else:
                 gone = idx.take(lv)
                 rho_out[gone] = rho.take(lv)
-                for out, a in zip(centers, ac):
-                    out[gone] = a.take(lv)
+                # row by row: a 2-d scatter out[:, gone] took about 2.7 times as long
+                for out, a in zip(centers, act[1:]):
+                    v = a.take(lv, axis=1)
+                    out[0][gone] = v[0]
+                    out[1][gone] = v[1]
                 idx = idx.take(st)
             level[gone] = k
-            in_frame[gone] = hit.take(lv)
+            # below depth a point leaves only into a frame
+            in_frame[gone] = hit if k == depth else True
             if len(idx) == 0:
                 break
-            ax, ac = [a.take(st) for a in ax], [a.take(st) for a in ac]
-            d = [ax[0] - ac[0], ax[1] - ac[1]]
+            act, m = [a.take(st, axis=1) for a in act], len(st)
+            d = np.subtract(act[0], act[1], out=d_buf[: 2 * m].reshape(2, m))
         # x >= c exactly when x - c is +0 or more (c > 0, so x - c is never
         # -0), and then the sign bit of d is clear and the step is +step
-        sg = [np.bitwise_and(da.view(np.int64), sign, out=da.view(np.int64)) for da in d]
-        for a, s, bits in zip(ac, sg + sg, (step_bits[k],) * 2 + (istep_bits[k],) * 2):
-            a += (s | bits).view(np.float64)
-    return rho_out, centers
+        sg = np.bitwise_and(d.view(np.int64), sign, out=d.view(np.int64))
+        s = s_buf[: 2 * m].reshape(2, m)
+        act[1] += np.bitwise_or(sg, step_bits[k], out=s).view(np.float64)
+        act[2] += np.bitwise_or(sg, istep_bits[k], out=s).view(np.float64)
+    return rho_out, [*centers[0], *centers[1]]
+
+
+def _map_block(x0, x1, b: dict, depth: int, tab: _LevelTable, with_fields: bool) -> None:
+    """Walks one block and writes its image, and with_fields its fields,
+    into the output slices b.  Every block column dies on return, so
+    none is held while the next block walks."""
+    s_sim = tab.s_sim
+    if with_fields:
+        level, in_frame = b["level"], b["in_frame"]
+    else:  # evaluate_batch returns neither, so each block keeps its own
+        level, in_frame = np.empty(len(x0), dtype=np.int64), np.empty(len(x0), dtype=bool)
+    rho, (c0, c1, ci0, ci1) = _descend_block(x0, x1, depth, tab, level, in_frame)
+    # frame values t = (r' + a (rho - r)) / rho by fields' operations, only
+    # where in_frame, over the similarity's: other lanes neither compute nor warn
+    av, r = np.array(tab.a)[level], np.array(tab.r)[level]
+    t = np.full(len(x0), s_sim)
+    np.subtract(rho, r, out=t, where=in_frame)
+    np.multiply(av, t, out=t, where=in_frame)
+    np.add(np.array(tab.r_img)[level], t, out=t, where=in_frame)
+    np.divide(t, rho, out=t, where=in_frame)
+    np.add(ci0, t * (x0 - c0), out=b["image"][:, 0])
+    np.add(ci1, t * (x1 - c1), out=b["image"][:, 1])
+    if with_fields:
+        R = np.array(tab.R)[level]
+        dn, jac, dist = b["derivative_norm"], b["jacobian"], b["distortion"]
+        out_frame = ~in_frame
+        np.copyto(dn, s_sim, where=out_frame)
+        np.copyto(jac, s_sim * s_sim, where=out_frame)
+        np.copyto(dist, 1.0, where=out_frame)
+        np.maximum(av, t, out=dn, where=in_frame)
+        np.multiply(av, t, out=jac, where=in_frame)
+        np.divide(t, av, out=dist, where=in_frame)
+        np.maximum(dist, np.divide(av, t, out=av, where=in_frame), out=dist, where=in_frame)
+        np.logical_and(
+            in_frame,
+            (np.abs(rho - r) <= _SKELETON_RTOL * r) | (np.abs(rho - R) <= _SKELETON_RTOL * R),
+            out=b["on_skeleton"],
+        )
 
 
 def _map_batch(points, depth: int, params: ConstructionParams, with_fields: bool) -> dict:
@@ -281,12 +351,11 @@ def _map_batch(points, depth: int, params: ConstructionParams, with_fields: bool
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
-    # NaN fails both comparisons, so it is rejected too
-    if not np.all((pts >= 0.0) & (pts <= 1.0)):
+    # a NaN makes min and max NaN, which fails both comparisons
+    if not (pts.min(initial=0.0) >= 0.0 and pts.max(initial=1.0) <= 1.0):
         raise ValueError("some points are NaN or lie outside the unit square")
     tab = _level_table(params, depth)
-    n, s_sim = len(pts), tab.s_sim
-    a_of, r_of, R_of, r_img_of = (np.array(col) for col in (tab.a, tab.r, tab.R, tab.r_img))
+    n = len(pts)
     out = {"image": np.empty((n, 2))}
     if with_fields:
         out.update(level=np.empty(n, dtype=np.int64), in_frame=np.empty(n, dtype=bool))
@@ -294,38 +363,7 @@ def _map_batch(points, depth: int, params: ConstructionParams, with_fields: bool
         out["on_skeleton"] = np.empty(n, dtype=bool)
     for lo in range(0, n, _BLOCK):
         b = {key: col[lo : lo + _BLOCK] for key, col in out.items()}
-        x0, x1 = pts[lo : lo + _BLOCK, 0], pts[lo : lo + _BLOCK, 1]
-        if with_fields:
-            level, in_frame = b["level"], b["in_frame"]
-        else:  # evaluate_batch returns neither, so each block keeps its own
-            level, in_frame = np.empty(len(x0), dtype=np.int64), np.empty(len(x0), dtype=bool)
-        rho, (c0, c1, ci0, ci1) = _descend_block(x0, x1, depth, tab, level, in_frame)
-        # frame values t = (r' + a (rho - r)) / rho by fields' operations, only
-        # where in_frame, over the similarity's: other lanes neither compute nor warn
-        av, r = a_of[level], r_of[level]
-        t = np.full(len(x0), s_sim)
-        np.subtract(rho, r, out=t, where=in_frame)
-        np.multiply(av, t, out=t, where=in_frame)
-        np.add(r_img_of[level], t, out=t, where=in_frame)
-        np.divide(t, rho, out=t, where=in_frame)
-        np.add(ci0, t * (x0 - c0), out=b["image"][:, 0])
-        np.add(ci1, t * (x1 - c1), out=b["image"][:, 1])
-        if with_fields:
-            R = R_of[level]
-            dn, jac, dist = b["derivative_norm"], b["jacobian"], b["distortion"]
-            out_frame = ~in_frame
-            np.copyto(dn, s_sim, where=out_frame)
-            np.copyto(jac, s_sim * s_sim, where=out_frame)
-            np.copyto(dist, 1.0, where=out_frame)
-            np.maximum(av, t, out=dn, where=in_frame)
-            np.multiply(av, t, out=jac, where=in_frame)
-            np.divide(t, av, out=dist, where=in_frame)
-            np.maximum(dist, np.divide(av, t, out=av, where=in_frame), out=dist, where=in_frame)
-            np.logical_and(
-                in_frame,
-                (np.abs(rho - r) <= _SKELETON_RTOL * r) | (np.abs(rho - R) <= _SKELETON_RTOL * R),
-                out=b["on_skeleton"],
-            )
+        _map_block(pts[lo : lo + _BLOCK, 0], pts[lo : lo + _BLOCK, 1], b, depth, tab, with_fields)
     return out
 
 

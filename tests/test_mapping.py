@@ -616,9 +616,29 @@ def test_blocked_map_matches_the_whole_array_map(kind, depth):
             assert g.tobytes() == w.tobytes()
 
 
+def test_batch_bytes_do_not_depend_on_the_input_layout():
+    """A Fortran-ordered array, a strided view and a list, each across
+    several _BLOCK edges, map to the bytes of a C-contiguous copy."""
+    rng = np.random.default_rng(25)
+    depth, n = 32, 3 * _BLOCK + 17
+    mixed = np.empty((2 * n, 2))
+    mixed[0::2], mixed[1::2] = rng.random((n, 2)), _depth_points(rng, n, depth, P)
+    for pts in (np.asfortranarray(mixed), mixed[::2], mixed[1::2], mixed.tolist()):
+        c_copy = np.ascontiguousarray(pts)
+        assert c_copy.flags.c_contiguous and len(c_copy) > 3 * _BLOCK
+        want = fields_batch(c_copy, depth, P)
+        got = fields_batch(pts, depth, P)
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes()
+        assert evaluate_batch(pts, depth, P).tobytes() == want["image"].tobytes()
+
+
 def reference_descend(x0, x1, depth, params):
-    """The scalar walk that tested rho = max(|d0|, |d1|) at every level,
-    kept as the reference _descend must match in all eight items."""
+    """The scalar walk that tested rho = max(|d0|, |d1|) at every level and
+    packed each axis's half choices as p = 2p + bit from a leading 1, kept
+    as the reference _descend must match in its six items and locate in
+    the octant and the bits."""
     if not (0.0 <= x0 <= 1.0 and 0.0 <= x1 <= 1.0):
         raise ValueError(f"point ({x0}, {x1}) lies outside the unit square")
     tab = _level_table(params, depth)
@@ -665,7 +685,42 @@ def test_scalar_walk_matches_the_reference_walk(case):
         got, want = _descend(x0, x1, depth, params), reference_descend(x0, x1, depth, params)
         assert got[0] is want[0]
         # repr spells every float exactly, so this is a bit-for-bit comparison
-        assert repr(got[1:]) == repr(want[1:])
+        assert repr(got[1:]) == repr(want[1:4] + want[6:])
+        addr = locate((x0, x1), depth, params).address
+        assert addr.octant == want[4]
+        assert addr.refinements == tuple(tuple(int(b) for b in bin(p)[3:]) for p in want[5])
+
+
+@st.composite
+def _address_cases(draw):
+    """(params, depth, k, seed): sigma in [0.05, 0.49], dyadic values
+    included, beta in [1e-2, 1e2], a depth up to resolvable_depth(params)
+    and a level k below it where depth allows, so a level-k center steps on."""
+    sigma = draw(st.one_of(st.floats(0.05, 0.49), st.sampled_from([0.0625, 0.125, 0.25, 0.375])))
+    params = ConstructionParams(sigma, draw(st.floats(-2.0, 2.0).map(lambda e: 10.0**e)))
+    depth = draw(st.integers(MIN_LEVEL, resolvable_depth(params)))
+    k = draw(st.integers(MIN_LEVEL, max(MIN_LEVEL, depth - 1)))
+    return params, depth, k, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150)
+@given(_address_cases())
+@example((P, resolvable_depth(P), resolvable_depth(P) - 1, 0))
+@example((P4, 6, 5, 1))
+def test_locate_address_spells_the_walks_centers(case):
+    """locate's replayed address leads the per-cell reference to the
+    walk's final centers bit for bit, at the walk's level, on uniform
+    points and on exact level-k centers, where d = +0 and the walk
+    steps +."""
+    params, depth, k, seed = case
+    rng = np.random.default_rng(seed)
+    for p in np.vstack([rng.random((20, 2)), _cell_centers(rng, 20, k, params)]):
+        x = (float(p[0]), float(p[1]))
+        _, _, level, _, q, q_img = _descend(*x, depth, params)
+        addr = locate(x, depth, params).address
+        assert addr.level == level
+        assert preimage_square(addr, params).center == q
+        assert image_square(addr, params).center == q_img
 
 
 @pytest.mark.parametrize("depth", [27, 53, 54, 55, 60])
@@ -901,7 +956,9 @@ def test_monotone_along_horizontal_lines():
 
 
 @pytest.mark.parametrize(
-    "bad", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan), (math.inf, 0.5), (0.5, -0.1)]
+    "bad",
+    [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan), (math.inf, 0.5), (0.5, -0.1),
+     (-math.inf, 0.5)],
 )
 def test_batch_rejects_nan_and_outside_points(bad):
     pts = np.array([[0.25, 0.25], bad])
@@ -912,6 +969,12 @@ def test_batch_rejects_nan_and_outside_points(bad):
     # the scalar path rejects the same point
     with pytest.raises(ValueError, match="outside the unit square"):
         fields(bad, 6, P)
+    # -0.0 in the bad coordinates' place lies on the closed square, and no points is no error
+    good = tuple(v if 0.0 <= v <= 1.0 else -0.0 for v in bad)
+    for pts in (np.array([[0.25, 0.25], good]), np.empty((0, 2))):
+        want = np.array([fields(q, 6, P).image for q in pts]).reshape(-1, 2)
+        assert np.array_equal(evaluate_batch(pts, 6, P), want)
+        assert np.array_equal(fields_batch(pts, 6, P)["image"], want)
 
 
 @pytest.mark.parametrize(

@@ -110,8 +110,8 @@ def test_render_bytes_match_reference(depth, grid, samples_per_cell):
 
 
 def test_render_mesh_across_batch_blocks_matches_reference():
-    # 130 gridlines of 513 points: 66,690 mesh points, three _BLOCK blocks
-    assert 2 * _BLOCK < 130 * 513 < 3 * _BLOCK
+    # 130 gridlines of 513 points: 66,690 mesh points span more than two _BLOCK blocks
+    assert 130 * 513 > 2 * _BLOCK
     for params in (P, ConstructionParams(0.3, 1.0)):
         got = render_svg(params, 4, grid=64, samples_per_cell=8)
         assert got == reference_render_svg(params, 4, 64, 8)

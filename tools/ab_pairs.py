@@ -146,7 +146,13 @@ def _machine() -> dict:
         probe = subprocess.run([sys.executable, "-c", f"import {mod}; print({mod}.__version__)"],
                                capture_output=True, text=True)
         versions[mod] = probe.stdout.strip() or None
-    return {"cpu": cpu, "nproc": os.cpu_count(), "python": platform.python_version(), **versions}
+    # mapping._BLOCK is sized to the per-core L2 cache
+    try:
+        l2 = Path("/sys/devices/system/cpu/cpu0/cache/index2/size").read_text().strip()
+    except OSError:
+        l2 = None
+    return {"cpu": cpu, "nproc": os.cpu_count(), "l2_cache": l2, "python": platform.python_version(),
+            **versions}
 
 
 def main(argv: list[str] | None = None) -> int:
