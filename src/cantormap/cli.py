@@ -34,7 +34,7 @@ from .construction import (
     validate_geometry,
 )
 from .mapping import fields_batch
-from .measure import mass_distribution_bound, threshold_scan
+from .measure import expected_trend, mass_distribution_bound, threshold_scan
 from .render import render_svg
 from .verify import run_verification
 
@@ -161,30 +161,68 @@ def _fill_rows(template: str, sep: str, cols: list[Iterable[str]]) -> str:
     return sep.join(map("".join, zip(*args)))
 
 
-def _json_table(doc: str, key: str, blocks: Iterator[str]) -> Iterator[str]:
-    """doc with its list results[key] filled in from blocks of rows.
-
-    doc is written with results[key] == [], its only empty list in the
-    last top-level key; each block holds rows laid out as json.dumps(doc,
-    indent=2, sort_keys=True) lays out entries of that list, joined by
-    ",\n".  With no blocks the list stays [], as json.dumps writes it.
-    """
-    first = next(blocks, None)
-    if first is None:
-        yield doc
-        return
-    head, _, tail = doc.rpartition(f'"{key}": []')
-    yield f'{head}"{key}": [\n'
-    yield first
-    for block in blocks:
-        yield ",\n"
-        yield block
-    yield f"\n    ]{tail}"
-
-
 def _json_doc(args: argparse.Namespace, results: dict, checks: list) -> str:
     doc = {"params": vars(args), "results": results, "checks": checks}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# marks a value in the document _table lays out; no argv string, and so
+# no params value, can hold a NUL
+_MARK = "\0"
+
+
+def _table(args: argparse.Namespace, blocks: Iterable[dict], header: list[str], key: str,
+           results: dict, checks: list) -> Iterator[str]:
+    """A table in args.format, one string per block of rows.
+
+    Each block maps column names to iterables of formatted values, all of
+    one length; a tuple of them is a column written as a JSON list.  CSV
+    is the header, then the header's columns of each row.  JSON is the
+    document of _json_doc(args, results, checks) with results[key]
+    listing the rows as objects of the blocks' columns.
+
+    The rows are filled by _fill_rows from one template per call.  The
+    JSON template is the entry of a document whose table holds one entry
+    of marks, one per value, dumped as _json_doc dumps it: so keys, order
+    and indentation are those of json.dumps, and no row goes through it.
+    """
+    blocks = iter(blocks)
+    if args.format == "csv":
+        yield _csv_text(header, [])
+        template = ",".join(["%s"] * len(header)) + "\n"
+        sep, picks, tail = "", [(name, None) for name in header], ""
+    else:
+        first = next(blocks, None)
+        marks: list[tuple[str, Optional[int]]] = []
+
+        def mark(name: str, j: Optional[int] = None) -> str:
+            marks.append((name, j))
+            return f"{_MARK}{len(marks) - 1}"
+
+        entries = [] if first is None else [{
+            name: [mark(name, j) for j in range(len(col))] if isinstance(col, tuple) else mark(name)
+            for name, col in first.items()
+        }]
+        doc = _json_doc(args, {**results, key: entries}, checks)
+        if first is None:
+            yield doc
+            return
+        # a mark is dumped as "\u0000<index>".  The entry runs from the
+        # start of its line to the first } after its last mark: its keys
+        # are column names, so hold no brace.
+        head, *marked = doc.split('"\\u0000')
+        indexes, pieces = zip(*(text.split('"', 1) for text in marked))
+        start = head.rindex("\n", 0, head.rindex("{")) + 1
+        end = pieces[-1].index("}") + 1
+        yield head[:start]
+        template = "%s".join([head[start:], *pieces[:-1], pieces[-1][:end]])
+        sep, picks, tail = ",\n", [marks[int(i)] for i in indexes], pieces[-1][end:]
+        blocks = itertools.chain((first,), blocks)
+    for i, block in enumerate(blocks):
+        if i:
+            yield sep
+        yield _fill_rows(template, sep, [block[name] if j is None else block[name][j] for name, j in picks])
+    yield tail
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -220,26 +258,6 @@ def _at(col: list[str], index: list[int]) -> Iterator[str]:
     return map(col.__getitem__, index)
 
 
-_CONSTRUCT_CSV_ROW = "%s,%s,%s,%s,%s,%s\n"
-# One entry of results.cells as json.dumps(doc, indent=2, sort_keys=True)
-# lays it out, keys in sorted order.
-_CONSTRUCT_JSON_CELL = (
-    "      {\n"
-    '        "ax0_path": "%s",\n'
-    '        "ax1_path": "%s",\n'
-    '        "image_center": [\n'
-    "          %s,\n"
-    "          %s\n"
-    "        ],\n"
-    '        "level": %s,\n'
-    '        "pre_center": [\n'
-    "          %s,\n"
-    "          %s\n"
-    "        ]\n"
-    "      }"
-)
-
-
 def cmd_construct(args: argparse.Namespace) -> int:
     params = ConstructionParams(args.sigma, args.beta)
     k = args.depth
@@ -248,43 +266,39 @@ def cmd_construct(args: argparse.Namespace) -> int:
     pre = list(map(repr, pre.tolist()))
     side = preimage_side(k, params)
     level = itertools.repeat(str(k))
-    cell_blocks = ((i0[sl].tolist(), i1[sl].tolist()) for sl in _blocks(len(i0)))
+    results, checks, passed = {}, [], True
     if args.format == "csv":
         side_col = itertools.repeat(repr(side))
-        body = (
-            _fill_rows(_CONSTRUCT_CSV_ROW, "", [
-                level, _at(paths, a), _at(paths, b), _at(pre, a), _at(pre, b), side_col,
-            ])
-            for a, b in cell_blocks
-        )
-        header = _csv_text(["level", "ax0_path", "ax1_path", "cx", "cy", "side"], [])
-        _emit(itertools.chain((header,), body), args.out)
-        return 0
-    report = validate_geometry(min(k, 10), params)
-    img = list(map(repr, axis_centers(k, params, image=True)[0].tolist()))
-    body = (
-        _fill_rows(_CONSTRUCT_JSON_CELL, ",\n", [
-            _at(paths, a), _at(paths, b), _at(img, a), _at(img, b), level, _at(pre, a), _at(pre, b),
-        ])
-        for a, b in cell_blocks
-    )
-    results = {
-        "level": k,
-        "count": len(i0),
-        "pre_side": side,
-        "image_side": image_side(k, params),
-        "cells": [],
-    }
-    checks = [
-        {
-            "name": "geometry_invariants",
-            "status": "pass" if report.passed else "fail",
-            "measured": f"{len(report.violations)} violations in {report.checks_run} checks",
-            "target": "0 violations",
-        }
-    ]
-    _emit(_json_table(_json_doc(args, results, checks), "cells", body), args.out)
-    return 0 if report.passed else 1
+
+        def cells(a: list[int], b: list[int]) -> dict:
+            return {"level": level, "ax0_path": _at(paths, a), "ax1_path": _at(paths, b),
+                    "cx": _at(pre, a), "cy": _at(pre, b), "side": side_col}
+    else:
+        # quoted before validate_geometry runs: built after it, these
+        # small strings shifted the heap so that peak RSS read ~0.05 MB higher
+        paths = list(map(json.dumps, paths))
+        report = validate_geometry(min(k, 10), params)
+        img = list(map(repr, axis_centers(k, params, image=True)[0].tolist()))
+
+        def cells(a: list[int], b: list[int]) -> dict:
+            return {"level": level, "ax0_path": _at(paths, a), "ax1_path": _at(paths, b),
+                    "pre_center": (_at(pre, a), _at(pre, b)),
+                    "image_center": (_at(img, a), _at(img, b))}
+
+        results = {"level": k, "count": len(i0), "pre_side": side, "image_side": image_side(k, params)}
+        checks = [
+            {
+                "name": "geometry_invariants",
+                "status": "pass" if report.passed else "fail",
+                "measured": f"{len(report.violations)} violations in {report.checks_run} checks",
+                "target": "0 violations",
+            }
+        ]
+        passed = report.passed
+    blocks = (cells(i0[sl].tolist(), i1[sl].tolist()) for sl in _blocks(len(i0)))
+    header = ["level", "ax0_path", "ax1_path", "cx", "cy", "side"]
+    _emit(_table(args, blocks, header, "cells", results, checks), args.out)
+    return 0 if passed else 1
 
 
 # A file holding any of these goes to the csv loop: a quote can carry a
@@ -375,22 +389,6 @@ def _csv_points(path: str) -> np.ndarray:
     return np.column_stack((xs, ys))
 
 
-_MAP_CSV_ROW = "%s,%s,%s,%s,%s,%s,%s,%s\n"
-# One entry of results.rows as json.dumps(doc, indent=2, sort_keys=True)
-# lays it out, keys in sorted order.
-_MAP_JSON_ROW = (
-    "      {\n"
-    '        "K": %s,\n'
-    '        "dnorm": %s,\n'
-    '        "fx": %s,\n'
-    '        "fy": %s,\n'
-    '        "jac": %s,\n'
-    '        "level": %s,\n'
-    '        "skeleton": %s,\n'
-    '        "x": %s,\n'
-    '        "y": %s\n'
-    "      }"
-)
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -407,40 +405,26 @@ def _float_column(values: np.ndarray, as_json: bool) -> list[str]:
     return col
 
 
-def _map_columns(pts: np.ndarray, f: dict, as_json: bool) -> list[list[str]]:
-    """The formatted x, y, fx, fy, dnorm, jac and K columns of a map.
+def _map_blocks(pts: np.ndarray, f: dict, as_json: bool) -> Iterator[dict]:
+    """map's formatted columns, one block of _ROW_BLOCK points at a time.
 
     The derivative fields are blank (CSV) or null (JSON) on the
-    skeleton, where the derivative exists only one-sidedly.
+    skeleton, where the derivative exists only one-sidedly.  The level
+    column is JSON's alone.
     """
-    blank = "null" if as_json else ""
+    blank, flag = ("null", ("false", "true")) if as_json else ("", ("0", "1"))
     img = f["image"]
-    cols = [_float_column(v, as_json) for v in (pts[:, 0], pts[:, 1], img[:, 0], img[:, 1])]
-    skel_rows = np.flatnonzero(f["on_skeleton"]).tolist()
-    for name in ("derivative_norm", "jacobian", "distortion"):
-        col = _float_column(f[name], as_json)
-        for i in skel_rows:
-            col[i] = blank
-        cols.append(col)
-    return cols
-
-
-def _map_rows(pts: np.ndarray, f: dict, as_json: bool) -> Iterator[str]:
-    """map's rows, one string per block of _ROW_BLOCK points.
-
-    A CSV block is its lines; a JSON block is its row objects joined
-    by ",\n", for _json_table to splice into the document.
-    """
-    flag = ("false", "true") if as_json else ("0", "1")
+    fields = {"x": pts[:, 0], "y": pts[:, 1], "fx": img[:, 0], "fy": img[:, 1],
+              "dnorm": f["derivative_norm"], "jac": f["jacobian"], "K": f["distortion"]}
     for sl in _blocks(len(pts)):
-        fb = {key: col[sl] for key, col in f.items()}
-        x, y, fx, fy, dn, jac, kk = _map_columns(pts[sl], fb, as_json)
-        flags = [flag[s] for s in fb["on_skeleton"].tolist()]
+        block = {name: _float_column(v[sl], as_json) for name, v in fields.items()}
+        skel = f["on_skeleton"][sl]
+        for i in np.flatnonzero(skel).tolist():
+            block["dnorm"][i] = block["jac"][i] = block["K"][i] = blank
+        block["skeleton"] = [flag[s] for s in skel.tolist()]
         if as_json:
-            level = map(str, fb["level"].tolist())
-            yield _fill_rows(_MAP_JSON_ROW, ",\n", [kk, dn, fx, fy, jac, level, flags, x, y])
-        else:
-            yield _fill_rows(_MAP_CSV_ROW, "", [x, y, fx, fy, dn, jac, kk, flags])
+            block["level"] = map(str, f["level"][sl].tolist())
+        yield block
 
 
 def cmd_map(args: argparse.Namespace) -> int:
@@ -453,13 +437,9 @@ def cmd_map(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(args.seed)
         pts = rng.random((args.samples, 2))
     f = fields_batch(pts, args.depth, params)
-    as_json = args.format == "json"
-    rows = _map_rows(pts, f, as_json)
-    if as_json:
-        _emit(_json_table(_json_doc(args, {"rows": []}, []), "rows", rows), args.out)
-    else:
-        header = _csv_text(["x", "y", "fx", "fy", "dnorm", "jac", "K", "skeleton"], [])
-        _emit(itertools.chain((header,), rows), args.out)
+    blocks = _map_blocks(pts, f, args.format == "json")
+    header = ["x", "y", "fx", "fy", "dnorm", "jac", "K", "skeleton"]
+    _emit(_table(args, blocks, header, "rows", {}, []), args.out)
     return 0
 
 
@@ -504,12 +484,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     table = threshold_scan(args.gauge_beta, levels, params)
     checks = []
     for bp in sorted(table.verdicts):
-        if bp < params.beta:
-            want = "decreasing"
-        elif bp == params.beta:
-            want = "stationary"
-        else:
-            want = "growing"
+        want = expected_trend(bp, params.beta)
         got = table.verdicts[bp]
         checks.append(
             {

@@ -155,6 +155,14 @@ def threshold_scan(
     return ScanTable(tuple(rows), verdicts)
 
 
+def expected_trend(beta_prime: float, beta: float) -> str:
+    """The verdict threshold_scan should read at beta' for a construction
+    of exponent beta: the sums move like (log k)^(beta' - beta)."""
+    if beta_prime < beta:
+        return "decreasing"
+    return "stationary" if beta_prime == beta else "growing"
+
+
 @dataclass(frozen=True)
 class MassDistributionReport:
     """Infimum of the stationary covering sums and the induced bound.

@@ -30,6 +30,7 @@ from .mapping import consistency_check
 from .measure import (
     Gauge,
     box_dimension_pre,
+    expected_trend,
     mass_distribution_bound,
     natural_cover_sum,
     threshold_scan,
@@ -238,8 +239,9 @@ def check_threshold_scan() -> list[CheckResult]:
     exponent below, at, or above the construction beta."""
     params = _PINNED
     levels = [10**3, 10**4, 10**5, 10**6]
-    table = threshold_scan([1.0, 2.0, 4.0], levels, params)
-    want = {1.0: "decreasing", 2.0: "stationary", 4.0: "growing"}
+    beta_primes = [1.0, 2.0, 4.0]
+    table = threshold_scan(beta_primes, levels, params)
+    want = {bp: expected_trend(bp, params.beta) for bp in beta_primes}
     ok = table.verdicts == want
     return [
         _check(

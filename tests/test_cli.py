@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -13,16 +14,14 @@ from hypothesis import strategies as st
 from gain_oracle import exact_gain_ratio, exact_tv_integral, exact_tv_log_term, exact_tv_ratio
 from mass_oracle import brute_mass_bound
 
+from cantormap import cli
 from cantormap.analysis import p_threshold
 from cantormap.cli import (
-    _CONSTRUCT_CSV_ROW,
-    _CONSTRUCT_JSON_CELL,
-    _MAP_CSV_ROW,
-    _MAP_JSON_ROW,
     _ROW_BLOCK,
     _fill_rows,
     _float_column,
     _read_points,
+    _table,
     build_parser,
     main,
 )
@@ -545,18 +544,81 @@ def test_read_points_names_the_line_a_bad_record_starts_on(tmp_path):
         _read_points(str(path))
 
 
+TABLE_COMMANDS = {
+    "map-csv": ["map", "--samples", "3"],
+    "map-json": ["map", "--samples", "3", "--format", "json"],
+    "construct-csv": ["construct", "--depth", "3"],
+    "construct-json": ["construct", "--depth", "3", "--format", "json"],
+}
+
+
+def derived_template(argv, monkeypatch, capsys):
+    """The one (template, sep) the command hands _fill_rows."""
+    seen = set()
+
+    def spy(template, sep, cols):
+        seen.add((template, sep))
+        return _fill_rows(template, sep, cols)
+
+    monkeypatch.setattr(cli, "_fill_rows", spy)
+    assert main(argv) == 0
+    capsys.readouterr()
+    (got,) = seen
+    return got
+
+
 @pytest.mark.parametrize("n", [0, 1, B + 1])
-@pytest.mark.parametrize(
-    "template, sep",
-    [(_MAP_CSV_ROW, ""), (_MAP_JSON_ROW, ",\n"), (_CONSTRUCT_CSV_ROW, ""),
-     (_CONSTRUCT_JSON_CELL, ",\n")],
-)
-def test_fill_rows_is_the_template_filled_per_row(template, sep, n):
+@pytest.mark.parametrize("table", list(TABLE_COMMANDS))
+def test_fill_rows_is_the_template_filled_per_row(table, n, monkeypatch, capsys):
+    template, sep = derived_template(TABLE_COMMANDS[table], monkeypatch, capsys)
     values = ["%", ",", "", "%s", "%%", "0.5", "-1e-05", "null", '"', "\n"]
     width = template.count("%s")
     cols = [[values[(7 * i + 3 * j) % len(values)] for i in range(n)] for j in range(width)]
     want = sep.join(template % row for row in zip(*cols))
     assert _fill_rows(template, sep, [iter(col) for col in cols]) == want
+
+
+def drawn_doubles(rng, shape):
+    """Finite doubles from uniform bit patterns: every exponent, both
+    zeros and subnormals are drawn."""
+    values = rng.integers(0, 2**64, size=shape, dtype=np.uint64).view(np.float64)
+    return np.where(np.isfinite(values), values, -0.0)
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("n", [0, 1, B + 1])
+def test_table_writes_what_csv_writer_and_json_dumps_write(n, fmt, seed):
+    # block keys out of sorted order and a header in neither order, so a
+    # writer that fills columns in block order cannot pass
+    z, a0, a1, m = drawn_doubles(np.random.default_rng(seed), (4, n)).tolist()
+    args = argparse.Namespace(format=fmt, out="-", sigma=0.45, gauge_beta=[1.0, 2.0])
+    header = ["m", "a0", "z", "a1"]
+    results, checks = {"count": n, "zeta": 1.5}, [{"name": "c", "status": "pass"}]
+
+    def blocks():
+        for lo in range(0, n, B):
+            z_, a0_, a1_, m_ = (list(map(repr, col[lo:lo + B])) for col in (z, a0, a1, m))
+            if fmt == "csv":
+                yield {"z": z_, "a0": iter(a0_), "a1": a1_, "m": iter(m_)}
+            else:
+                yield {"z": z_, "a": (iter(a0_), a1_), "m": iter(m_)}
+
+    got = "".join(_table(args, blocks(), header, "rows", results, checks))
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(zip(m, a0, z, a1))
+        want = buf.getvalue()
+    else:
+        rows = [{"z": r[0], "a": [r[1], r[2]], "m": r[3]} for r in zip(z, a0, a1, m)]
+        doc = {"params": vars(args), "results": {**results, "rows": rows}, "checks": checks}
+        want = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # lines, not one string: pytest's diff of two long strings is slow,
+    # and Hypothesis reruns a failing test many times
+    assert got.splitlines(True) == want.splitlines(True)
 
 
 def test_float_column_spells_values_as_json_and_csv_do():

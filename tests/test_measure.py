@@ -12,6 +12,7 @@ from cantormap.measure import (
     PRE_COVER_MAX_LEVEL,
     Gauge,
     box_dimension_pre,
+    expected_trend,
     gauge_log_eval,
     mass_distribution_bound,
     natural_cover_sum,
@@ -180,6 +181,13 @@ def test_threshold_scan_verdicts():
     assert len(table.rows) == 3 * len(levels)
     with pytest.raises(ValueError):
         threshold_scan([2.0], [1000], P)
+
+
+def test_expected_trend_is_what_the_scan_reads():
+    table = threshold_scan([1.0, 2.0, 4.0], [10**j for j in range(3, 7)], P)
+    assert table.verdicts == {bp: expected_trend(bp, P.beta) for bp in table.verdicts}
+    assert [expected_trend(bp, 2.0) for bp in (1.999, 2.0, 2.001)] == [
+        "decreasing", "stationary", "growing"]
 
 
 def test_mass_distribution_bound():

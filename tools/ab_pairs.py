@@ -17,8 +17,13 @@ The output file holds every run with its command, and per workload and
 end-to-end metric the median, quartiles, minimum and maximum of each
 side, the change's wins over its pair partner, the parent's
 interquartile range and the median gap (positive when the change is
-better).  ``--claim W:METRIC`` records whether the change won at least
-9 of every 10 pairs and its median gap exceeds the parent's IQR.
+better).  Each end-to-end metric also gets a bound verdict, stored and
+printed: the change median minus the parent median, signed so that
+positive is worse, beside the metric's BENCHMARK.json ``bound`` read in
+the metric's unit; "worse than bound" when the difference exceeds the
+bound, "unresolved" when the parent's IQR does.  ``--claim W:METRIC``
+records whether the change won at least 9 of every 10 pairs and its
+median gap exceeds the parent's IQR.
 """
 
 from __future__ import annotations
@@ -132,6 +137,15 @@ def _summary(pairs: list[dict[str, dict]], metric: str, lower_better: bool) -> d
     }
 
 
+def _bound_verdict(s: dict, bound: float) -> dict:
+    """Summary s read against an end-to-end metric's bound."""
+    worse_by = -s["median_gap"]
+    notes = [note for note, hit in (("worse than bound", worse_by > bound),
+                                    ("unresolved", s["parent_iqr"] > bound)) if hit]
+    return {"change_minus_parent": worse_by, "bound": bound,
+            "verdict": ", ".join(notes) or "within bound"}
+
+
 def _machine() -> dict:
     cpu = platform.processor()
     try:
@@ -151,8 +165,9 @@ def _machine() -> dict:
         l2 = Path("/sys/devices/system/cpu/cpu0/cache/index2/size").read_text().strip()
     except OSError:
         l2 = None
+    # when set, each setup_s spawn compiles the package again
     return {"cpu": cpu, "nproc": os.cpu_count(), "l2_cache": l2, "python": platform.python_version(),
-            **versions}
+            **versions, "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -171,6 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     lower_better = {trace: {m["name"]: m["better"] == "lower" for m in bench[key]}
                     for trace, key in ((0, "end_to_end"), (1, "per_layer"))}
+    bounds = {m["name"]: (m["bound"], m["unit"]) for m in bench["end_to_end"]}
     parent_commit = _git("rev-parse", args.parent).decode().strip()
     head = _git("rev-parse", "HEAD").decode().strip()
     tool = ["python3", "tools/ab_pairs.py", *(sys.argv[1:] if argv is None else argv)]
@@ -198,11 +214,18 @@ def main(argv: list[str] | None = None) -> int:
                     entry["pairs"].append(
                         _pair(sides, workload, seed, args.seconds, trace, len(entry["seeds"])))
                     entry["seeds"].append(seed)
-            for entry in doc[key].values():
+            for workload, entry in doc[key].items():
                 pairs = entry.pop("pairs")
                 if len(pairs) > 1:
                     entry["summary"] = {m: _summary(pairs, m, lb)
                                         for m, lb in lower_better[trace].items()}
+                if len(pairs) > 1 and not trace:
+                    for m, s in entry["summary"].items():
+                        bound, unit = bounds[m]
+                        s.update(_bound_verdict(s, bound))
+                        print(f"{workload} {m}: change - parent = {s['change_minus_parent']:+.4g}"
+                              f" {unit} (bound {bound:g} {unit}, parent IQR"
+                              f" {s['parent_iqr']:.4g}): {s['verdict']}", flush=True)
                 entry["runs"] = [run for p in pairs for run in p.values()]
     claims = []
     for spec in args.claim:
