@@ -4,7 +4,7 @@ Each subcommand takes only the flags it reads (see build_parser),
 emits CSV or a JSON document {params, results, checks} whose params
 are exactly those flags' values, and is deterministic: the same flags
 (seed included) produce byte-identical output.  Exit codes: 0 success,
-1 failed verification, 2 bad arguments or domain errors.
+1 a failed check (in either format), 2 bad arguments or domain errors.
 """
 
 from __future__ import annotations
@@ -123,8 +123,9 @@ def _unread_flags(sp: argparse.ArgumentParser, args: list[str]) -> list[str]:
 def _emit(parts: Iterable[str], out: str) -> None:
     """Write the parts in order to out, - for stdout.
 
-    Commands call it only once every check has passed, so a failed
-    command leaves stdout empty and an existing --out file as it was.
+    Commands call it only once their arguments and domain have passed,
+    so a command that exits 2 leaves stdout empty and an existing --out
+    file as it was.
     The parts may be a generator: a table is then formatted and written
     one block of rows at a time, and the whole document never exists
     as one string.
@@ -164,6 +165,17 @@ def _fill_rows(template: str, sep: str, cols: list[Iterable[str]]) -> str:
 def _json_doc(args: argparse.Namespace, results: dict, checks: list) -> str:
     doc = {"params": vars(args), "results": results, "checks": checks}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _exit_status(checks: list[dict]) -> int:
+    """1 when any check failed, else 0: one rule for every command and format."""
+    return int(any(c["status"] == "fail" for c in checks))
+
+
+def _cells(args: argparse.Namespace, values: Iterable) -> list[str]:
+    """Each value as args.format writes it: by json.dumps in JSON, and in
+    CSV by str, as csv.writer writes numbers."""
+    return list(map(json.dumps if args.format == "json" else str, values))
 
 
 # marks a value in the document _table lays out; no argv string, and so
@@ -266,7 +278,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
     pre = list(map(repr, pre.tolist()))
     side = preimage_side(k, params)
     level = itertools.repeat(str(k))
-    results, checks, passed = {}, [], True
+    results, checks = {}, []
     if args.format == "csv":
         side_col = itertools.repeat(repr(side))
 
@@ -294,11 +306,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
                 "target": "0 violations",
             }
         ]
-        passed = report.passed
     blocks = (cells(i0[sl].tolist(), i1[sl].tolist()) for sl in _blocks(len(i0)))
     header = ["level", "ax0_path", "ax1_path", "cx", "cy", "side"]
     _emit(_table(args, blocks, header, "cells", results, checks), args.out)
-    return 0 if passed else 1
+    return _exit_status(checks)
 
 
 # A file holding any of these goes to the csv loop: a quote can carry a
@@ -447,32 +458,20 @@ def cmd_series(args: argparse.Namespace) -> int:
     params = ConstructionParams(args.sigma, args.beta)
     levels = _geometric_levels(args.k_min, args.k_max, num=25)
     diag = series_terms(args.kind, levels, params, p=args.p, margin=args.tol)
+    terms = diag.terms
+    block = {"k": _cells(args, (t.level for t in terms)),
+             "log_term": _cells(args, (t.log_term for t in terms)), "ratio": _cells(args, diag.ratios)}
+    results = {}
     if args.format == "csv":
-        rows = [
-            [t.level, t.log_term, r, diag.verdict]
-            for t, r in zip(diag.terms, diag.ratios)
-        ]
-        _emit((_csv_text(["k", "log_term", "ratio", "verdict"], rows),), args.out)
-        return 0
-    results = {
-        "kind": diag.kind,
-        "p": diag.p,
-        "margin": diag.margin,
-        "p_threshold": p_threshold(params),
-        "limit_ratio": diag.limit_ratio,
-        "verdict": diag.verdict,
-        "terms": [
-            {
-                "k": t.level,
-                "count_log2": t.count_log2,
-                "log_per_frame": t.log_per_frame,
-                "log_term": t.log_term,
-                "ratio": r,
-            }
-            for t, r in zip(diag.terms, diag.ratios)
-        ],
-    }
-    _emit((_json_doc(args, results, []),), args.out)
+        block["verdict"] = itertools.repeat(diag.verdict)
+    else:
+        block["count_log2"] = _cells(args, (t.count_log2 for t in terms))
+        block["log_per_frame"] = _cells(args, (t.log_per_frame for t in terms))
+        results = {"kind": diag.kind, "p": diag.p, "margin": diag.margin,
+                   "p_threshold": p_threshold(params), "limit_ratio": diag.limit_ratio,
+                   "verdict": diag.verdict}
+    header = ["k", "log_term", "ratio", "verdict"]
+    _emit(_table(args, [block], header, "terms", results, []), args.out)
     return 0
 
 
@@ -494,40 +493,37 @@ def cmd_measure(args: argparse.Namespace) -> int:
                 "target": want,
             }
         )
+    rows = table.rows
+    block = {"beta_prime": _cells(args, (r.beta_prime for r in rows)),
+             "k": _cells(args, (r.level for r in rows)), "log_sum": _cells(args, (r.log_sum for r in rows))}
+    results = {}
     if args.format == "csv":
-        rows = [
-            [row.beta_prime, row.level, row.log_sum, table.verdicts[row.beta_prime]]
-            for row in table.rows
-        ]
-        _emit((_csv_text(["beta_prime", "k", "log_sum", "verdict"], rows),), args.out)
-        return 0
-    rep = mass_distribution_bound(params, k_max=args.k_max)
-    results = {
-        "m": rep.m,
-        "at_k": rep.at_k,
-        "lower_bound": rep.lower_bound,
-        "first_admissible_k": rep.first_admissible_k,
-    }
-    _emit((_json_doc(args, results, checks),), args.out)
-    return 0 if all(c["status"] == "pass" for c in checks) else 1
+        block["verdict"] = [table.verdicts[r.beta_prime] for r in rows]
+    else:
+        # JSON alone prints m, so CSV never fails on its bound
+        rep = mass_distribution_bound(params, k_max=args.k_max)
+        results = {"m": rep.m, "at_k": rep.at_k, "lower_bound": rep.lower_bound,
+                   "first_admissible_k": rep.first_admissible_k}
+    header = ["beta_prime", "k", "log_sum", "verdict"]
+    _emit(_table(args, [block], header, "rows", results, checks), args.out)
+    return _exit_status(checks)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     report = run_verification(seed=args.seed, literal=args.debug_literal_radii)
+    checks = [asdict(c) for c in report.checks]
     if args.format == "csv":
-        rows = [
-            [c.criterion, c.name, c.status, c.measured, c.target]
-            for c in report.checks
-        ]
-        _emit((_csv_text(["criterion", "name", "status", "measured", "target"], rows),), args.out)
+        # csv.writer quotes the prose cells (names, measured values) that need it
+        header = ["criterion", "name", "status", "measured", "target"]
+        _emit((_csv_text(header, [[c[h] for h in header] for c in checks]),), args.out)
     else:
         results = {
             "passed": report.passed,
             "total": len(report.checks),
             "failed": sum(1 for c in report.checks if not c.passed),
         }
-        _emit((_json_doc(args, results, [asdict(c) for c in report.checks]),), args.out)
-    return 0 if report.passed else 1
+        _emit((_json_doc(args, results, checks),), args.out)
+    return _exit_status(checks)
 
 
 def cmd_render(args: argparse.Namespace) -> int:

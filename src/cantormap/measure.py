@@ -21,6 +21,7 @@ from .construction import (
     LOG2,
     MIN_LEVEL,
     ConstructionParams,
+    _check_level,
 )
 
 _GAUGE_DOMAIN_EDGE = -1.0  # log t < -1 keeps log(1/t) > 1, so loglog(1/t) > 0
@@ -71,13 +72,13 @@ def natural_cover_sum(side: str, gauge: Gauge, k: int, params: ConstructionParam
     count is the relevant one for the axis dimension, measured with
     power gauges Gauge(alpha, 0).  The gauge reads the side t of each
     cover; every level k >= 3 lies in its domain log t < -1, as both
-    sides have log t < 3 log(1/2).  Side "pre" raises ValueError past
+    sides have log t < 3 log(1/2).  Levels pass the depth gate
+    _check_level; side "pre" also raises ValueError past
     PRE_COVER_MAX_LEVEL.
     """
     if side not in ("pre", "image"):
         raise ValueError(f"side must be 'pre' or 'image', got {side!r}")
-    if k < MIN_LEVEL:
-        raise ValueError(f"levels start at {MIN_LEVEL}, got {k}")
+    _check_level(k)
     if side == "image":
         return float(_image_log_sums(gauge, np.array([float(k)]), params)[0])
     if k > PRE_COVER_MAX_LEVEL:
@@ -132,16 +133,21 @@ def threshold_scan(
     sums (beta' below or above the construction beta; the sums move
     like (log k)^(beta' - beta)), "mixed" otherwise.  Levels should be
     a geometric grid reaching 10^6 or beyond: against a loglog-speed
-    trend a linear grid resolves nothing.
+    trend a linear grid resolves nothing.  Levels pass the depth gate
+    _check_level, and each beta' takes its sums from one _image_log_sums
+    call, bit for bit natural_cover_sum("image", ...) at each level.
     """
     lvls = sorted(set(int(k) for k in levels))
     if len(lvls) < 2:
         raise ValueError("need at least two levels to read a trend")
+    _check_level(lvls[0])
+    _check_level(lvls[-1])
+    ks = np.array(lvls, dtype=np.float64)
     rows = []
     verdicts: dict = {}
     for bp in beta_primes:
         g = Gauge(2, float(bp))
-        sums = [natural_cover_sum("image", g, k, params) for k in lvls]
+        sums = _image_log_sums(g, ks, params).tolist()
         rows.extend(ScanRow(float(bp), k, s) for k, s in zip(lvls, sums))
         lo, hi = (math.log(_STATIONARY_BAND[0]), math.log(_STATIONARY_BAND[1]))
         if all(lo <= s <= hi for s in sums):

@@ -753,7 +753,7 @@ def test_measure_json_schema(capsys):
     code, out, _ = run_cli(["measure"], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert set(doc["results"]) == {"m", "at_k", "lower_bound", "first_admissible_k"}
+    assert set(doc["results"]) == {"m", "at_k", "lower_bound", "first_admissible_k", "rows"}
     assert doc["results"]["at_k"] == 3
     assert len(doc["checks"]) == 3
     assert all(c["status"] == "pass" for c in doc["checks"])
@@ -769,12 +769,34 @@ def test_measure_csv(capsys):
 
 
 def test_measure_flags_unexpected_trend(capsys):
-    code, out, _ = run_cli(
-        ["measure", "--gauge-beta", "2.0", "--k-min", "3", "--k-max", "30"], capsys
-    )
+    """A scan too short to read beta' = beta as stationary fails its check,
+    and the command exits 1 in either format, its table written."""
+    argv = ["measure", "--gauge-beta", "2.0", "--k-min", "3", "--k-max", "30", "--format"]
+    code, out, _ = run_cli([*argv, "json"], capsys)
     assert code == 1
-    doc = json.loads(out)
-    assert doc["checks"][0]["status"] == "fail"
+    assert json.loads(out)["checks"][0]["status"] == "fail"
+    code, out, _ = run_cli([*argv, "csv"], capsys)
+    assert code == 1
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 2 and {row["verdict"] for row in rows} == {"growing"}
+
+
+@pytest.mark.parametrize("gauge_beta", [["1", "2", "4"], ["4", "2", "2", "0.5", "4"]],
+                         ids=["sorted", "duplicated_unsorted"])
+def test_measure_json_rows_are_its_csv_rows(gauge_beta, capsys):
+    """JSON's results.rows hold the values of the CSV rows, in the same
+    (scan) order, every --gauge-beta once per level as given."""
+    argv = ["measure", "--k-max", "100000", "--gauge-beta", *gauge_beta]
+    code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)["results"]["rows"]
+    code, out, _ = run_cli([*argv, "--format", "csv"], capsys)
+    assert code == 0
+    table = list(csv.DictReader(io.StringIO(out)))
+    assert [(row["beta_prime"], row["k"], row["log_sum"]) for row in rows] == [
+        (float(row["beta_prime"]), int(row["k"]), float(row["log_sum"])) for row in table
+    ]
+    assert [row["beta_prime"] for row in rows] == [float(b) for b in gauge_beta for _ in range(3)]
 
 
 @pytest.mark.parametrize("k_min", ["0", "-5"])

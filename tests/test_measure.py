@@ -172,6 +172,31 @@ def test_natural_cover_sum_validation():
         natural_cover_sum("pre", Gauge(-1.0, 0.0), 5, P)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: natural_cover_sum("image", H, 10**400, P),
+     lambda: threshold_scan([2.0], [10**3, 10**400], P)],
+    ids=["natural_cover_sum", "threshold_scan"],
+)
+def test_levels_past_the_largest_double_meet_the_depth_gate(call):
+    """A level past double range is _check_level's ValueError, not the
+    OverflowError of converting it to a float."""
+    with pytest.raises(ValueError, match="levels end at the largest double, 1.79769e\\+308; "
+                                         "got one of 401 digits"):
+        call()
+
+
+def test_threshold_scan_sums_are_natural_cover_sums_bit_for_bit():
+    """One array evaluation per beta' gives each level's natural_cover_sum
+    exactly, on levels from 3 past 2^53 to 1e300."""
+    levels = [3, 4, 30, 1000, 2**53 + 1, 10**12, 10**18, 10**300]
+    for params in (P, ConstructionParams(0.1, 50.0), ConstructionParams(0.49, 0.5)):
+        table = threshold_scan([0.0, 1.99, 2.0, 2.01, 50.0], levels, params)
+        want = [natural_cover_sum("image", Gauge(2, row.beta_prime), row.level, params)
+                for row in table.rows]
+        assert [row.log_sum for row in table.rows] == want
+
+
 def test_threshold_scan_verdicts():
     levels = [10**j for j in range(3, 7)]
     table = threshold_scan([1.0, 2.0, 4.0], levels, P)

@@ -15,7 +15,8 @@ first line that differs on each side and, when both sides parse as JSON
 objects, which of their top-level keys (``params``, ``results``,
 ``checks``) differ; it exits 1 when anything differs.
 
-The plan covers every subcommand, ``verify`` at two seeds, ``series``
+The plan covers every subcommand, ``verify`` at two seeds, ``measure``
+in CSV and JSON on a scan whose check fails (exit 1 in both formats), ``series``
 ratios out to level 1e12 (subexp) and 1e15 and 1e200 (tv), at sigma near 1/2,
 from level 3 and on pre-asymptotic subexp levels (T_k >= alpha),
 ``render`` with no mesh and with a mesh of many evaluation blocks, ``map`` in CSV
@@ -116,6 +117,11 @@ def _plan(block: int) -> list[tuple[str, list[str]]]:
         ("measure_beta50_json", ["measure", "--beta", "50"]),
         ("measure_gauge_beta_0_2_csv", ["measure", "--gauge-beta", "0", "2", "--format", "csv"]),
         ("measure_k_max_1e18", ["measure", "--k-max", "1000000000000000000", "--gauge-beta", "2"]),
+        # a scan too short to read beta' = beta as stationary: its check fails (exit 1)
+        ("measure_failing_check_csv",
+         ["measure", "--gauge-beta", "2.0", "--k-min", "3", "--k-max", "30", "--format", "csv"]),
+        ("measure_failing_check_json",
+         ["measure", "--gauge-beta", "2.0", "--k-min", "3", "--k-max", "30", "--format", "json"]),
         ("series_subexp_json", ["series", "subexp", "--format", "json"]),
         ("series_tv", ["series", "tv"]),
         ("series_subexp_k_max_1e8", ["series", "subexp", "--k-max", "100000000"]),
