@@ -213,19 +213,20 @@ def fields(x: Point, depth: int, params: ConstructionParams) -> FieldSample:
 # four centers, d and the signed step on both axes, and rho) at 128 KiB
 # each take 1.375 MiB of a 2 MiB L2 cache.  On 1e6 points fields_batch
 # then holds 1.6 MB (points that all reach depth) to 2.4 MB (uniform
-# points) above its 47.7 MiB of outputs, by tracemalloc's peak; 3.3 and
-# 4.7 MB at 1 << 15.
+# points) above its 41.0 MiB of outputs (43 bytes a point), by
+# tracemalloc's peak; 3.3 and 4.7 MB at 1 << 15.
 _BLOCK = 1 << 14
 
 
 def _descend_block(x0, x1, depth: int, tab: _LevelTable, level, in_frame):
     """Vectorized level walk of one block with the scalar walk's conventions.
 
-    Writes each point's level and in_frame into the given arrays and
-    returns its rho and the four centers (pre-image, then image; equal
-    at level 3).  A point leaves the walk at its frame level or at
-    depth.  The walk keeps three active (2, m) arrays, x, the pre-image
-    centers and the image centers, one row per axis, so x is copied once
+    Writes each point's level and in_frame into the given arrays (the
+    level array's integer dtype need only hold depth) and returns its
+    rho and the four centers (pre-image, then image; equal at level 3).
+    A point leaves the walk at its frame level or at depth.  The walk
+    keeps three active (2, m) arrays, x, the pre-image centers and the
+    image centers, one row per axis, so x is copied once
     into unit-stride rows and each step covers both axes in one call.
     Invariant at the top of each level: idx lists the points still
     walking in increasing order, column j of the active arrays belongs
@@ -312,6 +313,8 @@ def _map_block(x0, x1, b: dict, depth: int, tab: _LevelTable, with_fields: bool)
     else:  # evaluate_batch returns neither, so each block keeps its own
         level, in_frame = np.empty(len(x0), dtype=np.int64), np.empty(len(x0), dtype=bool)
     rho, (c0, c1, ci0, ci1) = _descend_block(x0, x1, depth, tab, level, in_frame)
+    # one cast of fields_batch's int8 levels serves the four table gathers
+    level = level.astype(np.intp, copy=False)
     # frame values t = (r' + a (rho - r)) / rho by fields' operations, only
     # where in_frame, over the similarity's: other lanes neither compute nor warn
     av, r = np.array(tab.a)[level], np.array(tab.r)[level]
@@ -358,9 +361,13 @@ def _map_batch(points, depth: int, params: ConstructionParams, with_fields: bool
     n = len(pts)
     out = {"image": np.empty((n, 2))}
     if with_fields:
-        out.update(level=np.empty(n, dtype=np.int64), in_frame=np.empty(n, dtype=bool))
+        # int8 levels, as no resolvable depth passes 45.  The byte columns
+        # are rows of one buffer: as three arrays, glibc's heap put the
+        # map_cli benchmark's peak RSS 5.6 MB higher in some checkout paths.
+        flags = np.empty((3, n), dtype=np.uint8)
+        out.update(level=flags[0].view(np.int8), in_frame=flags[1].view(bool))
         out.update((key, np.empty(n)) for key in ("derivative_norm", "jacobian", "distortion"))
-        out["on_skeleton"] = np.empty(n, dtype=bool)
+        out["on_skeleton"] = flags[2].view(bool)
     for lo in range(0, n, _BLOCK):
         b = {key: col[lo : lo + _BLOCK] for key, col in out.items()}
         _map_block(pts[lo : lo + _BLOCK, 0], pts[lo : lo + _BLOCK, 1], b, depth, tab, with_fields)
@@ -373,7 +380,14 @@ def evaluate_batch(points, depth: int, params: ConstructionParams) -> np.ndarray
 
 
 def fields_batch(points, depth: int, params: ConstructionParams) -> dict:
-    """Vectorized fields; returns a dict of aligned arrays."""
+    """Vectorized fields; returns a dict of aligned arrays.
+
+    Keys, in order: image (n, 2) float64, level int8, in_frame bool,
+    derivative_norm, jacobian and distortion float64, on_skeleton bool;
+    43 bytes a point in seven C-contiguous arrays that share no memory.
+    level, in_frame and on_skeleton are rows of one (3, n) buffer, so
+    deleting one of those keys frees nothing.
+    """
     return _map_batch(points, depth, params, True)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -592,7 +593,7 @@ def reference_fields_batch(points, depth, params):
     s_sim, R = tab.s_sim, np.array(tab.R)[level]
     return {
         "image": img,
-        "level": level,
+        "level": level.astype(np.int8),
         "in_frame": in_frame,
         "derivative_norm": np.where(in_frame, np.maximum(av, t), s_sim),
         "jacobian": np.where(in_frame, av * t, s_sim * s_sim),
@@ -614,6 +615,59 @@ def test_blocked_map_matches_the_whole_array_map(kind, depth):
         for g, w in pairs + [(evaluate_batch(pts[:n], depth, P), want["image"])]:
             assert g.dtype == w.dtype and g.shape == w.shape and g.shape[0] == n
             assert g.tobytes() == w.tobytes()
+
+
+_FIELD_DTYPES = {
+    "image": np.float64, "level": np.int8, "in_frame": np.bool_, "derivative_norm": np.float64,
+    "jacobian": np.float64, "distortion": np.float64, "on_skeleton": np.bool_,
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, _BLOCK + 1])
+def test_fields_batch_arrays_are_disjoint_and_contiguous(n):
+    """The seven arrays have their dtypes and shapes, are C-contiguous,
+    share no memory, and writing every byte of one leaves the others'
+    bytes as they were."""
+    f = fields_batch(np.random.default_rng(n).random((n, 2)), 32, P)
+    assert {key: a.dtype for key, a in f.items()} == _FIELD_DTYPES
+    for key, a in f.items():
+        assert a.shape == ((n, 2) if key == "image" else (n,)) and a.flags.c_contiguous
+    for i, a in enumerate(f.values()):
+        assert not any(np.shares_memory(a, b) for b in list(f.values())[i + 1 :])
+    for key, a in f.items():
+        before = {other: b.tobytes() for other, b in f.items() if other != key}
+        a.view(np.uint8)[...] ^= 0xFF
+        assert {other: b.tobytes() for other, b in f.items() if other != key} == before
+
+
+@given(
+    sigma=st.floats(0.0, 0.5 - 2.0**-54, exclude_min=True),
+    beta=st.floats(1e-300, 1e300),
+)
+@example(sigma=0.5 - 2.0**-54, beta=1e-300)
+@example(sigma=0.5 - 2.0**-54, beta=1e-3)
+def test_every_resolvable_depth_fits_the_int8_level(sigma, beta):
+    """fields_batch's level column is int8, so every depth that passes
+    the depth gate must fit it."""
+    assert MIN_LEVEL - 1 <= resolvable_depth(ConstructionParams(sigma, beta)) <= np.iinfo(np.int8).max
+
+
+def test_fields_batch_holds_43_bytes_a_point():
+    """Under tracemalloc, fields_batch on 4 * _BLOCK + 17 uniform points
+    holds its outputs, 43 bytes a point, after it returns, and its peak
+    above that is the per-block working set, under 3 MB."""
+    n = 4 * _BLOCK + 17
+    pts = np.random.default_rng(43).random((n, 2))
+    fields_batch(pts[:17], 32, P)  # build the level table outside the trace
+    tracemalloc.start()
+    try:
+        f = fields_batch(pts, 32, P)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(f["level"]) == n
+    assert held <= 43 * n + 4096
+    assert peak - held < 3_000_000
 
 
 def test_batch_bytes_do_not_depend_on_the_input_layout():

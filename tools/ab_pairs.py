@@ -21,7 +21,10 @@ better).  Each end-to-end metric also gets a bound verdict, stored and
 printed: the change median minus the parent median, signed so that
 positive is worse, beside the metric's BENCHMARK.json ``bound`` read in
 the metric's unit; "worse than bound" when the difference exceeds the
-bound, "unresolved" when the parent's IQR does.  ``--claim W:METRIC``
+bound, "unresolved" when the parent's IQR does.  Beside it, each summary
+counts the change's runs worse than the parent's worst run and the
+parent's runs worse than the change's worst, so that a shift between
+two modes of a metric shows as a count.  ``--claim W:METRIC``
 records whether the change won at least 9 of every 10 pairs and its
 median gap exceeds the parent's IQR.
 """
@@ -125,15 +128,23 @@ def _summary(pairs: list[dict[str, dict]], metric: str, lower_better: bool) -> d
     parent = [p["parent"][metric] for p in pairs]
     change = [p["change"][metric] for p in pairs]
     ps, cs = _stats(parent), _stats(change)
-    wins = sum((c < p) if lower_better else (c > p) for p, c in zip(parent, change))
+    sign = 1 if lower_better else -1  # sign * value is larger when worse
+    wins = sum(sign * c < sign * p for p, c in zip(parent, change))
     gap = ps["median"] - cs["median"]
+
+    def beyond_worst(values: list[float], other: list[float]) -> int:
+        worst = max(sign * v for v in other)
+        return sum(sign * v > worst for v in values)
+
     return {
         "parent": ps,
         "change": cs,
         "change_over_parent_median": cs["median"] / ps["median"] if ps["median"] else None,
         "change_wins": f"{wins}/{len(pairs)}",
         "parent_iqr": ps["q3"] - ps["q1"],
-        "median_gap": gap if lower_better else -gap,
+        "median_gap": sign * gap,
+        "change_worse_than_parent_worst": beyond_worst(change, parent),
+        "parent_worse_than_change_worst": beyond_worst(parent, change),
     }
 
 
@@ -225,7 +236,9 @@ def main(argv: list[str] | None = None) -> int:
                         s.update(_bound_verdict(s, bound))
                         print(f"{workload} {m}: change - parent = {s['change_minus_parent']:+.4g}"
                               f" {unit} (bound {bound:g} {unit}, parent IQR"
-                              f" {s['parent_iqr']:.4g}): {s['verdict']}", flush=True)
+                              f" {s['parent_iqr']:.4g}): {s['verdict']}; beyond the other"
+                              f" side's worst run: change {s['change_worse_than_parent_worst']},"
+                              f" parent {s['parent_worse_than_change_worst']}", flush=True)
                 entry["runs"] = [run for p in pairs for run in p.values()]
     claims = []
     for spec in args.claim:
