@@ -55,7 +55,6 @@ from .measure import (
     MassDistributionReport,
     ScanTable,
     box_dimension_pre,
-    gauge_log_eval,
     mass_distribution_bound,
     natural_cover_sum,
     threshold_scan,

@@ -207,7 +207,9 @@ def _tv_log_per_frame(k: int, params: ConstructionParams) -> float:
 
 @dataclass(frozen=True)
 class SeriesTerm:
-    """One grouped series term: all 2^(2(k-1)) frames of a level."""
+    """One grouped series term: all 2^(2k) frames of level k.  log_term
+    is the log of the level's total integral, count_log2 log 2 plus the
+    log per frame."""
 
     level: int
     count_log2: int
@@ -277,9 +279,9 @@ def series_terms(
     limit only at loglog(k)/log(k) speed, so any verdict read off a
     finite tail would point the wrong way on one side.
 
-    Each term stores its count exponent (count = 2^(2(k-1)), the
-    frames of level k grouped under their level-(k-1) parents) and the
-    per-frame log integral; log_term is their log-space product.
+    Each term stores its count exponent (count = 2^(2k), the frames of
+    level k) and the per-frame log integral; log_term, their log-space
+    product, is the log of the level's total integral.
 
     Raises ValueError at the first level whose log term or ratio
     (_term_ratio) is past double range, and where the limit is.
@@ -296,18 +298,16 @@ def series_terms(
     lvls = sorted(set(int(k) for k in levels))
     if not lvls:
         raise ValueError("need at least one level")
-    if lvls[0] < MIN_LEVEL:
-        raise ValueError(f"levels start at {MIN_LEVEL}, got {lvls[0]}")
 
     terms = []
     ratios = []
     for k in lvls:
         pf = _series_log_per_frame(kind, k, p, params)
-        # doubling LOG2 is exact, so this is 2 (k - 1) LOG2 + pf wherever 2 (k - 1) is a double
-        log_term = (k - 1) * (2.0 * LOG2) + pf
+        # doubling LOG2 is exact, so this is 2 k LOG2 + pf wherever 2 k is a double
+        log_term = k * (2.0 * LOG2) + pf
         if not math.isfinite(log_term):
             raise ValueError(f"level-{k} log term is past double range (log per frame {pf!r})")
-        terms.append(SeriesTerm(k, 2 * (k - 1), pf, log_term))
+        terms.append(SeriesTerm(k, 2 * k, pf, log_term))
         ratios.append(_term_ratio(kind, k, p, params))
 
     two_sigma = 2.0 * params.sigma

@@ -3,16 +3,19 @@
 The image family is sized so that its natural covers have bounded,
 eventually stationary covering sums under the doubly logarithmic
 gauge h(t) = t^2 (log log(1/t))^beta, with beta the construction's
-own exponent.  Perturbing the gauge exponent tips the sums to 0 or
-infinity, which locates the generalized dimension of the image set;
-power gauges, the beta = 0 case h(t) = t^alpha, do the same for the
-pre-image family.
+own exponent.  Under h_{2, beta'} the log sums differ from those by
+exactly (beta' - beta) log log(1/t), which tips the sums to 0 or
+infinity and locates the generalized dimension of the image set;
+threshold_scan reads its verdicts from that difference.  Power gauges,
+the beta = 0 case h(t) = t^alpha, do the same for the pre-image
+family, whose log sums take their terms of size k from one rate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from typing import Sequence
 
 import numpy as np
@@ -23,8 +26,6 @@ from .construction import (
     ConstructionParams,
     _check_level,
 )
-
-_GAUGE_DOMAIN_EDGE = -1.0  # log t < -1 keeps log(1/t) > 1, so loglog(1/t) > 0
 
 
 @dataclass(frozen=True)
@@ -46,23 +47,6 @@ class Gauge:
             raise ValueError(f"beta must be finite and non-negative, got {self.beta}")
 
 
-def gauge_log_eval(gauge: Gauge, log_t: float) -> float:
-    """log h(t) at t = exp(log_t), for scales far below double range."""
-    if not log_t < _GAUGE_DOMAIN_EDGE:
-        raise ValueError(
-            f"gauge defined for log t < {_GAUGE_DOMAIN_EDGE}, got log t = {log_t}"
-        )
-    return gauge.n * log_t + gauge.beta * math.log(math.log(-log_t))
-
-
-# Largest level natural_cover_sum("pre", ...) accepts.  Its log adds
-# k log 2 to n k log sigma, terms of size k that cancel at the box
-# dimension, so its rounding grows like k.  A 60-digit evaluation in the
-# tests puts the last power of ten where the log stays within 1e-6 of
-# exact (1e-6 relative on the sum) at 1e9.
-PRE_COVER_MAX_LEVEL = 10**9
-
-
 def natural_cover_sum(side: str, gauge: Gauge, k: int, params: ConstructionParams) -> float:
     """Natural log of the canonical level-k covering sum under gauge.
 
@@ -73,35 +57,42 @@ def natural_cover_sum(side: str, gauge: Gauge, k: int, params: ConstructionParam
     power gauges Gauge(alpha, 0).  The gauge reads the side t of each
     cover; every level k >= 3 lies in its domain log t < -1, as both
     sides have log t < 3 log(1/2).  Levels pass the depth gate
-    _check_level; side "pre" also raises ValueError past
-    PRE_COVER_MAX_LEVEL.
+    _check_level.
+
+    The pre-image count 2^k and the gauge's t^n = sigma^(nk) are terms
+    of size k that cancel at the box dimension, so they enter as one
+    rate: k c with c = log 2 + n log sigma taken at 40 digits and
+    rounded once, which keeps the sum within a few u of exact at every
+    level.
     """
     if side not in ("pre", "image"):
         raise ValueError(f"side must be 'pre' or 'image', got {side!r}")
     _check_level(k)
     if side == "image":
         return float(_image_log_sums(gauge, np.array([float(k)]), params)[0])
-    if k > PRE_COVER_MAX_LEVEL:
-        raise ValueError(
-            f"pre-image cover sums need k <= {PRE_COVER_MAX_LEVEL}, got {k}: past it the"
-            " rounding of the two terms of size k they add exceeds 1e-6"
-        )
-    return k * LOG2 + gauge_log_eval(gauge, k * math.log(params.sigma))
+    with localcontext() as ctx:
+        ctx.prec = 40
+        c = float(Decimal(2).ln() + Decimal(gauge.n) * Decimal(params.sigma).ln())
+    # loglog(1/t) with log(1/t) = k log(1/sigma) formed as a sum of logs, lest it overflow
+    return k * c + gauge.beta * math.log(math.log(k) + math.log(-math.log(params.sigma)))
+
+
+def _image_side_logs(ks: np.ndarray, params: ConstructionParams) -> tuple[np.ndarray, np.ndarray]:
+    """(beta/2) loglog k and loglog(1/t_k) of the level-k image sides t_k,
+    log(1/t_k) = k log 2 + (beta/2) loglog k, at each level of the float
+    array ks."""
+    half_beta_llk = 0.5 * params.beta * np.log(np.log(ks))
+    return half_beta_llk, np.log(np.log(ks * LOG2 + half_beta_llk))
 
 
 def _image_log_sums(gauge: Gauge, ks: np.ndarray, params: ConstructionParams) -> np.ndarray:
     """natural_cover_sum("image", gauge, k) at each level of the float
-    array ks.  With log(1/t) = k log 2 + (beta/2) loglog k, the count
-    2^(2k) and the gauge's t^n combine to (2 - n) k log 2 before any
-    rounding, which is exactly 0 for the planar n = 2: the sum carries no
-    terms of size k that cancel."""
-    half_beta_llk = 0.5 * params.beta * np.log(np.log(ks))
+    array ks.  The count 2^(2k) and the gauge's t^n combine to
+    (2 - n) k log 2 before any rounding, which is exactly 0 for the
+    planar n = 2: the sum carries no terms of size k that cancel."""
+    half_beta_llk, loglog_inv_t = _image_side_logs(ks, params)
     n = gauge.n
-    return (
-        (2.0 - n) * ks * LOG2
-        - n * half_beta_llk
-        + gauge.beta * np.log(np.log(ks * LOG2 + half_beta_llk))
-    )
+    return (2.0 - n) * ks * LOG2 - n * half_beta_llk + gauge.beta * loglog_inv_t
 
 
 @dataclass(frozen=True)
@@ -117,9 +108,6 @@ class ScanTable:
     verdicts: dict
 
 
-_STATIONARY_BAND = (0.5, 1.1)
-
-
 def threshold_scan(
     beta_primes: Sequence[float],
     levels: Sequence[int],
@@ -127,15 +115,20 @@ def threshold_scan(
 ) -> ScanTable:
     """Covering-sum trends of the image family under gauges h_{2, beta'}.
 
-    Verdict per beta': "stationary" when every sampled sum stays inside
-    [0.5, 1.1] (the regime beta' = beta, where the sums admit a mass
-    distribution), "decreasing" or "growing" for strictly monotone log
-    sums (beta' below or above the construction beta; the sums move
-    like (log k)^(beta' - beta)), "mixed" otherwise.  Levels should be
-    a geometric grid reaching 10^6 or beyond: against a loglog-speed
-    trend a linear grid resolves nothing.  Levels pass the depth gate
-    _check_level, and each beta' takes its sums from one _image_log_sums
-    call, bit for bit natural_cover_sum("image", ...) at each level.
+    beta' enters the log sum only as beta' loglog(1/t_k), so it differs
+    from the sum under the construction's own gauge h_{2, beta} by
+    exactly D = (beta' - beta) loglog(1/t_k), which falls with k for
+    beta' < beta and grows for beta' > beta.  Each verdict reads that
+    form, with the loglog(1/t_k) the sums themselves use: "stationary"
+    at beta' = beta, whose sums admit a mass distribution, "decreasing"
+    or "growing" when every consecutive step of D is negative or
+    positive, and "mixed" otherwise, where the levels lie too close for
+    doubles to tell their loglog(1/t_k) apart.  The difference of the
+    float sums themselves would not do: their rounding, a few u of
+    beta loglog(1/t_k), hides a step of D once |beta' - beta| is near
+    1e-12.  Levels pass the depth gate _check_level, and each beta' takes
+    its sums from one _image_log_sums call, bit for bit
+    natural_cover_sum("image", ...) at each level.
     """
     lvls = sorted(set(int(k) for k in levels))
     if len(lvls) < 2:
@@ -143,21 +136,21 @@ def threshold_scan(
     _check_level(lvls[0])
     _check_level(lvls[-1])
     ks = np.array(lvls, dtype=np.float64)
+    loglog_inv_t = _image_side_logs(ks, params)[1]
     rows = []
     verdicts: dict = {}
-    for bp in beta_primes:
-        g = Gauge(2, float(bp))
-        sums = _image_log_sums(g, ks, params).tolist()
-        rows.extend(ScanRow(float(bp), k, s) for k, s in zip(lvls, sums))
-        lo, hi = (math.log(_STATIONARY_BAND[0]), math.log(_STATIONARY_BAND[1]))
-        if all(lo <= s <= hi for s in sums):
-            verdicts[float(bp)] = "stationary"
-        elif all(b < a for a, b in zip(sums, sums[1:])):
-            verdicts[float(bp)] = "decreasing"
-        elif all(b > a for a, b in zip(sums, sums[1:])):
-            verdicts[float(bp)] = "growing"
+    for bp in map(float, beta_primes):
+        sums = _image_log_sums(Gauge(2, bp), ks, params).tolist()
+        rows.extend(ScanRow(bp, k, s) for k, s in zip(lvls, sums))
+        steps = np.diff((bp - params.beta) * loglog_inv_t)
+        if bp == params.beta:
+            verdicts[bp] = "stationary"
+        elif np.all(steps < 0.0):
+            verdicts[bp] = "decreasing"
+        elif np.all(steps > 0.0):
+            verdicts[bp] = "growing"
         else:
-            verdicts[float(bp)] = "mixed"
+            verdicts[bp] = "mixed"
     return ScanTable(tuple(rows), verdicts)
 
 

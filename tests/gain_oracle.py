@@ -80,7 +80,7 @@ def exact_tv_integral(k, sigma, beta):
 
 
 def exact_tv_log_term(k, sigma, beta):
-    """log(4^(k-1) tv(k)) for k >= 4, at levels whose radii leave every
+    """log(4^k tv(k)) for k >= 4, at levels whose radii leave every
     decimal exponent range (sigma^k at k = 1e308).  The integral scales by
     P P' when the pre-image radii scale by P = sigma^(k-1) and the image
     radii by P' = l_{k-1}, so it is formed from radii divided by those,
@@ -97,7 +97,7 @@ def exact_tv_log_term(k, sigma, beta):
         u = (log_side(k) - log_side(k - 1)).exp() * 2
         quarter = Decimal(1) / 4
         scaled = _tv(s / 2, quarter, u / 4, quarter)
-        return (k - 1) * Decimal(4).ln() + (k - 1) * s.ln() + log_side(k - 1) + scaled.ln()
+        return k * Decimal(4).ln() + (k - 1) * s.ln() + log_side(k - 1) + scaled.ln()
 
 
 def exact_subexp_ratio(k, sigma, beta, p):

@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from cantormap.construction import LOG2, MIN_LEVEL
-from cantormap.measure import _GAUGE_DOMAIN_EDGE
+
+GAUGE_DOMAIN_EDGE = -1.0  # the gauges need log t < -1, so that loglog(1/t) > 0
 
 
 def brute_mass_bound(params, k_max):
@@ -24,7 +25,7 @@ def brute_mass_bound(params, k_max):
         return -ks * LOG2 - 0.5 * beta * np.log(np.log(ks))
 
     first = MIN_LEVEL
-    while not log_t_of(np.array([float(first)]))[0] < _GAUGE_DOMAIN_EDGE:
+    while not log_t_of(np.array([float(first)]))[0] < GAUGE_DOMAIN_EDGE:
         first += 1
     best, best_k = math.inf, first
     chunk = 1 << 20

@@ -13,7 +13,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gain_oracle import (
-    _context, _radii, exact_gain_ratio, exact_subexp_ratio, exact_tv_integral, exact_tv_ratio,
+    _context, _radii, exact_gain_ratio, exact_subexp_ratio, exact_tv_integral,
+    exact_tv_log_term, exact_tv_ratio,
 )
 from frame_oracle import exact_least_frame_jacobian
 from log_oracle import log_sum
@@ -321,8 +322,15 @@ def test_series_log_terms_match_linear_integrals():
     for term in diag.terms:
         direct = math.log(frame_tv_integral(term.level, P))
         np.testing.assert_allclose(term.log_per_frame, direct, rtol=1e-12)
-        assert term.count_log2 == 2 * (term.level - 1)
+        assert term.count_log2 == 2 * term.level
         assert term.log_term == term.count_log2 * LOG2 + term.log_per_frame
+
+
+@pytest.mark.parametrize("kind", ["tv", "subexp"])
+def test_series_levels_start_at_3(kind):
+    """frame_shape's depth gate refuses a level below 3 for either kind."""
+    with pytest.raises(ValueError, match="^levels start at 3, got 2$"):
+        series_terms(kind, [2, 5], P, p=0.5)
 
 
 def test_subexp_log_terms_match_linear():
@@ -511,6 +519,22 @@ def test_series_terms_are_finite_or_a_domain_error(sigma, beta, p, levels, kind)
         return
     assert all(math.isfinite(t.log_term) for t in diag.terms)
     assert all(math.isfinite(r) for r in diag.ratios)
+
+
+@settings(max_examples=50)
+@given(
+    sigma=st.floats(0.01, 0.499),
+    beta=_log_uniform(0.1, 10.0),
+    k=st.one_of(st.integers(4, 10**6), _log_uniform(4.0, 1e15).map(int)),
+)
+@example(sigma=0.45, beta=2.0, k=4)
+def test_series_tv_log_terms_are_the_levels_totals(sigma, beta, k):
+    """A tv log term is the log of the level's total integral over its 4^k
+    frames, exact_tv_log_term, within 8 u of the size of its parts
+    2 k log 2 and the log per frame, which cancel."""
+    term = series_terms("tv", [k], ConstructionParams(sigma, beta)).terms[0]
+    scale = 2 * k * LOG2 + abs(term.log_per_frame)
+    assert abs(Decimal(term.log_term) - exact_tv_log_term(k, sigma, beta)) <= 8 * 2.0**-53 * scale
 
 
 @settings(max_examples=200)

@@ -684,11 +684,11 @@ def test_levels_past_double_range_are_domain_errors(argv, message, capsys):
 
 
 def test_series_tv_past_9e307_matches_its_oracle(capsys):
-    """At k = 1e308, where the count's exponent 2 (k - 1) is past the
-    largest double, the log term (k - 1) (2 log 2) + pf is a finite double
-    that matches the decimal oracle.  Its parts, the largest
-    2 (k - 1) log 2 = 1.4e308, cancel to -1.05e307, so it carries their
-    rounding: within 4 ulp of 1.4e308 (it is 0.5 of that, 8.5 ulp of its own)."""
+    """At k = 1e308, where the count's exponent 2 k is past the largest
+    double, the log term k (2 log 2) + pf is a finite double that matches
+    the decimal oracle.  Its parts, the largest 2 k log 2 = 1.4e308, cancel
+    to -1.05e307, so it carries their rounding: within 4 ulp of 1.4e308 (it
+    is 0.5 of that, 8.5 ulp of its own)."""
     code, out, err = run_cli(["series", "tv", "--k-max", str(10**308), "--format", "json"], capsys)
     assert code == 0 and err == ""
     last = json.loads(out)["results"]["terms"][-1]
@@ -706,7 +706,7 @@ def test_series_tv_level3_at_tiny_sigma_matches_its_oracle(capsys):
     assert code == 0 and err == ""
     first = json.loads(out)["results"]["terms"][0]
     assert first["k"] == 3
-    exact = 4 * Decimal(2).ln() + exact_tv_integral(3, 1e-300, 2.0).ln()
+    exact = 6 * Decimal(2).ln() + exact_tv_integral(3, 1e-300, 2.0).ln()
     assert abs(Decimal(first["log_term"]) - exact) <= 4 * Decimal(math.ulp(float(exact)))
     assert first["ratio"] == 0.0 and exact_tv_ratio(3, 1e-300, 2.0) < Decimal("1e-898")
 
@@ -769,16 +769,30 @@ def test_measure_csv(capsys):
 
 
 def test_measure_flags_unexpected_trend(capsys):
-    """A scan too short to read beta' = beta as stationary fails its check,
-    and the command exits 1 in either format, its table written."""
-    argv = ["measure", "--gauge-beta", "2.0", "--k-min", "3", "--k-max", "30", "--format"]
+    """Levels 1e17 and 1e17 + 1 are one double, so the scan resolves no
+    trend for beta' != beta: it reads "mixed", fails its check, and the
+    command exits 1 in either format, its table written."""
+    argv = ["measure", "--gauge-beta", "2.000000000001", "--k-min", str(10**17),
+            "--k-max", str(10**17 + 1), "--format"]
     code, out, _ = run_cli([*argv, "json"], capsys)
     assert code == 1
-    assert json.loads(out)["checks"][0]["status"] == "fail"
+    assert [(c["status"], c["measured"]) for c in json.loads(out)["checks"]] == [("fail", "mixed")]
     code, out, _ = run_cli([*argv, "csv"], capsys)
     assert code == 1
     rows = list(csv.DictReader(io.StringIO(out)))
-    assert len(rows) == 2 and {row["verdict"] for row in rows} == {"growing"}
+    assert len(rows) == 2 and {row["verdict"] for row in rows} == {"mixed"}
+
+
+@pytest.mark.parametrize("argv", [["--beta", "2.05"], ["--beta", "4.2"],
+                                  ["--gauge-beta", "1.9", "1.99", "2", "2.01", "2.1"],
+                                  ["--beta", "50", "--gauge-beta", "50"]])
+def test_measure_reads_every_gauge_exponent_as_expected(argv, capsys):
+    """Gauge exponents near the construction's own and a large own beta
+    read their expected trends on the default levels: no check fails."""
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli(["measure", *argv, "--format", fmt], capsys)
+        assert code == 0 and err == ""
+    assert all(c["measured"] == c["target"] for c in json.loads(out)["checks"])
 
 
 @pytest.mark.parametrize("gauge_beta", [["1", "2", "4"], ["4", "2", "2", "0.5", "4"]],

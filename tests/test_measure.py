@@ -1,19 +1,19 @@
 import math
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mass_oracle import brute_mass_bound
 
-from cantormap.construction import LOG2, ConstructionParams
+from cantormap.cli import _geometric_levels
+from cantormap.construction import ConstructionParams
 from cantormap.measure import (
-    PRE_COVER_MAX_LEVEL,
     Gauge,
     box_dimension_pre,
     expected_trend,
-    gauge_log_eval,
     mass_distribution_bound,
     natural_cover_sum,
     threshold_scan,
@@ -44,23 +44,6 @@ def test_gauge_rejects_non_finite_beta(beta):
         Gauge(2, beta)
 
 
-def test_gauge_domain():
-    with pytest.raises(ValueError):
-        gauge_log_eval(H, -1.0)
-    with pytest.raises(ValueError):
-        gauge_log_eval(H, -0.5)
-
-
-def test_gauge_log_eval_matches_direct():
-    for t in (0.01, 0.2, 0.3):
-        direct = t**2 * math.log(math.log(1.0 / t)) ** 2
-        np.testing.assert_allclose(gauge_log_eval(H, math.log(t)), math.log(direct), atol=1e-13)
-    # far below double range the log form keeps working
-    np.testing.assert_allclose(
-        gauge_log_eval(H, -1e6), -2e6 + 2.0 * math.log(math.log(1e6)), rtol=1e-12
-    )
-
-
 def test_image_cover_sums_stationary_under_own_gauge():
     """Under h_{2,beta} the image sums climb toward 1 and stay order one."""
     s9 = natural_cover_sum("image", H, 10**9, P)
@@ -80,63 +63,57 @@ def test_pre_cover_sums_power_gauge():
         assert math.exp(above) < 1e-6
 
 
-@given(
-    alpha=st.floats(1e-300, 1e300),
-    sigma=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
-    k=st.integers(3, 10**9),
-)
-def test_power_gauge_sum_is_the_bare_power_law(alpha, sigma, k):
-    """Gauge(alpha, 0) gives log_count + alpha log t to the bit: the
-    0.0 * loglog(1/t) term is a signed zero, as log t < -1."""
-    params = ConstructionParams(sigma, 2.0)
-    log_t = k * math.log(sigma)
-    assert gauge_log_eval(Gauge(alpha, 0.0), log_t) == alpha * log_t
-    assert natural_cover_sum("pre", Gauge(alpha, 0.0), k, params) == k * LOG2 + alpha * log_t
+def test_pre_cover_sum_under_a_doubly_logarithmic_gauge():
+    """log of 2^k h(t) with t = sigma^k, formed directly from t."""
+    for sigma, k, gauge in ((0.3, 5, H), (0.01, 3, Gauge(1.5, 0.5)), (0.45, 40, Gauge(0.8, 7.0))):
+        t = sigma**k
+        direct = k * math.log(2.0) + math.log(t**gauge.n * math.log(math.log(1.0 / t)) ** gauge.beta)
+        got = natural_cover_sum("pre", gauge, k, ConstructionParams(sigma, 2.0))
+        np.testing.assert_allclose(got, direct, rtol=1e-13)
 
 
 def exact_pre_log_sum(k, n, sigma):
-    """log of 2^k (sigma^k)^n at 60 digits, from the double n and sigma."""
+    """log of 2^k (sigma^k)^n at 80 digits from the double n and sigma,
+    k (log 2 + n log sigma), and log 2 + n |log sigma|, the size of the
+    rate's parts."""
     with localcontext() as ctx:
-        ctx.prec = 60
-        return k * Decimal(2).ln() + Decimal(n) * k * Decimal(sigma).ln()
+        ctx.prec = 80
+        log_sigma = Decimal(sigma).ln()
+        return k * (Decimal(2).ln() + Decimal(n) * log_sigma), Decimal(2).ln() - Decimal(n) * log_sigma
 
 
-# sigmas at whose box dimension the pre-image log sum cancels to ~0
-_PRE_SIGMAS = [i / 100.0 for i in range(1, 50)]
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: min(max(10.0**e, lo), hi))
 
 
-def _pre_log_sum_error(k):
-    """The worst |float - exact| of the level-k pre-image log sum at the
-    box dimension over _PRE_SIGMAS, the float formed the way
-    natural_cover_sum forms it, at any level."""
-    worst = 0.0
-    for sigma in _PRE_SIGMAS:
-        gauge = Gauge(box_dimension_pre(ConstructionParams(sigma, 2.0)) / 2.0, 0.0)
-        got = k * LOG2 + gauge_log_eval(gauge, k * math.log(sigma))
-        worst = max(worst, float(abs(Decimal(got) - exact_pre_log_sum(k, gauge.n, sigma))))
-    return worst
-
-
-def test_pre_cover_max_level_is_the_last_resolved_decade():
-    """PRE_COVER_MAX_LEVEL is the last power of ten at which the log sum
-    at the box dimension stays within 1e-6 of a 60-digit evaluation; the
-    error grows like k, so the resolved decades run from the first on."""
-    resolved = [j for j in range(3, 13) if _pre_log_sum_error(10**j) <= 1e-6]
-    assert resolved == list(range(3, resolved[-1] + 1))
-    assert PRE_COVER_MAX_LEVEL == 10 ** resolved[-1]
-
-
-def test_pre_cover_sum_refuses_levels_past_its_limit():
-    # at k = 1e12 the float log is 0.0 where the exact value is 1.9e-5
-    params = ConstructionParams(0.45, 2.0)
-    gauge = Gauge(box_dimension_pre(params) / 2.0, 0.0)
-    got = natural_cover_sum("pre", gauge, PRE_COVER_MAX_LEVEL, params)
-    assert abs(got - float(exact_pre_log_sum(PRE_COVER_MAX_LEVEL, gauge.n, 0.45))) <= 1e-6
-    for k in (PRE_COVER_MAX_LEVEL + 1, 10**12):
-        with pytest.raises(ValueError, match=f"pre-image cover sums need k <= 1000000000, got {k}"):
-            natural_cover_sum("pre", gauge, k, params)
-    # the image sums carry no such terms and have no such limit
-    assert math.isfinite(natural_cover_sum("image", H, 10**12, params))
+@given(
+    alpha=st.one_of(st.none(), st.floats(1e-300, 1e300), _log_uniform(1e-300, 1e300)),
+    sigma=st.one_of(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+                    _log_uniform(1e-300, 0.49999999999999994)),
+    k=st.one_of(st.integers(3, 10**9), st.floats(0.48, 300.0).map(lambda e: int(10.0**e))),
+)
+@example(alpha=None, sigma=0.45, k=10**12)
+@example(alpha=None, sigma=0.49, k=10**300)
+@example(alpha=0.5, sigma=0.25, k=3)
+def test_power_gauge_sum_is_the_bare_power_law(alpha, sigma, k):
+    """Gauge(alpha, 0) gives the log of 2^k (sigma^k)^alpha within 3 u of
+    an 80-digit evaluation (the rounding of the rate c, of k and of
+    their product) at every level from 3 to 1e300 where it is a finite
+    double, the box dimension (alpha None) included, plus k times the
+    error of the 40-digit rate, 2e-39 of its parts, which shows only
+    where c is 0, as at sigma = 1/4 and alpha = 1/2.  At the box
+    dimension the parts of size k cancel: at k = 1e12 and sigma = 0.45,
+    k log 2 + alpha k log sigma summed in doubles rounds to 0.0 where
+    the exact value is 1.9e-5."""
+    params = ConstructionParams(sigma, 2.0)
+    gauge = Gauge(math.log(2.0) / -math.log(sigma) if alpha is None else alpha, 0.0)
+    exact, c_parts = exact_pre_log_sum(k, gauge.n, sigma)
+    got = natural_cover_sum("pre", gauge, k, params)
+    if abs(exact) > Decimal(sys.float_info.max):
+        assert got == -math.inf
+        return
+    bound = 3 * Decimal(2.0**-53) * abs(exact) + k * c_parts * Decimal("2e-39")
+    assert abs(Decimal(got) - exact) <= bound
 
 
 def exact_image_log_sum(k, beta, beta_prime):
@@ -213,6 +190,39 @@ def test_expected_trend_is_what_the_scan_reads():
     assert table.verdicts == {bp: expected_trend(bp, P.beta) for bp in table.verdicts}
     assert [expected_trend(bp, 2.0) for bp in (1.999, 2.0, 2.001)] == [
         "decreasing", "stationary", "growing"]
+
+
+@settings(derandomize=True, max_examples=300)
+@given(
+    sigma=st.floats(1e-3, 0.499),
+    beta=st.one_of(st.floats(0.05, 100.0), _log_uniform(0.05, 100.0)),
+    gap=st.one_of(st.floats(1e-12, 10.0), _log_uniform(1e-12, 10.0)),
+    below=st.booleans(),
+    k_min=st.one_of(st.integers(3, 10**12), _log_uniform(3.0, 1e12).map(int)),
+    decades=st.floats(1.0, 296.0),
+)
+# sums - own, the difference of the float sums, reads this one "mixed": its
+# rounding hides the last step of D, 3.5e-14 from level 3e28 to 3e29
+@example(sigma=0.25, beta=48.0, gap=1e-12, below=False, k_min=3, decades=29.0)
+@example(sigma=0.45, beta=2.0, gap=1e-12, below=True, k_min=1000, decades=3.0)
+def test_threshold_scan_reads_the_sign_of_beta_prime_minus_beta(
+        sigma, beta, gap, below, k_min, decades):
+    """On every grid measure builds, from k_min to a k_max at least ten
+    times larger, the scan reads beta' = beta -+ gap as expected_trend
+    does, for gaps from 1e-12 to 10."""
+    beta_prime = beta - gap if below else beta + gap
+    assume(beta_prime >= 0.0)
+    k_max = min(int(k_min * 10.0**decades), int(sys.float_info.max))
+    assume(k_max >= 10 * k_min)
+    levels = _geometric_levels(k_min, k_max, num=max(int(round(math.log10(k_max / k_min))) + 1, 2))
+    table = threshold_scan([beta_prime, beta], levels, ConstructionParams(sigma, beta))
+    assert table.verdicts == {beta_prime: expected_trend(beta_prime, beta), beta: "stationary"}
+
+
+def test_threshold_scan_reads_mixed_where_the_levels_are_one_double():
+    """Levels 1e17 and 1e17 + 1 are the same double: no trend is resolved."""
+    table = threshold_scan([1.0, 2.0, 4.0], [10**17, 10**17 + 1], P)
+    assert table.verdicts == {1.0: "mixed", 2.0: "stationary", 4.0: "mixed"}
 
 
 def test_mass_distribution_bound():

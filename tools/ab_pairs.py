@@ -3,10 +3,12 @@
     python3 tools/ab_pairs.py --parent REV --pairs fields_cantor=911-920 \
         --pairs map_cli=921-923 --traced fields_cantor=930 --out BENCH_x.json
 
-Run it from the root of the repository.  The parent side is
-``git archive REV`` unpacked into a temporary directory; the change side
-is a copy of the working tree's ``src/``, ``perfbench/`` and
-``BENCHMARK.json`` in a sibling directory whose name has the same length.
+Run it from the root of the repository.  Both sides are built the same
+way, a ``git archive`` of a tree unpacked into a temporary directory:
+the parent side's is REV's tree, and the change side's is the working
+tree as ``git add -A`` would stage it, written with ``git write-tree``
+through a temporary index, so the repository's own index is left as it
+was.  The two directories' names have the same length.
 For each workload and seed, one pair runs ``python3 perfbench/run.py
 --workload W --seed N --seconds S --trace 0`` once per side, from the
 root of that side's directory; even pairs run the parent first, odd
@@ -37,7 +39,6 @@ import json
 import os
 import platform
 import shlex
-import shutil
 import statistics
 import subprocess
 import sys
@@ -46,7 +47,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-CHANGE_PARTS = ("src", "perfbench", "BENCHMARK.json")
 QUARTILES = "statistics.quantiles(values, n=4, method='inclusive')"
 
 
@@ -66,8 +66,9 @@ def _workload_spec(text: str) -> tuple[str, list[int]]:
     return name, _seeds(seeds)
 
 
-def _git(*args: str) -> bytes:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
+def _git(*args: str, env: dict | None = None) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, check=True,
+                          capture_output=True).stdout
 
 
 def unpack(rev: str, dest: Path) -> None:
@@ -76,17 +77,13 @@ def unpack(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def _prepare(tmp: Path, parent_rev: str) -> dict[str, Path]:
-    sides = {"parent": tmp / "parent", "change": tmp / "change"}
-    unpack(parent_rev, sides["parent"])
-    sides["change"].mkdir()
-    for part in CHANGE_PARTS:
-        src, dst = ROOT / part, sides["change"] / part
-        if src.is_dir():
-            shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__", ".bench_build"))
-        else:
-            shutil.copy2(src, dst)
-    return sides
+def working_tree() -> str:
+    """The tree object of the working tree as ``git add -A`` would stage
+    it, written through a temporary index."""
+    with tempfile.TemporaryDirectory(prefix="ab_pairs_index_") as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp) / "index")}
+        _git("add", "-A", env=env)
+        return _git("write-tree", env=env).decode().strip()
 
 
 def _run(side: str, cwd: Path, workload: str, seed: int, seconds: float, trace: int, pair: int,
@@ -200,22 +197,25 @@ def main(argv: list[str] | None = None) -> int:
     bounds = {m["name"]: (m["bound"], m["unit"]) for m in bench["end_to_end"]}
     parent_commit = _git("rev-parse", args.parent).decode().strip()
     head = _git("rev-parse", "HEAD").decode().strip()
+    tree = working_tree()
     tool = ["python3", "tools/ab_pairs.py", *(sys.argv[1:] if argv is None else argv)]
     doc = {
         "what": args.what,
         "parent_commit": parent_commit,
-        "change": f"working tree on {head}: a copy of {', '.join(CHANGE_PARTS)}",
+        "change": f"working tree on {head}: git archive of its tree {tree}",
         "tool": shlex.join(tool),
         "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace T, run"
-                   " from the root of each side's directory (parent: git archive of"
-                   " parent_commit)",
+                   " from the root of each side's directory, a git archive of"
+                   " parent_commit or of the change's tree",
         "order": "pairs alternate which side runs first: even pair index parent first,"
                  " odd pair index change first",
         "quartiles": QUARTILES,
         "machine": _machine(),
     }
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
-        sides = _prepare(Path(tmp), args.parent)
+        sides = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        for side, rev in (("parent", args.parent), ("change", tree)):
+            unpack(rev, sides[side])
         for key, trace, specs in (("workloads", 0, args.pairs), ("traced", 1, args.traced)):
             doc[key] = {}
             for workload, seeds in specs:

@@ -16,7 +16,9 @@ objects, which of their top-level keys (``params``, ``results``,
 ``checks``) differ; it exits 1 when anything differs.
 
 The plan covers every subcommand, ``verify`` at two seeds, ``measure``
-in CSV and JSON on a scan whose check fails (exit 1 in both formats), ``series``
+in CSV and JSON on a scan whose check fails (two levels that are one
+double, exit 1 in both formats), ``measure`` at gauge exponents near the
+construction's own and at beta = 50 (exit 0), ``series``
 ratios out to level 1e12 (subexp) and 1e15 and 1e200 (tv), at sigma near 1/2,
 from level 3 and on pre-asymptotic subexp levels (T_k >= alpha),
 ``render`` with no mesh and with a mesh of many evaluation blocks, ``map`` in CSV
@@ -34,7 +36,7 @@ parameters that resolve no depth, parameters whose series terms,
 distortion sups or frames leave double precision, a series level past
 the 1e100 the gain ratio resolves, and
 ``--k-max`` levels of 309 to 401 digits, past the largest double or
-with a term count 4^(k-1) whose exponent is.
+with a term count 4^k whose exponent is.
 Two ``map`` runs among them ask for pre-asymptotic levels at beta = 800
 and 3000, whose image steps no longer move the image centers, and are
 refused.
@@ -62,6 +64,8 @@ EDGE_POINTS = "x,y\n0.5,0.5\n0.0,0.0\n\n1.0,1.0\n5e-324,1e-05\n0.999999999999999
 DEEP = ["--sigma", "0.1", "--depth", "14"]
 # the level-14 center at sigma = 0.1, formed by the walk's own float steps
 DEEP_POINT = "0.06277777777777499,0.06277777777777499"
+UNRESOLVED_SCAN = ["measure", "--gauge-beta", "2.000000000001", "--k-min", str(10**17),
+                   "--k-max", str(10**17 + 1)]
 
 
 def _row_block() -> int:
@@ -117,11 +121,17 @@ def _plan(block: int) -> list[tuple[str, list[str]]]:
         ("measure_beta50_json", ["measure", "--beta", "50"]),
         ("measure_gauge_beta_0_2_csv", ["measure", "--gauge-beta", "0", "2", "--format", "csv"]),
         ("measure_k_max_1e18", ["measure", "--k-max", "1000000000000000000", "--gauge-beta", "2"]),
-        # a scan too short to read beta' = beta as stationary: its check fails (exit 1)
-        ("measure_failing_check_csv",
-         ["measure", "--gauge-beta", "2.0", "--k-min", "3", "--k-max", "30", "--format", "csv"]),
-        ("measure_failing_check_json",
-         ["measure", "--gauge-beta", "2.0", "--k-min", "3", "--k-max", "30", "--format", "json"]),
+        # levels 1e17 and 1e17 + 1 are one double: beta' != beta reads "mixed",
+        # and its check fails (exit 1)
+        ("measure_failing_check_csv", [*UNRESOLVED_SCAN, "--format", "csv"]),
+        ("measure_failing_check_json", [*UNRESOLVED_SCAN, "--format", "json"]),
+        # gauge exponents near the construction's own, and a large own beta
+        ("measure_beta_2_05_json", ["measure", "--beta", "2.05"]),
+        ("measure_beta_4_2_csv", ["measure", "--beta", "4.2", "--format", "csv"]),
+        ("measure_gauge_beta_near_2_json",
+         ["measure", "--gauge-beta", "1.9", "1.99", "2", "2.01", "2.1"]),
+        ("measure_beta50_gauge_beta50_csv",
+         ["measure", "--beta", "50", "--gauge-beta", "50", "--format", "csv"]),
         ("series_subexp_json", ["series", "subexp", "--format", "json"]),
         ("series_tv", ["series", "tv"]),
         ("series_subexp_k_max_1e8", ["series", "subexp", "--k-max", "100000000"]),
