@@ -116,6 +116,62 @@ def test_power_gauge_sum_is_the_bare_power_law(alpha, sigma, k):
     assert abs(Decimal(got) - exact) <= bound
 
 
+# sigmas at whose box dimension the pre-image log sum cancels to ~0
+_PRE_SIGMAS = [i / 100.0 for i in range(1, 50)]
+
+
+def _resolved_decades(decades):
+    """The decades j at which the level-10^j pre-image log sum at the box
+    dimension is within 3 u of its 80-digit value, plus k times the
+    40-digit rate's error, at every sigma of _PRE_SIGMAS."""
+    resolved = set(decades)
+    for sigma in _PRE_SIGMAS:
+        params = ConstructionParams(sigma, 2.0)
+        gauge = Gauge(box_dimension_pre(params) / 2.0, 0.0)
+        rate, c_parts = exact_pre_log_sum(1, gauge.n, sigma)
+        with localcontext() as ctx:
+            ctx.prec = 80
+            for j in decades:
+                k = 10**j
+                exact = k * rate
+                got = natural_cover_sum("pre", gauge, k, params)
+                bound = 3 * Decimal(2.0**-53) * abs(exact) + k * c_parts * Decimal("2e-39")
+                if abs(Decimal(got) - exact) > bound:
+                    resolved.discard(j)
+    return sorted(resolved)
+
+
+def test_pre_cover_max_level_is_the_last_resolved_decade():
+    """The pre-image sums end where the depth gate does, at the largest
+    double, and at the box dimension every decade up to it is resolved:
+    the terms of size k enter as one rate, so their cancellation costs
+    no accuracy at any level."""
+    last = int(math.log10(sys.float_info.max))
+    assert _resolved_decades(range(3, last + 1)) == list(range(3, last + 1))
+    with pytest.raises(ValueError, match="levels end at the largest double"):
+        natural_cover_sum("pre", Gauge(1.0, 0.0), 10 ** (last + 1), P)
+
+
+def test_pre_cover_sum_refuses_levels_past_its_limit():
+    """The pre-image sums take every level the depth gate admits, past
+    the 1e9 where summing k log 2 and n k log sigma in doubles stops
+    resolving the box dimension, and refuse what it refuses."""
+    # at k = 1e12 the doubles' sum is 0.0 where the exact value is 1.9e-5
+    params = ConstructionParams(0.45, 2.0)
+    gauge = Gauge(box_dimension_pre(params) / 2.0, 0.0)
+    for k in (10**9, 10**9 + 1, 10**12):
+        got = natural_cover_sum("pre", gauge, k, params)
+        assert abs(got - float(exact_pre_log_sum(k, gauge.n, 0.45)[0])) <= 1e-6
+    assert float(exact_pre_log_sum(10**12, gauge.n, 0.45)[0]) == pytest.approx(1.9e-5, rel=0.05)
+    assert math.isfinite(natural_cover_sum("pre", gauge, int(sys.float_info.max), params))
+    for k in (2, int(sys.float_info.max) + 1):
+        with pytest.raises(ValueError, match="levels (start at 3|end at the largest double)"):
+            natural_cover_sum("pre", gauge, k, params)
+    # the image sums meet the same gate
+    with pytest.raises(ValueError, match="levels end at the largest double"):
+        natural_cover_sum("image", H, int(sys.float_info.max) + 1, params)
+
+
 def exact_image_log_sum(k, beta, beta_prime):
     """log of 2^(2k) h_{2,beta'}(t_k) with log t_k = -k log 2 - (beta/2) loglog k,
     at 60 digits."""
