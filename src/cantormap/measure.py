@@ -6,9 +6,10 @@ gauge h(t) = t^2 (log log(1/t))^beta, with beta the construction's
 own exponent.  Under h_{2, beta'} the log sums differ from those by
 exactly (beta' - beta) log log(1/t), which tips the sums to 0 or
 infinity and locates the generalized dimension of the image set;
-threshold_scan reads its verdicts from that difference.  Power gauges,
-the beta = 0 case h(t) = t^alpha, do the same for the pre-image
-family, whose log sums take their terms of size k from one rate.
+threshold_scan reads its verdicts from that difference of the
+computed sums.  Power gauges, the beta = 0 case h(t) = t^alpha, do
+the same for the pre-image family, whose log sums take their terms
+of size k from one rate.
 """
 
 from __future__ import annotations
@@ -77,22 +78,18 @@ def natural_cover_sum(side: str, gauge: Gauge, k: int, params: ConstructionParam
     return k * c + gauge.beta * math.log(math.log(k) + math.log(-math.log(params.sigma)))
 
 
-def _image_side_logs(ks: np.ndarray, params: ConstructionParams) -> tuple[np.ndarray, np.ndarray]:
-    """(beta/2) loglog k and loglog(1/t_k) of the level-k image sides t_k,
-    log(1/t_k) = k log 2 + (beta/2) loglog k, at each level of the float
-    array ks."""
-    half_beta_llk = 0.5 * params.beta * np.log(np.log(ks))
-    return half_beta_llk, np.log(np.log(ks * LOG2 + half_beta_llk))
-
-
 def _image_log_sums(gauge: Gauge, ks: np.ndarray, params: ConstructionParams) -> np.ndarray:
     """natural_cover_sum("image", gauge, k) at each level of the float
     array ks.  The count 2^(2k) and the gauge's t^n combine to
     (2 - n) k log 2 before any rounding, which is exactly 0 for the
     planar n = 2: the sum carries no terms of size k that cancel."""
-    half_beta_llk, loglog_inv_t = _image_side_logs(ks, params)
+    half_beta_llk = 0.5 * params.beta * np.log(np.log(ks))
     n = gauge.n
-    return (2.0 - n) * ks * LOG2 - n * half_beta_llk + gauge.beta * loglog_inv_t
+    return (
+        (2.0 - n) * ks * LOG2
+        - n * half_beta_llk
+        + gauge.beta * np.log(np.log(ks * LOG2 + half_beta_llk))
+    )
 
 
 @dataclass(frozen=True)
@@ -115,20 +112,19 @@ def threshold_scan(
 ) -> ScanTable:
     """Covering-sum trends of the image family under gauges h_{2, beta'}.
 
-    beta' enters the log sum only as beta' loglog(1/t_k), so it differs
-    from the sum under the construction's own gauge h_{2, beta} by
-    exactly D = (beta' - beta) loglog(1/t_k), which falls with k for
-    beta' < beta and grows for beta' > beta.  Each verdict reads that
-    form, with the loglog(1/t_k) the sums themselves use: "stationary"
-    at beta' = beta, whose sums admit a mass distribution, "decreasing"
+    beta' enters the log sum only as beta' loglog(1/t_k), so the sums
+    differ from those under the construction's own gauge h_{2, beta} by
+    D = (beta' - beta) loglog(1/t_k), which falls with k for beta' < beta
+    and grows for beta' > beta.  Each verdict reads D as the difference
+    of the computed sums: "stationary" where D is identically zero, the
+    case beta' = beta, whose sums admit a mass distribution; "decreasing"
     or "growing" when every consecutive step of D is negative or
-    positive, and "mixed" otherwise, where the levels lie too close for
-    doubles to tell their loglog(1/t_k) apart.  The difference of the
-    float sums themselves would not do: their rounding, a few u of
-    beta loglog(1/t_k), hides a step of D once |beta' - beta| is near
-    1e-12.  Levels pass the depth gate _check_level, and each beta' takes
-    its sums from one _image_log_sums call, bit for bit
-    natural_cover_sum("image", ...) at each level.
+    positive; "mixed" otherwise, where the rounding of the sums, a few u
+    of beta' loglog(1/t_k), hides a step of D, as it can once
+    |beta' - beta| is near 1e-12 or two levels are one double.  Levels
+    pass the depth gate _check_level, and each beta' takes its sums from
+    one _image_log_sums call, bit for bit natural_cover_sum("image", ...)
+    at each level.
     """
     lvls = sorted(set(int(k) for k in levels))
     if len(lvls) < 2:
@@ -136,14 +132,15 @@ def threshold_scan(
     _check_level(lvls[0])
     _check_level(lvls[-1])
     ks = np.array(lvls, dtype=np.float64)
-    loglog_inv_t = _image_side_logs(ks, params)[1]
+    own = _image_log_sums(Gauge(2, params.beta), ks, params)
     rows = []
     verdicts: dict = {}
     for bp in map(float, beta_primes):
-        sums = _image_log_sums(Gauge(2, bp), ks, params).tolist()
-        rows.extend(ScanRow(bp, k, s) for k, s in zip(lvls, sums))
-        steps = np.diff((bp - params.beta) * loglog_inv_t)
-        if bp == params.beta:
+        sums = _image_log_sums(Gauge(2, bp), ks, params)
+        rows.extend(ScanRow(bp, k, s) for k, s in zip(lvls, sums.tolist()))
+        d = sums - own
+        steps = np.diff(d)
+        if not d.any():
             verdicts[bp] = "stationary"
         elif np.all(steps < 0.0):
             verdicts[bp] = "decreasing"

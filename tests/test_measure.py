@@ -167,7 +167,8 @@ def test_pre_cover_sum_refuses_levels_past_its_limit():
     for k in (2, int(sys.float_info.max) + 1):
         with pytest.raises(ValueError, match="levels (start at 3|end at the largest double)"):
             natural_cover_sum("pre", gauge, k, params)
-    # the image sums meet the same gate
+    # the image sums carry no such terms: finite past 1e9, they meet the same gate
+    assert math.isfinite(natural_cover_sum("image", H, 10**12, params))
     with pytest.raises(ValueError, match="levels end at the largest double"):
         natural_cover_sum("image", H, int(sys.float_info.max) + 1, params)
 
@@ -248,6 +249,28 @@ def test_expected_trend_is_what_the_scan_reads():
         "decreasing", "stationary", "growing"]
 
 
+def _resolved(table, beta_prime, beta, levels):
+    """Whether every step of D = (beta' - beta) loglog(1/t_k), taken at 40
+    digits at the double levels, outweighs what rounding can move the
+    difference of the float sums by at its two ends: per level 2 u of
+    beta' loglog(1/t_k), beta loglog(1/t_k) and the two sums, plus
+    |beta' - beta| times 16 u (1 + |loglog(1/t_k)|) for the double
+    loglog(1/t_k) both sums share."""
+    u = Decimal(2.0**-53)
+    sums = {(row.beta_prime, row.level): Decimal(row.log_sum) for row in table.rows}
+    with localcontext() as ctx:
+        ctx.prec = 40
+        bp, b = Decimal(beta_prime), Decimal(beta)
+        ends = []
+        for k in sorted(set(levels)):
+            kf = Decimal(float(k))
+            loglog = (kf * Decimal(2).ln() + b / 2 * kf.ln().ln()).ln().ln()
+            slack = (2 * u * ((bp + b) * abs(loglog) + abs(sums[beta_prime, k]) + abs(sums[beta, k]))
+                     + abs(bp - b) * 16 * u * (1 + abs(loglog)))
+            ends.append(((bp - b) * loglog, slack))
+        return all(abs(d1 - d0) > e0 + e1 for (d0, e0), (d1, e1) in zip(ends, ends[1:]))
+
+
 @settings(derandomize=True, max_examples=300)
 @given(
     sigma=st.floats(1e-3, 0.499),
@@ -257,22 +280,30 @@ def test_expected_trend_is_what_the_scan_reads():
     k_min=st.one_of(st.integers(3, 10**12), _log_uniform(3.0, 1e12).map(int)),
     decades=st.floats(1.0, 296.0),
 )
-# sums - own, the difference of the float sums, reads this one "mixed": its
-# rounding hides the last step of D, 3.5e-14 from level 3e28 to 3e29
+# the known limit: the last step of D, 3.5e-14 from level 3e28 to 3e29, is
+# inside the sums' rounding, about 1e-13 at beta' loglog(1/t) = 200, so the
+# scan reads "mixed" where expected_trend says "growing"
 @example(sigma=0.25, beta=48.0, gap=1e-12, below=False, k_min=3, decades=29.0)
 @example(sigma=0.45, beta=2.0, gap=1e-12, below=True, k_min=1000, decades=3.0)
 def test_threshold_scan_reads_the_sign_of_beta_prime_minus_beta(
         sigma, beta, gap, below, k_min, decades):
     """On every grid measure builds, from k_min to a k_max at least ten
-    times larger, the scan reads beta' = beta -+ gap as expected_trend
-    does, for gaps from 1e-12 to 10."""
+    times larger, the scan reads beta' = beta -+ gap, for gaps from 1e-12
+    to 10, as expected_trend does wherever the float sums resolve every
+    step of D, and never reads the opposite trend or "stationary": where
+    their rounding hides a step it reads "mixed" or the expected trend."""
     beta_prime = beta - gap if below else beta + gap
     assume(beta_prime >= 0.0)
     k_max = min(int(k_min * 10.0**decades), int(sys.float_info.max))
     assume(k_max >= 10 * k_min)
     levels = _geometric_levels(k_min, k_max, num=max(int(round(math.log10(k_max / k_min))) + 1, 2))
     table = threshold_scan([beta_prime, beta], levels, ConstructionParams(sigma, beta))
-    assert table.verdicts == {beta_prime: expected_trend(beta_prime, beta), beta: "stationary"}
+    want = expected_trend(beta_prime, beta)
+    assert table.verdicts[beta] == "stationary"
+    if _resolved(table, beta_prime, beta, levels):
+        assert table.verdicts[beta_prime] == want
+    else:
+        assert table.verdicts[beta_prime] in (want, "mixed")
 
 
 def test_threshold_scan_reads_mixed_where_the_levels_are_one_double():
