@@ -80,9 +80,10 @@ def natural_cover_sum(side: str, gauge: Gauge, k: int, params: ConstructionParam
 
 def _image_log_sums(gauge: Gauge, ks: np.ndarray, params: ConstructionParams) -> np.ndarray:
     """natural_cover_sum("image", gauge, k) at each level of the float
-    array ks.  The count 2^(2k) and the gauge's t^n combine to
-    (2 - n) k log 2 before any rounding, which is exactly 0 for the
-    planar n = 2: the sum carries no terms of size k that cancel."""
+    array ks.  With log(1/t) = k log 2 + (beta/2) loglog k, the count
+    2^(2k) and the gauge's t^n combine to (2 - n) k log 2 before any
+    rounding, which is exactly 0 for the planar n = 2: the sum carries no
+    terms of size k that cancel."""
     half_beta_llk = 0.5 * params.beta * np.log(np.log(ks))
     n = gauge.n
     return (
