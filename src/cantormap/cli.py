@@ -400,35 +400,23 @@ def _csv_points(path: str) -> np.ndarray:
     return np.column_stack((xs, ys))
 
 
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_column(values: np.ndarray, as_json: bool) -> list[str]:
-    """Each value as Python's shortest round-trip repr.
-
-    These are the digits str(np.float64) prints and json writes; only
-    json spells the non-finite values differently.
-    """
-    col = list(map(repr, values.tolist()))
-    if as_json:
-        for i in np.flatnonzero(~np.isfinite(values)).tolist():
-            col[i] = _JSON_NONFINITE[col[i]]
-    return col
-
-
 def _map_blocks(pts: np.ndarray, f: dict, as_json: bool) -> Iterator[dict]:
     """map's formatted columns, one block of _ROW_BLOCK points at a time.
 
-    The derivative fields are blank (CSV) or null (JSON) on the
-    skeleton, where the derivative exists only one-sidedly.  The level
-    column is JSON's alone.
+    Each value is Python's shortest round-trip repr, the digits
+    str(np.float64) prints and json writes for a finite double: every
+    point is finite and on the unit square (fields_batch refuses the
+    rest), and under the depth gate and coeffs every image and field
+    is a finite double.  The derivative fields are blank (CSV)
+    or null (JSON) on the skeleton, where the derivative exists only
+    one-sidedly.  The level column is JSON's alone.
     """
     blank, flag = ("null", ("false", "true")) if as_json else ("", ("0", "1"))
     img = f["image"]
     fields = {"x": pts[:, 0], "y": pts[:, 1], "fx": img[:, 0], "fy": img[:, 1],
               "dnorm": f["derivative_norm"], "jac": f["jacobian"], "K": f["distortion"]}
     for sl in _blocks(len(pts)):
-        block = {name: _float_column(v[sl], as_json) for name, v in fields.items()}
+        block = {name: list(map(repr, v[sl].tolist())) for name, v in fields.items()}
         skel = f["on_skeleton"][sl]
         for i in np.flatnonzero(skel).tolist():
             block["dnorm"][i] = block["jac"][i] = block["K"][i] = blank

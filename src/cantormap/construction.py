@@ -131,7 +131,6 @@ def log_log_ratio(k: int) -> float:
 class LevelRadii:
     """Inner and outer frame radii at one level, both families."""
 
-    level: int
     r: float
     R: float
     r_img: float
@@ -160,7 +159,7 @@ def radii(k: int, params: ConstructionParams, literal: bool = False) -> LevelRad
     else:
         r_img = image_side(k, params) / 2.0
         R_img = LEVEL3_OUTER_RADIUS if k == MIN_LEVEL else image_side(k - 1, params) / 4.0
-    return LevelRadii(k, r, R, r_img, R_img)
+    return LevelRadii(r, R, r_img, R_img)
 
 
 # log log 3 correctly rounded; math.log(math.log(3.0)) is 6 ulp above it
@@ -420,13 +419,17 @@ def validate_geometry(
 ) -> ValidationReport:
     """Check the nesting and disjointness invariants of both families.
 
-    Three checks per level and family, each of which the input can fail:
-    every level-3 interval lies strictly inside its grid cell, and every
-    deeper one strictly inside the parent half selected by its bit
-    (one check per interval); the least gap between two axis centers is
-    at least 2R - tol, so sibling frames along an axis have disjoint
-    interiors; and the same gap is at least side - tol, so square
-    interiors are disjoint.  The level-k centers are the product set
+    Two checks per level and family: every level-3 interval lies
+    strictly inside its grid cell, and every deeper one strictly inside
+    the parent half selected by its bit (one check per interval); and
+    the least gap between two axis centers is at least 2R - tol, so
+    sibling frames, and the squares inside them, have disjoint
+    interiors.  side <= 2R holds as doubles at every level of both
+    families, so no square check could fail alone.  Sibling centers lie
+    two steps apart, at no less than 2R - u (u = 2^-53) once rounded, so
+    at the default tol no valid input fails the gap check.  tol is
+    absolute: at sigma = 0.45, 2R < 1e-12 from level 35, where the bound
+    2R - tol is negative.  The level-k centers are the product set
     C x C, so the least sup-norm distance between two of them is the
     least axis gap, as the same double (rounding is monotone): the 2-D
     check reads that gap.  Axis factors are exhausted up to k_max.
@@ -437,10 +440,9 @@ def validate_geometry(
     double with itself.
 
     Violations are reported as (level, locator, invariant) triples.  A
-    k_max doubles do not resolve raises _check_level's ValueError
-    instead: its centers stop moving and no check means anything.
+    k_max doubles do not resolve raises _check_level's ValueError, from
+    _axis_levels: its centers stop moving and no check means anything.
     """
-    _check_level(k_max, params)
     report = ValidationReport(k_max)
     for image in (False, True):
         fam = "image" if image else "pre"
@@ -470,12 +472,10 @@ def validate_geometry(
             parent = c
 
             gap = np.diff(np.sort(c)).min()
-            report.checks_run += 2
+            report.checks_run += 1
             if gap < 2.0 * R - tol:
                 report.violations.append(
                     (k, fam, "sibling frames overlap along an axis")
                 )
-            if gap < side - tol:
-                report.violations.append((k, fam, "square interiors overlap"))
 
     return report

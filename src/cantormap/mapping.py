@@ -55,11 +55,6 @@ def coeffs(k: int, params: ConstructionParams, literal: bool = False) -> float:
     )
 
 
-def similarity_ratio(k: int, params: ConstructionParams) -> float:
-    """Scale of the similarity onto a level-k image square."""
-    return image_side(k, params) / preimage_side(k, params)
-
-
 @dataclass(frozen=True)
 class FrameAt:
     """x lies in the closed level-`address.level` frame around `address`."""
@@ -73,7 +68,6 @@ class SquareInteriorAt:
     """x lies strictly inside the addressed square; descent stopped at depth."""
 
     address: CellAddress
-    truncated: bool = True
 
 
 RegionLocation = Union[FrameAt, SquareInteriorAt]
@@ -88,7 +82,7 @@ class _LevelTable(NamedTuple):
     istep: tuple[float, ...]  # l_k / 4, the move to a child's image center
     r_img: tuple[float, ...]  # inner image frame radius l_k / 2
     a: tuple[float, ...]  # frame-map slope
-    s_sim: float  # similarity ratio onto a depth-level image square
+    s_sim: float  # similarity ratio l_depth / sigma^depth, as istep / step
     walk: tuple[tuple[int, float, float, float, float], ...]  # (k, r, -r, step, istep), k < depth
 
 
@@ -100,7 +94,6 @@ def _level_table(params: ConstructionParams, depth: int) -> _LevelTable:
     _check_level(depth, params)
     levels = range(MIN_LEVEL, depth + 1)
     slopes, rads = [coeffs(k, params) for k in levels], [radii(k, params) for k in levels]
-    s_sim = similarity_ratio(depth, params)
     pad = (0.0,) * MIN_LEVEL
     r = pad + tuple(rad.r for rad in rads)
     step = pad + tuple(preimage_side(k, params) / 4.0 for k in levels)
@@ -112,7 +105,7 @@ def _level_table(params: ConstructionParams, depth: int) -> _LevelTable:
         istep,
         pad + tuple(rad.r_img for rad in rads),
         pad + tuple(slopes),
-        s_sim,
+        istep[depth] / step[depth],
         tuple((k, r[k], -r[k], step[k], istep[k]) for k in range(MIN_LEVEL, depth)),
     )
 
@@ -169,7 +162,7 @@ def locate(x: Point, depth: int, params: ConstructionParams) -> RegionLocation:
             c = c + step if axis_bits[-1] else c - step
         bits.append(tuple(axis_bits))
     addr = CellAddress(octant, tuple(bits))
-    return FrameAt(addr, rho) if in_frame else SquareInteriorAt(addr, truncated=True)
+    return FrameAt(addr, rho) if in_frame else SquareInteriorAt(addr)
 
 
 def evaluate(x: Point, depth: int, params: ConstructionParams) -> Point:
@@ -446,9 +439,9 @@ def consistency_check(
     rng = np.random.default_rng(seed)
     rad = radii(k, params, literal=literal)
     a = coeffs(k, params, literal=literal)
-    s_par = similarity_ratio(k - 1, params)
     step = preimage_side(k - 1, params) / 4.0
     istep = image_side(k - 1, params) / 4.0
+    s_par = istep / step
 
     sgn0 = 2.0 * rng.integers(0, 2, n_samples) - 1.0
     sgn1 = 2.0 * rng.integers(0, 2, n_samples) - 1.0

@@ -33,8 +33,10 @@ from cantormap.analysis import (
     _log_subexp_integral,
     _series_log_per_frame,
 )
-from cantormap.construction import LOG2, ConstructionParams, frame_shape, image_side, radii
-from cantormap.mapping import coeffs, sup_distortion
+from cantormap.construction import (
+    LOG2, ConstructionParams, frame_shape, image_side, preimage_side, radii, resolvable_depth,
+)
+from cantormap.mapping import coeffs, fields_batch, sup_distortion
 
 P = ConstructionParams(0.45, 2.0)
 
@@ -314,6 +316,71 @@ def test_jacobian_integrals_telescope_to_image_area(sigma, beta, depth):
     total = sum(4**k * Fraction(frame_jacobian_integral(k, params)) for k in range(3, depth + 1))
     total += 4**depth * Fraction(image_side(depth, params)) ** 2
     assert abs(total - 1) <= 2 * Fraction(1, 2**52)
+
+
+# uniform points in the cross-layer property, and the fewest of them each
+# region (one level's frames, the depth squares) should expect to hold
+MC_POINTS, MC_MIN_HITS = 10**5, 100
+
+
+@settings(max_examples=100)
+@given(
+    sigma=st.one_of(st.sampled_from([0.25, 0.375]), st.floats(0.16, 0.49)),
+    beta=st.floats(0.1, 8.0),
+    p_share=st.floats(0.05, 0.95),
+    depth=st.integers(3, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sigma=0.45, beta=2.0, p_share=0.5 / p_threshold(P), depth=8, seed=0x5EED)
+def test_fields_batch_means_match_the_closed_form_sums(sigma, beta, p_share, depth, seed):
+    """The fields_batch means of |Df|, J and exp(G(K)) over uniform
+    points lie within 5 standard errors of the whole-square sums: the
+    4^k frame integrals of levels 3..depth (frame_tv_integral,
+    frame_jacobian_integral, frame_subexp_integral) plus the 4^depth
+    depth squares, where the map is the similarity.  p lies below p0.
+
+    A standard error stands for the mean's error only where the sample
+    sees every part of the integral.  So the depth stops where some
+    level's frames or the depth squares would hold fewer than
+    MC_MIN_HITS points in expectation (level k's frames cover
+    (2 sigma)^(2k - 2) (1 - 4 sigma^2) of the square, 1 - 64 sigma^6 at
+    level 3, and the depth squares (2 sigma)^(2 depth)); and a quantity
+    is read only where its sup is at most MC_POINTS / 100 times its
+    mean, so that no one point moves the mean by more than 1% of it
+    (the sups are max(a, t), a t and exp(G(K)) at a frame's inner or
+    outer radius, and the similarity's values on the squares).  Over
+    the drawn ranges only exp(G(K)) ever skips."""
+    params = ConstructionParams(sigma, beta)
+    depth = min(depth, resolvable_depth(params))
+    q = (2.0 * sigma) ** 2
+    while depth > 3 and MC_POINTS * q ** (depth - 1) * min(1.0 - q, q) < MC_MIN_HITS:
+        depth -= 1
+    assert MC_POINTS * min(1.0 - 64.0 * sigma**6, q**depth) >= MC_MIN_HITS
+    p = p_share * p_threshold(params)
+    f = fields_batch(np.random.default_rng(seed).random((MC_POINTS, 2)), depth, params)
+    K = f["distortion"]
+    levels = range(3, depth + 1)
+    square_area = 4.0**depth * preimage_side(depth, params) ** 2
+    s_sim = image_side(depth, params) / preimage_side(depth, params)
+    slopes, rads = [coeffs(k, params) for k in levels], [radii(k, params) for k in levels]
+    t_sups = [max(rad.r_img / rad.r, rad.R_img / rad.R) for rad in rads]
+    gain_sup = max(p, *(subexp_gain(sup_distortion(k, params), p) for k in levels))
+    cases = [
+        (f["derivative_norm"], [frame_tv_integral(k, params) for k in levels], s_sim,
+         max(*slopes, *t_sups, s_sim)),
+        (f["jacobian"], [frame_jacobian_integral(k, params) for k in levels], s_sim**2,
+         max(*(a * t for a, t in zip(slopes, t_sups)), s_sim**2)),
+        (np.exp(p * K / (1.0 + np.log(K))), [frame_subexp_integral(k, p, params) for k in levels],
+         math.exp(p), math.exp(gain_sup)),
+    ]
+    for i, (values, frame_integrals, on_squares, sup) in enumerate(cases):
+        want = math.fsum(4.0**k * v for k, v in zip(levels, frame_integrals))
+        want += square_area * on_squares
+        if sup > MC_POINTS / 100 * want:
+            assert i == 2, (i, sup, want)
+            continue
+        z = (values.mean() - want) / (values.std(ddof=1) / math.sqrt(MC_POINTS))
+        assert abs(z) < 5.0, (i, depth, p, z)
 
 
 def test_series_log_terms_match_linear_integrals():

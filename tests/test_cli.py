@@ -19,7 +19,7 @@ from cantormap.analysis import p_threshold
 from cantormap.cli import (
     _ROW_BLOCK,
     _fill_rows,
-    _float_column,
+    _map_blocks,
     _read_points,
     _table,
     build_parser,
@@ -621,10 +621,18 @@ def test_table_writes_what_csv_writer_and_json_dumps_write(n, fmt, seed):
     assert got.splitlines(True) == want.splitlines(True)
 
 
-def test_float_column_spells_values_as_json_and_csv_do():
-    values = np.array([0.1, -0.0, 5e-324, 1e16, 1e-5, math.inf, -math.inf, math.nan])
-    assert _float_column(values, as_json=True) == [json.dumps(v) for v in values.tolist()]
-    assert _float_column(values, as_json=False) == [str(v) for v in values]
+def test_map_blocks_spell_values_as_json_and_csv_do():
+    """map's repr of a finite double is the text json.dumps and str(np.float64) write."""
+    values = np.array([0.1, -0.0, 5e-324, 1e16, 1e-5])
+    n = len(values)
+    f = {"image": np.column_stack([values, values]), "derivative_norm": values,
+         "jacobian": values, "distortion": values, "on_skeleton": np.zeros(n, dtype=bool),
+         "level": np.full(n, 3, dtype=np.int8)}
+    for as_json, want in ((True, [json.dumps(v) for v in values.tolist()]),
+                          (False, [str(v) for v in values])):
+        (block,) = _map_blocks(f["image"], f, as_json)
+        for name in ("x", "y", "fx", "fy", "dnorm", "jac", "K"):
+            assert block[name] == want, (as_json, name)
 
 
 @pytest.mark.parametrize("point", ["nan,0.5", "0.5,nan", "inf,0.5", "-0.1,0.5"])

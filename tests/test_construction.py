@@ -227,8 +227,29 @@ def test_enumerate_cap():
 def test_validate_geometry_clean(sigma, beta):
     report = validate_geometry(8, ConstructionParams(sigma, beta))
     assert report.passed, report.violations[:5]
-    # per family and level: one check per axis interval and the two gap checks
-    assert report.checks_run == 2 * sum(8 * 2 ** (k - 3) + 2 for k in range(3, 9)) == 1032
+    # per family and level: one check per axis interval and the gap check
+    assert report.checks_run == 2 * sum(8 * 2 ** (k - 3) + 1 for k in range(3, 9)) == 1020
+
+
+@settings(max_examples=300)
+@given(
+    sigma=st.one_of(
+        st.floats(1e-3, 0.5, exclude_max=True),
+        st.sampled_from([1 / 16, 1 / 8, 1 / 4, 3 / 8, 0.5 - 2.0**-54]),
+    ),
+    beta=st.one_of(st.floats(1e-12, 1e3), st.sampled_from([1e-12, 1e-6, 1e3])),
+)
+@example(sigma=0.5 - 2.0**-54, beta=1e-12)
+@example(sigma=1e-3, beta=1e3)
+def test_sides_are_at_most_twice_the_outer_radii(sigma, beta):
+    """side_k <= 2 R_k as doubles in both families at every resolvable
+    level: a square lies inside its frame, so validate_geometry's frame
+    check, least gap >= 2R - tol, implies that the squares are disjoint."""
+    params = ConstructionParams(sigma, beta)
+    for k in range(MIN_LEVEL, resolvable_depth(params) + 1):
+        rad = radii(k, params)
+        assert preimage_side(k, params) <= 2.0 * rad.R, k
+        assert image_side(k, params) <= 2.0 * rad.R_img, k
 
 
 # (sigma, beta): resolvable depth; 2 where not even level 3 resolves, and
@@ -326,9 +347,9 @@ def reference_validate_geometry(k_max, params, tol=1e-12):
 
     Each interval's center and its parent's come from _axis_center, one
     path at a time; the array version must report the same checks_run
-    and the same violations in the same order.  The square check runs
-    on the full sup-norm distance matrix at levels up to 5 and on the
-    least sorted axis gap above, the same double
+    and the same violations in the same order.  The frame check reads
+    the least entry of the full sup-norm distance matrix at levels up to
+    5 and the least sorted axis gap above, the same double
     (test_pairwise_minimum_is_the_smallest_axis_gap).
     """
     report = ValidationReport(k_max)
@@ -362,10 +383,6 @@ def reference_validate_geometry(k_max, params, tol=1e-12):
                             (k, where, "child interval not strictly inside parent half")
                         )
             centers.sort()
-            gap = min(b - a for a, b in zip(centers, centers[1:]))
-            report.checks_run += 2
-            if gap < 2.0 * R - tol:
-                report.violations.append((k, fam, "sibling frames overlap along an axis"))
             if k <= 5:
                 cs = np.array(centers)
                 cx, cy = np.repeat(cs, len(cs)), np.tile(cs, len(cs))
@@ -375,9 +392,10 @@ def reference_validate_geometry(k_max, params, tol=1e-12):
                 np.fill_diagonal(dist, np.inf)
                 least = dist.min()
             else:
-                least = gap
-            if least < side - tol:
-                report.violations.append((k, fam, "square interiors overlap"))
+                least = min(b - a for a, b in zip(centers, centers[1:]))
+            report.checks_run += 1
+            if least < 2.0 * R - tol:
+                report.violations.append((k, fam, "sibling frames overlap along an axis"))
     return report
 
 
@@ -397,13 +415,12 @@ def test_validate_geometry_matches_reference_loop(sigma, beta, tol):
             want.k_max, want.checks_run, want.violations
         )
     if tol < 0.0:
-        # both gap checks read tol, so both fail at every (family, level)
+        # the gap check reads tol, so it fails at every (family, level)
         gap_failures = {v for v in got.violations if v[1] in ("pre", "image")}
         assert gap_failures == {
-            (k, fam, message)
+            (k, fam, "sibling frames overlap along an axis")
             for k in range(MIN_LEVEL, 8)
             for fam in ("pre", "image")
-            for message in ("sibling frames overlap along an axis", "square interiors overlap")
         }
     elif sigma == 0.49999999999999994:
         assert {v[2] for v in got.violations} == {
@@ -461,5 +478,4 @@ def test_validate_geometry_2d_checks_match_the_matrix(tol):
         )
         messages |= {v[2] for v in got.violations}
     if tol == -1e-3:
-        # "square interiors overlap" shows at four of the six sigmas
-        assert {"square interiors overlap", "sibling frames overlap along an axis"} <= messages
+        assert "sibling frames overlap along an axis" in messages

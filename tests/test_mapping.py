@@ -37,7 +37,6 @@ from cantormap.mapping import (
     fields,
     fields_batch,
     locate,
-    similarity_ratio,
     sup_distortion,
 )
 
@@ -184,7 +183,6 @@ def test_locate_conventions():
     loc = locate(center, 5, P)
     assert isinstance(loc, SquareInteriorAt)
     assert loc.address.level == 5
-    assert loc.truncated
 
     with pytest.raises(ValueError):
         locate((1.2, 0.5), 5, P)
@@ -1054,6 +1052,51 @@ def test_batch_input_errors(points, depth, message):
         assert str(err.value).startswith(message)
 
 
+@settings(max_examples=150)
+@given(
+    sigma=st.one_of(st.floats(-300.0, -1.0).map(lambda e: 10.0**e), st.floats(0.1, 0.5 - 2.0**-54)),
+    beta=st.one_of(st.floats(-323.0, 308.2).map(lambda e: 10.0**e), st.floats(1e-3, 1e3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(sigma=0.5 - 2.0**-54, beta=5e-324, seed=0)
+@example(sigma=0.5 - 2.0**-54, beta=1e-3, seed=1)
+@example(sigma=1e-300, beta=1.7e308, seed=2)
+@example(sigma=0.1, beta=2.0, seed=3)
+def test_fields_are_finite_at_every_resolvable_depth(sigma, beta, seed):
+    """Every image and field of fields_batch is a finite double, so map
+    writes no non-finite value: at every resolvable depth, on the inner
+    and outer boundaries and the mid-radius of a frame of each level,
+    and at a cell center of each level, which deeper than the depth
+    lies in a depth square.  A depth whose table coeffs refuses, and
+    every deeper one, is skipped."""
+    params = ConstructionParams(sigma, beta)
+    rng = np.random.default_rng(seed)
+    pts = []
+    for k in range(MIN_LEVEL, resolvable_depth(params) + 1):
+        (c0, c1), rad = _cell_centers(rng, 1, k, params)[0], radii(k, params)
+        pts.append((c0, c1))
+        for off in (rad.r, rad.R, (rad.r + rad.R) / 2.0):
+            pts += [(c0 + off, c1), (c0, c1 - off), (c0 - off, c1 + off)]
+    pts = np.clip(pts, 0.0, 1.0)
+    for depth in range(MIN_LEVEL, resolvable_depth(params) + 1):
+        try:
+            coeffs(depth, params)
+        except ValueError:
+            break
+        f = fields_batch(pts, depth, params)
+        for key in ("image", "derivative_norm", "jacobian", "distortion"):
+            assert np.isfinite(f[key]).all(), (depth, key)
+
+
 def test_similarity_ratio_values():
-    np.testing.assert_allclose(similarity_ratio(3, P), L3 / 0.45**3, rtol=1e-14)
-    np.testing.assert_allclose(similarity_ratio(5, P), L5 / 0.45**5, rtol=1e-14)
+    """The table's similarity ratio istep / step is l_depth / sigma^depth:
+    the steps are the sides over 4, normal doubles at every resolvable
+    depth, so the quotient is the same double."""
+    np.testing.assert_allclose(_level_table(P, 3).s_sim, L3 / 0.45**3, rtol=1e-14)
+    np.testing.assert_allclose(_level_table(P, 5).s_sim, L5 / 0.45**5, rtol=1e-14)
+    for sigma, beta in [(0.45, 2.0), (0.1, 2.0), (0.25, 2.0), (0.49999999999999994, 1e-3),
+                        (0.01, 0.5), (0.3, 50.0)]:
+        params = ConstructionParams(sigma, beta)
+        for depth in range(MIN_LEVEL, resolvable_depth(params) + 1):
+            want = image_side(depth, params) / preimage_side(depth, params)
+            assert _level_table(params, depth).s_sim == want, (sigma, beta, depth)

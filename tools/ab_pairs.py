@@ -26,16 +26,19 @@ the metric's unit; "worse than bound" when the difference exceeds the
 bound, "unresolved" when the parent's IQR does.  Beside it, each summary
 counts the change's runs worse than the parent's worst run and the
 parent's runs worse than the change's worst, so that a shift between
-two modes of a metric shows as a count.  ``--claim W:METRIC``
-records whether the change won at least 9 of every 10 pairs and its
-median gap exceeds the parent's IQR.
+two modes of a metric shows as a count, and an exact two-sided
+sign-flip p-value of the pair differences is stored and printed beside
+the verdict.  ``--claim W:METRIC`` records whether the change won at
+least 9 of every 10 pairs and its median gap exceeds the parent's IQR.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import itertools
 import json
+import math
 import os
 import platform
 import shlex
@@ -121,6 +124,20 @@ def _stats(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "min": min(values), "max": max(values)}
 
 
+def sign_flip_p(diffs: list[float]) -> float:
+    """Exact two-sided sign-flip permutation p-value of the pair
+    differences: the share of the 2^n sign patterns whose sum is at
+    least as far from 0 as the observed sum.  Under no change each
+    difference is as likely negated, so every pattern is equally
+    likely.  math.fsum rounds each exact sum once, so patterns whose
+    sums are equal compare equal; 2^n sums are formed, 1,024 for 10
+    pairs."""
+    observed = abs(math.fsum(diffs))
+    hits = sum(abs(math.fsum(s * d for s, d in zip(signs, diffs))) >= observed
+               for signs in itertools.product((1.0, -1.0), repeat=len(diffs)))
+    return hits / 2 ** len(diffs)
+
+
 def _summary(pairs: list[dict[str, dict]], metric: str, lower_better: bool) -> dict:
     parent = [p["parent"][metric] for p in pairs]
     change = [p["change"][metric] for p in pairs]
@@ -142,6 +159,7 @@ def _summary(pairs: list[dict[str, dict]], metric: str, lower_better: bool) -> d
         "median_gap": sign * gap,
         "change_worse_than_parent_worst": beyond_worst(change, parent),
         "parent_worse_than_change_worst": beyond_worst(parent, change),
+        "sign_flip_p": sign_flip_p([p - c for p, c in zip(parent, change)]),
     }
 
 
@@ -238,7 +256,8 @@ def main(argv: list[str] | None = None) -> int:
                               f" {unit} (bound {bound:g} {unit}, parent IQR"
                               f" {s['parent_iqr']:.4g}): {s['verdict']}; beyond the other"
                               f" side's worst run: change {s['change_worse_than_parent_worst']},"
-                              f" parent {s['parent_worse_than_change_worst']}", flush=True)
+                              f" parent {s['parent_worse_than_change_worst']}; sign-flip"
+                              f" p = {s['sign_flip_p']:.4g}", flush=True)
                 entry["runs"] = [run for p in pairs for run in p.values()]
     claims = []
     for spec in args.claim:
